@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import CostLedger, Statevector, apply_unitary, basis_state, tensor
+from .statevector import CostLedger, Statevector, apply_unitary, basis_state, max_qubits, tensor
 
 PHASE_REGISTER = "phase"
 
@@ -39,19 +39,6 @@ def decode_fixed(code: int, frac_bits: int, width: int) -> float:
     half = 1 << (width - 1)
     signed = ((code + half) & ((1 << width) - 1)) - half
     return signed / (1 << frac_bits)
-
-
-def encode_unsigned(value: float, frac_bits: int, width: int) -> int:
-    """Unsigned fixed point, saturating at the register top. Used for
-    singular-value registers where the maximum scale maps to 1.0."""
-    if value < -1e-12:
-        raise ValueError(f"unsigned register cannot hold {value}")
-    code = round(max(value, 0.0) * (1 << frac_bits))
-    return min(code, (1 << width) - 1)
-
-
-def decode_unsigned(code: int, frac_bits: int) -> float:
-    return code / (1 << frac_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +127,15 @@ def _controlled_powers(rows: np.ndarray, u: np.ndarray, t: int, dagger: bool = F
     return rows
 
 
+def _check_phase_budget(total: int) -> None:
+    """Reject a phase estimation whose register, phase bits included, would
+    exceed the QMM_MAX_QUBITS budget."""
+    if total > max_qubits():
+        raise ValueError(
+            f"phase estimation needs {total} qubits, over the budget of {max_qubits()}"
+        )
+
+
 def phase_estimate(
     u: np.ndarray,
     s: Statevector,
@@ -164,13 +160,7 @@ def phase_estimate(
     t = cfg.phase_bits
     T = 1 << t
     layout = ((name, t),) + s.layout
-    total = t + s.total_qubits
-    from .statevector import max_qubits
-
-    if total > max_qubits():
-        raise ValueError(
-            f"phase estimation needs {total} qubits, over the budget of {max_qubits()}"
-        )
+    _check_phase_budget(t + s.total_qubits)
     rows = np.repeat(s.amplitudes[None, :], T, axis=0) / math.sqrt(T)
     rows = _controlled_powers(rows, u, t)
     rows = np.fft.fft(rows, axis=0) / math.sqrt(T)
@@ -190,20 +180,8 @@ def invert_phase_estimate(
     if idx != 0:
         raise ValueError("phase register must be the leading register")
     t = s.layout[0][1]
-    T = 1 << t
-    rows = s.amplitudes.reshape(T, -1)
-    rows = np.fft.ifft(rows, axis=0) * math.sqrt(T)
-    rows = _controlled_powers(rows, np.asarray(u, dtype=complex), t, dagger=True)
-    # Hadamard transform on the phase register (bit-order symmetric)
-    h = 1
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    while h < T:
-        for i in range(0, T, 2 * h):
-            top = rows[i : i + h].copy()
-            bot = rows[i + h : i + 2 * h]
-            rows[i : i + h] = (top + bot) * inv_sqrt2
-            rows[i + h : i + 2 * h] = (top - bot) * inv_sqrt2
-        h *= 2
+    rows = s.amplitudes.reshape(1 << t, -1)
+    rows = _unnormalized_invert(rows, np.asarray(u, dtype=complex), t)
     return Statevector(s.layout, rows.reshape(-1))
 
 
@@ -266,6 +244,7 @@ def _unnormalized_invert(rows: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
     T = 1 << t
     work = np.fft.ifft(rows, axis=0) * math.sqrt(T)
     work = _controlled_powers(work, u, t, dagger=True)
+    # Hadamard transform on the phase register (bit-order symmetric)
     h = 1
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     while h < T:
@@ -276,10 +255,6 @@ def _unnormalized_invert(rows: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
             work[i + h : i + 2 * h] = (top - bot) * inv_sqrt2
         h *= 2
     return work
-
-
-def decode_tag(code: int, frac_bits: int, width: int) -> float:
-    return decode_fixed(code, frac_bits, width)
 
 
 # ---------------------------------------------------------------------------

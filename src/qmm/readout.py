@@ -100,6 +100,41 @@ def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     )
 
 
+def _rotated_components(sigmas: np.ndarray, t1: int, frob_a: float, sigma_max: float, hhl: bool):
+    """Rotation constant c_rot and, for every singular component k, the
+    amplitudes left on the rot = 0 and rot = 1 blocks after a t1-bit
+    singular-value estimation, rotation by c_rot * decoded value, and undo.
+
+    Walk operator (sve): labels decode frob_a |cos(pi y / 2^t1)|. Hermitian
+    dilation (hhl): labels decode signed eigenvalues on a 2 pi / t0 window,
+    t0 = pi / (2 sigma_max). c_rot is the reciprocal of the largest value the
+    grid can decode for sigma_max, so every rotation stays within [-1, 1].
+    """
+    T1 = 1 << t1
+    if hhl:
+        t0 = math.pi / (2.0 * sigma_max)
+        grid = _lambda_decode(t1, t0)
+        ceiling = abs(grid[min(math.ceil(sigma_max * t0 * T1 / (2.0 * math.pi)), T1 // 2)])
+        lowest = -1.0
+
+        def component(sigma, weights):
+            return _hhl_component(sigma, t0, t1, weights)
+    else:
+        grid = _sigma_decode(t1, frob_a)
+        theta_top = 2.0 * math.acos(min(sigma_max / frob_a, 1.0))
+        ceiling = frob_a * abs(math.cos(math.pi * math.floor(theta_top * T1 / (2.0 * math.pi)) / T1))
+        lowest = 0.0
+
+        def component(sigma, weights):
+            return _sve_component(sigma, frob_a, t1, weights)
+    c_rot = 1.0 / max(ceiling, 1e-300)
+    weights0 = np.clip(c_rot * grid, lowest, 1.0)
+    weights1 = np.sqrt(1.0 - weights0**2)
+    comp0 = np.array([component(s, weights0) for s in sigmas], dtype=complex)
+    comp1 = np.array([component(s, weights1) for s in sigmas], dtype=complex)
+    return c_rot, comp0, comp1
+
+
 def _readout_by_value_estimation(a, b, eps_abs: float, *, hhl: bool, strict_support: bool) -> ReadoutReport:
     """Shared sve/hhl readout: per column j build the rotated state
     (1/sigma_ceiling) sum_k alpha_jk sigma~_k |u_k>|0> + junk, then estimate
@@ -122,6 +157,9 @@ def _readout_by_value_estimation(a, b, eps_abs: float, *, hhl: bool, strict_supp
     ledger.classical_entries += a0.size + b0.size
     c_tilde = np.zeros((l, n))
     uvec = bundle.left_vectors
+    # the components depend on the column only through t1, so columns of
+    # equal width share one evaluation
+    by_width = {}
     for j in range(n):
         if col_norms[j] == 0.0:
             continue
@@ -134,39 +172,14 @@ def _readout_by_value_estimation(a, b, eps_abs: float, *, hhl: bool, strict_supp
         else:
             t1 = math.ceil(math.log2(4.0 * math.pi * frob_a / eps1_req))
         t1 = min(max(t1, 2), MAX_PHASE_BITS)
-        T1 = 1 << t1
-        if hhl:
-            t0 = math.pi / (2.0 * sigma_max)
-            lam_grid = _lambda_decode(t1, t0)
-            ceiling = abs(lam_grid[min(math.ceil(sigma_max * t0 * T1 / (2.0 * math.pi)), T1 // 2)])
-            c_rot = 1.0 / max(ceiling, 1e-300)
-            weights0 = np.clip(c_rot * lam_grid, -1.0, 1.0)
-            weights1 = np.sqrt(1.0 - weights0**2)
-            comp0 = [
-                _hhl_component(sigmas[k], t0, t1, weights0) if abs(aj[k]) > 1e-14 else 0.0
-                for k in range(d)
-            ]
-            comp1 = [
-                _hhl_component(sigmas[k], t0, t1, weights1.astype(complex)) if abs(aj[k]) > 1e-14 else 0.0
-                for k in range(d)
-            ]
-        else:
-            dec = _sigma_decode(t1, frob_a)
-            theta_top = 2.0 * math.acos(min(sigma_max / frob_a, 1.0))
-            ceiling = frob_a * abs(math.cos(math.pi * math.floor(theta_top * T1 / (2.0 * math.pi)) / T1))
-            c_rot = 1.0 / max(ceiling, 1e-300)
-            weights0 = np.clip(c_rot * dec, 0.0, 1.0)
-            weights1 = np.sqrt(1.0 - weights0**2)
-            comp0 = [
-                _sve_component(sigmas[k], frob_a, t1, weights0) if abs(aj[k]) > 1e-14 else 0.0
-                for k in range(d)
-            ]
-            comp1 = [
-                _sve_component(sigmas[k], frob_a, t1, weights1) if abs(aj[k]) > 1e-14 else 0.0
-                for k in range(d)
-            ]
-        y0 = uvec @ (aj * np.asarray(comp0, dtype=complex))  # rot = 0 block
-        y1 = uvec @ (aj * np.asarray(comp1, dtype=complex))  # rot = 1 block
+        if t1 not in by_width:
+            by_width[t1] = _rotated_components(sigmas, t1, frob_a, sigma_max, hhl)
+        c_rot, comp0, comp1 = by_width[t1]
+        support = np.abs(aj) > 1e-14
+        comp0 = np.where(support, comp0, 0.0)
+        comp1 = np.where(support, comp1, 0.0)
+        y0 = uvec @ (aj * comp0)  # rot = 0 block
+        y1 = uvec @ (aj * comp1)  # rot = 1 block
         junk = max(0.0, 1.0 - float(np.sum(np.abs(y0) ** 2) + np.sum(np.abs(y1) ** 2)))
         dim_y = pad_dim(2 * d + 1)
         yfull = np.zeros(dim_y, dtype=complex)

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matmul import _qpe_rows, _rotation
 from .qpe import (
     PhaseConfig,
+    _check_phase_budget,
     decode_fixed,
     encode_fixed,
     grover_rotation,
@@ -137,18 +139,47 @@ def _require_real(vec: np.ndarray, what: str) -> np.ndarray:
     return aligned.real.astype(complex)
 
 
+def _plane_phase_probabilities(
+    phi: Statevector, t: int, ledger: CostLedger | None = None
+) -> np.ndarray:
+    """Phase-label distribution of phase_estimate(grover_rotation(phi), phi)
+    on a t-bit register, simulated on the rotation's invariant plane.
+
+    phi = sin(theta)|0>|u> + cos(theta)|1>|v> lies in the plane of its two
+    branch states, where the Grover rotation is the 2x2 rotation by
+    2*theta; the label distribution therefore needs only that block. The
+    qubit budget and the ledger charges are those of the full register.
+    """
+    _check_phase_budget(t + phi.total_qubits)
+    half = phi.amplitudes.size // 2
+    sin_t = float(np.linalg.norm(phi.amplitudes[:half]))
+    cos_t = float(np.linalg.norm(phi.amplitudes[half:]))
+    rows = _qpe_rows(_rotation(2.0 * math.atan2(sin_t, cos_t)), np.array([sin_t, cos_t]), t)
+    if ledger is not None:
+        ledger.charge_controlled((1 << t) - 1)
+        ledger.use_phase_bits(t)
+    return np.sum(np.abs(rows) ** 2, axis=1)
+
+
 def estimate_real_overlap(
     x: np.ndarray, y: np.ndarray, eps: float, ledger: CostLedger | None = None
 ) -> float:
     """Modal estimate of Re<x|y> from phase estimation of the Grover
-    rotation; |error| <= pi/2^t <= eps/4 with the default guard bits."""
+    rotation; |error| <= pi/2^t <= eps/4 with the default guard bits.
+
+    phi = (|0>(x+y) + |1>(x-y))/2 has branch norms sin(theta) and
+    cos(theta) with sin^2(theta) = (1 + Re<x|y>)/2, and the Grover rotation
+    acts on the plane of the two branch states as a rotation by 2*theta.
+    The label distribution is computed on that 2x2 block, so the cost does
+    not grow with the dimension of x and y. The dense register simulation
+    (grover_rotation + phase_estimate) gives the same estimate, up to one
+    ulp where the mirrored labels y and 2^t - y tie exactly.
+    """
     cfg = PhaseConfig.from_epsilon(eps)
     phi = superposed_pair_state(x, y)
-    g = grover_rotation(phi)
     if ledger is not None:
         ledger.charge_oracle(2)  # one controlled preparation of each input
-    est = phase_estimate(g, phi, cfg, ledger)
-    probs = marginal_probabilities(est, "phase")
+    probs = _plane_phase_probabilities(phi, cfg.phase_bits, ledger)
     label = int(np.argmax(probs))
     return float(swap_value(label, cfg.phase_bits))
 
@@ -257,10 +288,8 @@ def coefficient_tag(
         basis = np.zeros(dim)
         basis[j] = 1.0
         phi = superposed_pair_state(basis, psi)
-        g = grover_rotation(phi)
-        est = phase_estimate(g, phi, cfg, ledger if not charged else None)
+        probs = _plane_phase_probabilities(phi, t, ledger if not charged else None)
         charged = True
-        probs = marginal_probabilities(est, "phase")
         # with an even tag the phase machinery uncomputes exactly per bin;
         # the per-bin branch amplitude is the label mass landing in the bin
         np.add.at(amps[j], codes, probs)

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qmm.readout
+from qmm.harness import generate_matrix
 from qmm.linalg import exact_product
 from qmm.readout import (
     inner_product_classical,
@@ -130,6 +135,31 @@ def test_readout_hhl_vs_sve_ledger_direction():
     kappa = np.linalg.cond(a)
     assert kappa < 4.0
     assert hhl_rep.ledger.total_oracle_units() <= sve_rep.ledger.total_oracle_units()
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "readout_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED["cases"], ids=lambda c: f"{c['method']}-k{c['kappa']}-s{c['seed']}")
+def test_value_estimation_readout_matches_pinned_values(case, monkeypatch):
+    # c_tilde and ledger recorded from the per-column dense-register
+    # implementation; phase_widths lists the distinct t1 of the columns
+    widths = []
+    kernel = qmm.readout._rotated_components
+
+    def recording(sigmas, t1, *args):
+        widths.append(t1)
+        return kernel(sigmas, t1, *args)
+
+    monkeypatch.setattr(qmm.readout, "_rotated_components", recording)
+    n, kappa, seed = PINNED["n"], case["kappa"], case["seed"]
+    a = generate_matrix(n, kappa, seed)
+    b = generate_matrix(n, kappa, seed + 10000)
+    fn = readout_sve if case["method"] == "readout-sve" else readout_hhl
+    rep = fn(a, b, PINNED["eps_abs"])
+    assert np.max(np.abs(rep.c_tilde - np.array(case["c_tilde"]))) <= 1e-12
+    assert rep.ledger.to_dict() == case["ledger"]
+    assert sorted(widths) == case["phase_widths"]  # one evaluation per width
 
 
 def test_readout_support_violation_warns():

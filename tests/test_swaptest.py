@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qmm.qpe import PhaseConfig, decode_fixed
+from qmm.qpe import PhaseConfig, decode_fixed, grover_rotation, phase_estimate, swap_value
 from qmm.statevector import CostLedger, fidelity, marginal_probabilities
 from qmm.swaptest import (
     StatePreparer,
@@ -11,8 +13,10 @@ from qmm.swaptest import (
     complex_inner_product,
     control_pair_state,
     discard_tag_fidelity,
+    estimate_real_overlap,
     generalized_swap_test,
     inner_product_estimate,
+    superposed_pair_state,
     tag_modal_value,
 )
 
@@ -106,6 +110,73 @@ def test_inner_product_monotone_refinement():
         if prev is not None:
             assert all(e <= p + 1e-15 for e, p in zip(errs, prev))
         prev = errs
+
+
+def dense_overlap_estimate(x, y, eps, ledger=None):
+    """Reference estimator: the Grover rotation on the full register."""
+    cfg = PhaseConfig.from_epsilon(eps)
+    phi = superposed_pair_state(x, y)
+    if ledger is not None:
+        ledger.charge_oracle(2)
+    est = phase_estimate(grover_rotation(phi), phi, cfg, ledger)
+    label = int(np.argmax(marginal_probabilities(est, "phase")))
+    return float(swap_value(label, cfg.phase_bits))
+
+
+@st.composite
+def overlap_inputs(draw):
+    dim = 1 << draw(st.integers(1, 5))
+    is_complex = draw(st.booleans())
+    part = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+
+    def unit_vector():
+        v = np.array(draw(part), dtype=complex)
+        if is_complex:
+            v = v + 1j * np.array(draw(part))
+        norm = np.linalg.norm(v)
+        assume(norm > 1e-3)
+        return v / norm
+
+    x = unit_vector()
+    kind = draw(st.sampled_from(["random", "equal", "negated", "basis"]))
+    if kind == "random":
+        y = unit_vector()
+    elif kind == "equal":
+        y = x.copy()
+    elif kind == "negated":
+        y = -x
+    else:
+        y = np.zeros(dim, dtype=complex)
+        y[draw(st.integers(0, dim - 1))] = 1.0
+    return x, y, draw(st.floats(0.005, 0.5))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(overlap_inputs())
+def test_plane_overlap_estimate_matches_dense_register(case):
+    # the two decodes may differ by one ulp: the mirrored labels y and
+    # 2^t - y can tie exactly, and each simulation may pick either
+    x, y, eps = case
+    led_plane, led_dense = CostLedger(), CostLedger()
+    got = estimate_real_overlap(x, y, eps, led_plane)
+    want = dense_overlap_estimate(x, y, eps, led_dense)
+    assert abs(got - want) <= 1e-14
+    assert led_plane == led_dense
+
+
+def test_overlap_estimate_rejects_non_unit_inputs():
+    with pytest.raises(ValueError, match="norm"):
+        estimate_real_overlap(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 0.05)
+
+
+def test_overlap_estimate_respects_qubit_budget(monkeypatch):
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    # t = 8 phase bits + 3 register qubits at eps = 0.05
+    monkeypatch.setenv("QMM_MAX_QUBITS", "10")
+    with pytest.raises(ValueError, match="needs 11 qubits, over the budget of 10"):
+        estimate_real_overlap(x, x, 0.05)
+    monkeypatch.setenv("QMM_MAX_QUBITS", "11")
+    assert estimate_real_overlap(x, x, 0.05) == pytest.approx(1.0)
 
 
 def test_inner_product_dimension_mismatch():
