@@ -2,7 +2,7 @@
 
 Verbs: multiply, readout, prepare, scaling, verify, gen. Exit status is
 nonzero exactly when a bound was violated or an error occurred. Environment:
-QMM_MAX_QUBITS caps simulator width, QMM_WORKERS parallelizes grid cells.
+QMM_MAX_QUBITS caps simulator width.
 """
 from __future__ import annotations
 

@@ -9,9 +9,7 @@ not hold up.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +22,6 @@ from .statevector import aligned_distance
 MULTIPLY_METHODS = ("swap", "sve", "hhl", "lcu")
 READOUT_METHODS = ("readout-swap", "readout-sve", "readout-hhl")
 PREP_METHODS = ("prep-direct", "prep-hamiltonian", "prep-sparse", "prep-dyadic", "prep-signshift")
-
-
-def worker_count() -> int:
-    return max(1, int(os.environ.get("QMM_WORKERS", "1")))
 
 
 @dataclass
@@ -257,15 +251,14 @@ def scaling_study(
 ) -> dict:
     """Cost table over (n, eps, seed) cells plus fitted log-log slopes of
     cost against 1/eps (at the largest n) and against n (at the smallest
-    eps). Cells run concurrently up to QMM_WORKERS."""
+    eps)."""
     n_grid = list(n_grid)
     eps_grid = list(eps_grid)
     seeds = list(seeds)
     if not n_grid or not eps_grid or not seeds:
         raise ValueError("grids must be nonempty")
 
-    def cell(args):
-        n, eps, seed = args
+    def cell(n, eps, seed):
         if method.startswith("prep-"):
             x = generate_vector(n, kappa, seed)
             cfg = ExperimentConfig(method=method, eps=eps, seed=seed, inputs={"x": x})
@@ -284,13 +277,7 @@ def scaling_study(
             "bound": row.get("bound"),
         }
 
-    cells = [(n, eps, seed) for n in n_grid for eps in eps_grid for seed in seeds]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = list(pool.map(cell, cells))
-    else:
-        table = [cell(c) for c in cells]
+    table = [cell(n, eps, seed) for n in n_grid for eps in eps_grid for seed in seeds]
     table.sort(key=lambda r: (r["n"], -r["eps"], r["seed"]))
 
     slopes = {}
@@ -333,15 +320,16 @@ def _recompute_bound(row: dict) -> float | None:
     if method in ("sve", "hhl"):
         a = np.asarray(row["a"], dtype=float)
         b = np.asarray(row["b"], dtype=float)
-        details = row["details"]
-        _, _, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = matmul._sve_setup(a, b)
+        a0, _, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = matmul._sve_setup(a, b)
         sigmas = np.zeros(d)
         sigmas[: bundle.sigmas.size] = bundle.sigmas
+        route_of = matmul.walk_route if method == "sve" else matmul.dilation_route
+        route = route_of(float(np.linalg.norm(a0)), float(bundle.sigmas[0]))
         return matmul.sve_error_bound(
-            float(details["eps1_eff"]),
+            route.scale / (1 << int(row["phase_bits"])),
             col_norms,
             alpha,
-            np.asarray(details["sigma_eff"], dtype=float),
+            np.asarray(row["details"]["sigma_eff"], dtype=float),
             sigmas,
         )
     if method.startswith("prep-"):

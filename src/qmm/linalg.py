@@ -69,8 +69,6 @@ class MatrixProfile:
     sigma_min_nonzero: float | None
     kappa: float | None
     singular: bool
-    row_norms_3: float
-    col_norms_3: float
 
 
 def matrix_profile(a) -> MatrixProfile:
@@ -97,8 +95,6 @@ def matrix_profile(a) -> MatrixProfile:
         sigma_min_nonzero=sigma_min_nonzero,
         kappa=kappa,
         singular=singular,
-        row_norms_3=float(np.sum(row_norms**3) ** (1.0 / 3.0)),
-        col_norms_3=float(np.sum(col_norms**3) ** (1.0 / 3.0)),
     )
 
 

@@ -13,6 +13,11 @@ Three routes are implemented:
     [[0, A], [A^dag, 0]], whose eigenvalues are +-sigma_k; label accuracy is
     then relative to sigma_max instead of ||A||_F.
 
+matmul_sve and matmul_hhl are one body, _matmul_by_value_estimation, run
+on a _ValueRoute (walk_route or dilation_route) that carries what the two
+differ in: accuracy scale, decode grid, rotation ceiling and per-triple
+kernel. The sve and hhl readouts use the same routes.
+
 All registers the circuits would entangle factor into independent blocks
 (one per matrix entry or singular triple), so each block is simulated
 exactly on its invariant subspace and the blocks are reassembled; tests
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +245,80 @@ def _hhl_component(sigma: float, t0: float, t: int, weights: np.ndarray) -> comp
     rows = _qpe_rows(u, init, t)
     g = _phase0_after_undo(rows * weights[:, None], u, t).sum(axis=0)
     return complex((g[0] + g[1]) / math.sqrt(2.0))
+
+
+# ---------------------------------------------------------------------------
+# value-estimation routes
+
+@dataclass(frozen=True)
+class _ValueRoute:
+    """One way of reading the singular values of A off a phase register.
+
+    A t-bit register reads each singular value to eps1 = scale / 2^t.
+    decode(t) maps labels to values, ceiling(t) is the largest value the
+    grid decodes for sigma_max, and component(sigma, t, weights) is the
+    amplitude one singular triple keeps after its labels are rotated by
+    weights and the estimation is undone.
+    """
+
+    method: str
+    scale: float
+    lowest: float  # smallest rotation value: 0 for unsigned decodes, -1 for signed
+    decode: Callable[[int], np.ndarray]
+    ceiling: Callable[[int], float]
+    component: Callable[[float, int, np.ndarray], complex]
+    details: dict
+
+    def rotation(self, t: int) -> tuple[float, np.ndarray]:
+        """Rotation constant c_rot = 1 / ceiling(t) and the per-label
+        rotation values c_rot * decode(t), clipped to [lowest, 1]."""
+        c_rot = 1.0 / max(self.ceiling(t), 1e-300)
+        return c_rot, np.clip(c_rot * self.decode(t), self.lowest, 1.0)
+
+
+def walk_route(frob_a: float, sigma_max: float) -> _ValueRoute:
+    """Walk operator of A (Kerenidis-Prakash SVE): labels decode
+    ||A||_F |cos(pi y / 2^t)|, accurate to 2 pi ||A||_F / 2^t."""
+    theta_top = 2.0 * math.acos(min(sigma_max / frob_a, 1.0))
+
+    def ceiling(t: int) -> float:
+        # the floor label decodes at or above sigma_max, so the dominant
+        # component never hits the clip
+        T = 1 << t
+        return frob_a * abs(math.cos(math.pi * math.floor(theta_top * T / (2.0 * math.pi)) / T))
+
+    return _ValueRoute(
+        method="sve",
+        scale=2.0 * math.pi * frob_a,
+        lowest=0.0,
+        decode=lambda t: _sigma_decode(t, frob_a),
+        ceiling=ceiling,
+        component=lambda sigma, t, weights: _sve_component(sigma, frob_a, t, weights),
+        details={},
+    )
+
+
+def dilation_route(frob_a: float, sigma_max: float) -> _ValueRoute:
+    """Hermitian dilation [[0, A], [A^dag, 0]] evolved for t0 = pi / (2
+    sigma_max) (HHL): labels decode the signed eigenvalues +-sigma_k,
+    accurate to 8 sigma_max / 2^t."""
+    t0 = math.pi / (2.0 * sigma_max)
+
+    def ceiling(t: int) -> float:
+        # decode of the label at or above sigma_max, as _lambda_decode does it
+        T = 1 << t
+        y = min(math.ceil(sigma_max * t0 * T / (2.0 * math.pi)), T // 2)
+        return abs((2.0 * math.pi * y / T) / t0)
+
+    return _ValueRoute(
+        method="hhl",
+        scale=8.0 * sigma_max,
+        lowest=-1.0,
+        decode=lambda t: _lambda_decode(t, t0),
+        ceiling=ceiling,
+        component=lambda sigma, t, weights: _hhl_component(sigma, t0, t, weights),
+        details={"evolution_time": t0},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,20 +660,12 @@ def _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n):
     return _product_state(psi, l, n)
 
 
-def matmul_sve(
-    a,
-    b,
-    eps: float | None = None,
-    phase_bits: int | None = None,
-    *,
-    strict_support: bool = False,
-    exact_phase: bool = False,
-    normalize_output: bool = True,
-) -> PipelineResult:
-    """State of AB via singular-value estimation on the walk operator of A,
-    starting from the column-encoded state of B.
+def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_support, exact_phase) -> PipelineResult:
+    """State of AB from the column-encoded state of B: estimate every
+    singular value of A on the route's phase register, rotate by c_rot times
+    the decoded value, undo the estimation and postselect.
 
-    Per-component singular values are read to eps1 = 2 pi ||A||_F / 2^t; the
+    Per-component singular values are read to eps1 = route.scale / 2^t; the
     realized state distance obeys sve_error_bound(eps1, ...). Success
     probability approaches ||AB||_F^2 / (||B||_F^2 sigma_max^2).
     """
@@ -603,19 +675,19 @@ def matmul_sve(
     if frob_c <= 1e-14:
         raise ValueError("AB = 0: the product state is undefined")
     _check_support(bundle.sigmas, alpha, col_norms, frob_b, strict_support)
-    frob_a = float(np.linalg.norm(a0))
     sigma_max = float(bundle.sigmas[0])
+    route = route_of(float(np.linalg.norm(a0)), sigma_max)
     if phase_bits is None:
         if eps is None:
             raise ValueError("need either eps or phase_bits")
         eps1_target = eps * frob_c**2 / (2.0 * frob_b**2 * sigma_max)
-        t = _resolve_phase_bits(None, math.ceil(math.log2(2.0 * math.pi * frob_a / eps1_target)), eps)
+        t = _resolve_phase_bits(None, math.ceil(math.log2(route.scale / eps1_target)), eps)
     else:
         t = _resolve_phase_bits(None, phase_bits, 0.0)
     T = 1 << t
     # per-component accuracy actually achieved by the probability-weighted
     # label decode (worst case measured well under this; asserted in tests)
-    eps1_eff = 2.0 * math.pi * frob_a / T
+    eps1_eff = route.scale / T
 
     sigmas = np.zeros(d)
     sigmas[: bundle.sigmas.size] = bundle.sigmas
@@ -623,54 +695,54 @@ def matmul_sve(
         c_rot = 1.0 / sigma_max
         a_vec = (c_rot * sigmas).astype(complex)
     else:
-        # rotation scale 1/max sigma~; the floor label decodes at or above
-        # sigma_max, so the dominant component never hits the clip
-        theta_top = 2.0 * math.acos(min(sigma_max / frob_a, 1.0))
-        ceiling = frob_a * abs(math.cos(math.pi * math.floor(theta_top * T / (2.0 * math.pi)) / T))
-        c_rot = 1.0 / max(ceiling, 1e-300)
-        weights = np.clip(c_rot * _sigma_decode(t, frob_a), 0.0, 1.0)
+        c_rot, weights = route.rotation(t)
         a_vec = np.array(
             [
-                _sve_component(sigmas[k], frob_a, t, weights) if np.any(np.abs(alpha[k]) > 1e-14) else 0.0
+                route.component(sigmas[k], t, weights) if np.any(np.abs(alpha[k]) > 1e-14) else 0.0
                 for k in range(d)
             ],
             dtype=complex,
         )
 
-    state, norm2 = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n)
+    state, success = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n)
     ledger = CostLedger()
     ledger.charge_oracle(1)
     ledger.charge_controlled(2 * (T - 1))
     ledger.use_phase_bits(t)
+    ledger.record_postselect(success)
+    charge_amplification(ledger, success)
     sigma_eff = np.abs(a_vec) / c_rot
-    expected = frob_c**2 / (frob_b**2 * sigma_max**2)
-    if normalize_output:
-        success = norm2
-        ledger.record_postselect(success)
-        charge_amplification(ledger, success)
-        realized = aligned_distance(state, vectorize(c))
-        bound = sve_error_bound(eps1_eff, col_norms, alpha, sigma_eff, sigmas)
-    else:
-        # single-shot branch per the cheaper unnormalized readout: compare
-        # sum_k alpha_k sigma~_k |u_k> against A b without postselecting
-        success = 1.0
-        target = (ap @ (bundle.right_vectors @ (alpha * col_norms[None, :]))) / frob_b
-        produced = (bundle.left_vectors * (np.abs(a_vec) / c_rot)[None, :]) @ (alpha * (col_norms / frob_b)[None, :])
-        realized = float(np.linalg.norm(produced - target))
-        bound = eps1_eff
     return PipelineResult(
         state=PreparedState(state, success, ledger),
-        realized_error=realized,
-        predicted_bound=bound,
-        method="sve",
+        realized_error=aligned_distance(state, vectorize(c)),
+        predicted_bound=sve_error_bound(eps1_eff, col_norms, alpha, sigma_eff, sigmas),
+        method=route.method,
         phase_bits=t,
-        expected_success_probability=expected,
+        expected_success_probability=frob_c**2 / (frob_b**2 * sigma_max**2),
         details={
             "eps1_eff": eps1_eff,
             "sigma_eff": sigma_eff.tolist(),
             "sigma_exact": sigmas.tolist(),
             "rotation_scale": c_rot,
+            **route.details,
         },
+    )
+
+
+def matmul_sve(
+    a,
+    b,
+    eps: float | None = None,
+    phase_bits: int | None = None,
+    *,
+    strict_support: bool = False,
+    exact_phase: bool = False,
+) -> PipelineResult:
+    """State of AB via singular-value estimation on the walk operator of A,
+    starting from the column-encoded state of B; singular values are read
+    to eps1 = 2 pi ||A||_F / 2^t (walk_route)."""
+    return _matmul_by_value_estimation(
+        a, b, eps, phase_bits, walk_route, strict_support=strict_support, exact_phase=exact_phase
     )
 
 
@@ -684,66 +756,8 @@ def matmul_hhl(
     exact_phase: bool = False,
 ) -> PipelineResult:
     """State of AB via phase estimation of exp(i Adilated t0) on the
-    Hermitian dilation of A; identical template to matmul_sve with label
-    accuracy relative to sigma_max instead of ||A||_F."""
-    a0, b0, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = _sve_setup(a, b)
-    c = exact_product(a0, b0)
-    frob_c = float(np.linalg.norm(c))
-    if frob_c <= 1e-14:
-        raise ValueError("AB = 0: the product state is undefined")
-    _check_support(bundle.sigmas, alpha, col_norms, frob_b, strict_support)
-    sigma_max = float(bundle.sigmas[0])
-    if phase_bits is None:
-        if eps is None:
-            raise ValueError("need either eps or phase_bits")
-        eps1_target = eps * frob_c**2 / (2.0 * frob_b**2 * sigma_max)
-        t = _resolve_phase_bits(None, math.ceil(math.log2(8.0 * sigma_max / eps1_target)), eps)
-    else:
-        t = _resolve_phase_bits(None, phase_bits, 0.0)
-    T = 1 << t
-    eps1_eff = 8.0 * sigma_max / T
-    t0 = math.pi / (2.0 * sigma_max)
-
-    sigmas = np.zeros(d)
-    sigmas[: bundle.sigmas.size] = bundle.sigmas
-    lam_grid = _lambda_decode(t, t0)
-    if exact_phase:
-        c_rot = 1.0 / sigma_max
-        a_vec = (c_rot * sigmas).astype(complex)
-    else:
-        ceiling = abs(lam_grid[min(math.ceil(sigma_max * t0 * T / (2.0 * math.pi)), T // 2)])
-        c_rot = 1.0 / max(ceiling, 1e-300)
-        weights = np.clip(c_rot * lam_grid, -1.0, 1.0)
-        a_vec = np.array(
-            [
-                _hhl_component(sigmas[k], t0, t, weights) if np.any(np.abs(alpha[k]) > 1e-14) else 0.0
-                for k in range(d)
-            ],
-            dtype=complex,
-        )
-    state, norm2 = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n)
-    ledger = CostLedger()
-    ledger.charge_oracle(1)
-    ledger.charge_controlled(2 * (T - 1))
-    ledger.use_phase_bits(t)
-    success = norm2
-    ledger.record_postselect(success)
-    charge_amplification(ledger, success)
-    sigma_eff = np.abs(a_vec) / c_rot
-    realized = aligned_distance(state, vectorize(c))
-    bound = sve_error_bound(eps1_eff, col_norms, alpha, sigma_eff, sigmas)
-    return PipelineResult(
-        state=PreparedState(state, success, ledger),
-        realized_error=realized,
-        predicted_bound=bound,
-        method="hhl",
-        phase_bits=t,
-        expected_success_probability=frob_c**2 / (frob_b**2 * sigma_max**2),
-        details={
-            "eps1_eff": eps1_eff,
-            "sigma_eff": sigma_eff.tolist(),
-            "sigma_exact": sigmas.tolist(),
-            "rotation_scale": c_rot,
-            "evolution_time": t0,
-        },
+    Hermitian dilation of A; the matmul_sve template with label accuracy
+    eps1 = 8 sigma_max / 2^t instead of 2 pi ||A||_F / 2^t (dilation_route)."""
+    return _matmul_by_value_estimation(
+        a, b, eps, phase_bits, dilation_route, strict_support=strict_support, exact_phase=exact_phase
     )

@@ -54,30 +54,30 @@ class PhaseConfig:
     """
 
     phase_bits: int
-    confidence: float = 0.05
 
     def __post_init__(self):
         if self.phase_bits < 1:
             raise ValueError("phase register needs at least one bit")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
 
     @property
     def epsilon(self) -> float:
         return math.pi / (1 << self.phase_bits)
 
     @classmethod
-    def from_epsilon(cls, eps: float, guard_bits: int = 2, confidence: float = 0.05):
+    def from_epsilon(cls, eps: float, guard_bits: int = 2):
         if not 0.0 < eps < 1.0:
             raise ValueError("target accuracy must lie in (0, 1)")
         t = math.ceil(math.log2(math.pi / eps)) + guard_bits
-        return cls(phase_bits=t, confidence=confidence)
+        return cls(phase_bits=t)
 
 
 def swap_value(y, t: int):
     """Branch-amplitude decode of a phase label: 2*sin^2(pi*y/2^t) - 1.
-    Even under the wrap y -> 2^t - y, so both signed branches agree."""
-    return 2.0 * np.sin(np.pi * np.asarray(y) / (1 << t)) ** 2 - 1.0
+    Even under the wrap y -> 2^t - y, so both signed branches agree; it is
+    evaluated on min(y, 2^t - y) so that they agree to the last bit."""
+    T = 1 << t
+    y = np.asarray(y)
+    return 2.0 * np.sin(np.pi * np.minimum(y, T - y) / T) ** 2 - 1.0
 
 
 def wrap_even(f, t: int) -> bool:

@@ -16,15 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, exact_product, pad_dim
-from .matmul import (
-    MAX_PHASE_BITS,
-    _check_support,
-    _hhl_component,
-    _lambda_decode,
-    _sigma_decode,
-    _sve_component,
-    _sve_setup,
-)
+from .matmul import MAX_PHASE_BITS, _check_support, _sve_setup, dilation_route, walk_route
+# unused here; bench/tests/test_bench.py checks that the tracer patches this
+# import-time binding along with matmul._sve_component
+from .matmul import _sve_component  # noqa: F401
 from .qpe import PhaseConfig
 from .statevector import CostLedger
 from .swaptest import estimate_real_overlap
@@ -100,42 +95,21 @@ def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     )
 
 
-def _rotated_components(sigmas: np.ndarray, t1: int, frob_a: float, sigma_max: float, hhl: bool):
+def _rotated_components(sigmas: np.ndarray, t1: int, route):
     """Rotation constant c_rot and, for every singular component k, the
     amplitudes left on the rot = 0 and rot = 1 blocks after a t1-bit
-    singular-value estimation, rotation by c_rot * decoded value, and undo.
-
-    Walk operator (sve): labels decode frob_a |cos(pi y / 2^t1)|. Hermitian
-    dilation (hhl): labels decode signed eigenvalues on a 2 pi / t0 window,
-    t0 = pi / (2 sigma_max). c_rot is the reciprocal of the largest value the
-    grid can decode for sigma_max, so every rotation stays within [-1, 1].
+    estimation on the route, rotation by c_rot * decoded value, and undo.
+    c_rot is the reciprocal of the largest value the grid can decode for
+    sigma_max, so every rotation stays within [-1, 1].
     """
-    T1 = 1 << t1
-    if hhl:
-        t0 = math.pi / (2.0 * sigma_max)
-        grid = _lambda_decode(t1, t0)
-        ceiling = abs(grid[min(math.ceil(sigma_max * t0 * T1 / (2.0 * math.pi)), T1 // 2)])
-        lowest = -1.0
-
-        def component(sigma, weights):
-            return _hhl_component(sigma, t0, t1, weights)
-    else:
-        grid = _sigma_decode(t1, frob_a)
-        theta_top = 2.0 * math.acos(min(sigma_max / frob_a, 1.0))
-        ceiling = frob_a * abs(math.cos(math.pi * math.floor(theta_top * T1 / (2.0 * math.pi)) / T1))
-        lowest = 0.0
-
-        def component(sigma, weights):
-            return _sve_component(sigma, frob_a, t1, weights)
-    c_rot = 1.0 / max(ceiling, 1e-300)
-    weights0 = np.clip(c_rot * grid, lowest, 1.0)
+    c_rot, weights0 = route.rotation(t1)
     weights1 = np.sqrt(1.0 - weights0**2)
-    comp0 = np.array([component(s, weights0) for s in sigmas], dtype=complex)
-    comp1 = np.array([component(s, weights1) for s in sigmas], dtype=complex)
+    comp0 = np.array([route.component(s, t1, weights0) for s in sigmas], dtype=complex)
+    comp1 = np.array([route.component(s, t1, weights1) for s in sigmas], dtype=complex)
     return c_rot, comp0, comp1
 
 
-def _readout_by_value_estimation(a, b, eps_abs: float, *, hhl: bool, strict_support: bool) -> ReadoutReport:
+def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> ReadoutReport:
     """Shared sve/hhl readout: per column j build the rotated state
     (1/sigma_ceiling) sum_k alpha_jk sigma~_k |u_k>|0> + junk, then estimate
     its overlap with each |i>|0> and rescale by ||B_.j|| sigma_ceiling.
@@ -148,8 +122,7 @@ def _readout_by_value_estimation(a, b, eps_abs: float, *, hhl: bool, strict_supp
     if frob_b == 0:
         raise ValueError("B is zero")
     _check_support(bundle.sigmas, alpha, col_norms, frob_b, strict_support)
-    frob_a = float(np.linalg.norm(a0))
-    sigma_max = float(bundle.sigmas[0])
+    route = route_of(float(np.linalg.norm(a0)), float(bundle.sigmas[0]))
     sigmas = np.zeros(d)
     sigmas[: bundle.sigmas.size] = bundle.sigmas
 
@@ -167,13 +140,11 @@ def _readout_by_value_estimation(a, b, eps_abs: float, *, hhl: bool, strict_supp
         # sigma-accuracy budget for this column, tightest over target rows
         colsum = np.abs(aj) @ np.abs(uvec[:l].T)  # sum_k |alpha_jk u_k[i]| per i
         eps1_req = eps_abs / (2.0 * col_norms[j] * max(float(np.max(colsum)), 1e-14))
-        if hhl:
-            t1 = math.ceil(math.log2(16.0 * sigma_max / eps1_req))
-        else:
-            t1 = math.ceil(math.log2(4.0 * math.pi * frob_a / eps1_req))
+        # sigma is read to route.scale / 2^t1 <= eps1_req / 2
+        t1 = math.ceil(math.log2(2.0 * route.scale / eps1_req))
         t1 = min(max(t1, 2), MAX_PHASE_BITS)
         if t1 not in by_width:
-            by_width[t1] = _rotated_components(sigmas, t1, frob_a, sigma_max, hhl)
+            by_width[t1] = _rotated_components(sigmas, t1, route)
         c_rot, comp0, comp1 = by_width[t1]
         support = np.abs(aj) > 1e-14
         comp0 = np.where(support, comp0, 0.0)
@@ -205,17 +176,17 @@ def _readout_by_value_estimation(a, b, eps_abs: float, *, hhl: bool, strict_supp
         entrywise_error_bound=eps_abs,
         max_observed_error=float(np.max(np.abs(c_tilde - exact))),
         ledger=ledger,
-        method="readout-hhl" if hhl else "readout-sve",
+        method="readout-" + route.method,
     )
 
 
 def readout_sve(a, b, eps_abs: float, *, strict_support: bool = False) -> ReadoutReport:
     """Entrywise C = AB from overlaps with the singular-value-rotated column
     states of B, singular values estimated on the walk operator of A."""
-    return _readout_by_value_estimation(a, b, eps_abs, hhl=False, strict_support=strict_support)
+    return _readout_by_value_estimation(a, b, eps_abs, walk_route, strict_support=strict_support)
 
 
 def readout_hhl(a, b, eps_abs: float, *, strict_support: bool = False) -> ReadoutReport:
     """Entrywise C = AB with singular values estimated on the Hermitian
     dilation of A (accuracy relative to sigma_max instead of ||A||_F)."""
-    return _readout_by_value_estimation(a, b, eps_abs, hhl=True, strict_support=strict_support)
+    return _readout_by_value_estimation(a, b, eps_abs, dilation_route, strict_support=strict_support)

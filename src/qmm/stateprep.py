@@ -308,9 +308,6 @@ def prep_signshift(x, eps: float, big_m: float | None = None) -> PrepReport:
             "shift": m_val,
             "spread": spread,
             "success_probability": success,
-            # cost under the norm-independent combination result, recorded
-            # alongside the interference-circuit charge actually applied
-            "flat_combination_model": math.log2(max(spec.values.size, 2)) / eps**2,
         },
     )
 

@@ -38,12 +38,10 @@ _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class StatePreparer:
-    """A target state together with a unitary realizing it from |0> and the
-    cost of one invocation (in T_in units)."""
+    """A target state together with a unitary realizing it from |0>."""
 
     vector: np.ndarray
     unitary: np.ndarray
-    cost_per_call: float = 1.0
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=complex).reshape(-1)
@@ -68,7 +66,7 @@ class StatePreparer:
         return self.vector.size
 
     @classmethod
-    def from_vector(cls, values, cost_per_call: float = 1.0) -> "StatePreparer":
+    def from_vector(cls, values) -> "StatePreparer":
         """Normalize, zero-pad to a power of two, and complete to a unitary
         whose first column is the target (deterministic QR completion)."""
         vec = np.asarray(values, dtype=complex).reshape(-1)
@@ -82,7 +80,7 @@ class StatePreparer:
         padded = np.zeros(dim, dtype=complex)
         padded[: vec.size] = vec
         u = _complete_unitary(padded)
-        return cls(vector=padded, unitary=u, cost_per_call=cost_per_call)
+        return cls(vector=padded, unitary=u)
 
 
 def _complete_unitary(vec: np.ndarray) -> np.ndarray:

@@ -118,14 +118,6 @@ def test_scaling_readout_swap_slopes():
     assert abs(slope_n - 2.0) <= 0.2
 
 
-def test_scaling_workers_agree(monkeypatch):
-    kwargs = dict(n_grid=[2, 4], eps_grid=[0.125, 0.0625], seeds=[1])
-    seq = scaling_study("readout-swap", **kwargs)
-    monkeypatch.setenv("QMM_WORKERS", "4")
-    par = scaling_study("readout-swap", **kwargs)
-    assert seq["table"] == par["table"]
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -155,6 +147,23 @@ def test_verify_bounds_flags_corrupted_error():
 def test_verify_bounds_flags_tampered_bound():
     report = _sample_report()
     report["rows"][0]["bound"] = report["rows"][0]["bound"] * 2
+    ok, findings = verify_bounds(report)
+    assert not ok
+    assert "recomputed" in findings[0]["problem"]
+
+
+@pytest.mark.parametrize("method", ["sve", "hhl"])
+def test_verify_bounds_derives_eps1_from_phase_bits(method):
+    # a row whose stored eps1_eff and bound are inflated together must not
+    # pass: eps1 comes from phase_bits and the route, not from the row
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 3)) + np.eye(3)
+    b = rng.normal(size=(3, 3))
+    report = run_experiment(ExperimentConfig(method=method, eps=0.1, inputs={"a": a, "b": b})).to_dict()
+    assert verify_bounds(report) == (True, [])
+    row = report["rows"][0]
+    row["details"]["eps1_eff"] *= 4
+    row["bound"] *= 4
     ok, findings = verify_bounds(report)
     assert not ok
     assert "recomputed" in findings[0]["problem"]

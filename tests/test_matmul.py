@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,15 +378,6 @@ def test_matmul_sve_single_column():
     assert exact_state_distance(res.state.state, vectorize(target.reshape(-1, 1))) < 0.02
 
 
-def test_matmul_sve_unnormalized_output_mode():
-    a = rand_matrix(42, shift=2.0)
-    b = rand_matrix(43)[:, :1]
-    res = matmul_sve(a, b, phase_bits=10, normalize_output=False)
-    assert res.realized_error <= res.predicted_bound
-    assert res.ledger.amplification_rounds == 0
-    assert res.success_probability == 1.0
-
-
 def test_matmul_sve_support_violation_modes():
     a = np.diag([1.0, 0.0])  # second right-singular direction is dead
     b = np.array([[1.0, 0.0], [1.0, 0.5]])
@@ -451,6 +445,29 @@ def test_exact_phase_mode_lcu():
     a, b = rand_matrix(3), rand_matrix(4)
     res = matmul_lcu(a, b, eps=0.05, exact_phase=True)
     assert exact_state_distance(res.state.state, vectorize(exact_product(a, b))) < 1e-10
+
+
+PIPELINES_PINNED = json.loads((Path(__file__).parent / "data" / "pipelines_pinned.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", PIPELINES_PINNED["cases"], ids=[f"{c['method']}-{i}" for i, c in enumerate(PIPELINES_PINNED["cases"])]
+)
+def test_value_estimation_pipelines_match_pinned_values(case):
+    # values recorded from the separate matmul_sve and matmul_hhl bodies,
+    # before the two routes shared one template
+    fn = matmul_sve if case["method"] == "sve" else matmul_hhl
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportViolationWarning)
+        res = fn(np.array(case["a"]), np.array(case["b"]), **case["kwargs"])
+    assert res.phase_bits == case["phase_bits"]
+    assert res.ledger.to_dict() == case["ledger"]
+    assert np.max(np.abs(np.array(res.details["sigma_eff"]) - case["sigma_eff"])) <= 1e-12
+    for key in ("success_probability", "expected_success_probability"):
+        assert getattr(res, key) == pytest.approx(case[key], abs=1e-12)
+    assert res.predicted_bound == pytest.approx(case["bound"], abs=1e-12)
+    # the realized error is sqrt(2 - 2 fidelity): compare what is under the root
+    assert res.realized_error**2 == pytest.approx(case["realized_error"] ** 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,19 @@ def test_phase_config():
         PhaseConfig.from_epsilon(1.5)
 
 
+@pytest.mark.parametrize("t", range(1, 13))
+def test_swap_value_is_exactly_even(t):
+    # mirrored labels y and 2^t - y decode to the same float, and labels up
+    # to 2^t / 2 keep the plain formula bit for bit
+    T = 1 << t
+    y = np.arange(T)
+    vals = swap_value(y, t)
+    assert np.array_equal(vals, vals[(-y) % T])
+    low = y[: T // 2 + 1]
+    assert np.array_equal(vals[: T // 2 + 1], 2.0 * np.sin(np.pi * low / T) ** 2 - 1.0)
+    assert swap_value(T - 1, t) == vals[T - 1]
+
+
 # ---------------------------------------------------------------------------
 # Grover rotation
 
