@@ -60,7 +60,7 @@ def load_vector_csv(path) -> np.ndarray:
 def save_report_json(path, report: dict) -> None:
     report = dict(report)
     report.setdefault("schema", REPORT_SCHEMA)
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(json.dumps(report, sort_keys=True), encoding="utf-8")
 
 
 def load_report_json(path) -> dict:

@@ -15,14 +15,19 @@ Three routes are implemented:
 
 matmul_sve and matmul_hhl are one body, _matmul_by_value_estimation, run
 on a _ValueRoute (walk_route or dilation_route) that carries what the two
-differ in: accuracy scale, decode grid, rotation ceiling and per-triple
+differ in: accuracy scale, decode grid, rotation ceiling and component
 kernel. The sve and hhl readouts use the same routes.
 
 All registers the circuits would entangle factor into independent blocks
 (one per matrix entry or singular triple), so each block is simulated
 exactly on its invariant subspace and the blocks are reassembled; tests
 cross-check this factorization against unfactored full-register simulations
-of each pipeline on small instances.
+of each pipeline on small instances. The singular-triple blocks have a
+closed form: estimation and its undo weight each label by the Fejer kernel
+of the block's eigenphase, so the sve and hhl components (and
+sve_transform) are evaluated for all triples at once as Fejer-weighted
+label sums. The block simulations _sve_component and _hhl_component stay
+as the oracles the closed form is tested against.
 """
 from __future__ import annotations
 
@@ -144,8 +149,8 @@ def _eig_unitary_small(u: np.ndarray):
     if max(abs(u[0, 1]), abs(u[1, 0])) < 1e-13:
         return u.diagonal().copy(), np.eye(2, dtype=complex)
     tr = u[0, 0] + u[1, 1]
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    disc = np.sqrt(tr * tr - 4.0 * det + 0j)
+    # tr^2 - 4 det without the cancellation near u = -+I
+    disc = np.sqrt((u[0, 0] - u[1, 1]) ** 2 + 4.0 * u[0, 1] * u[1, 0] + 0j)
     lam = np.array([(tr + disc) / 2.0, (tr - disc) / 2.0])
     vecs = []
     for ev in lam:
@@ -226,17 +231,6 @@ def _sve_component(sigma: float, frob: float, t: int, weights: np.ndarray) -> co
     return complex(g.sum(axis=0)[0])
 
 
-def _sve_component_profile(sigma: float, frob: float, t: int, codes: np.ndarray, n_codes: int) -> np.ndarray:
-    """Per-code amplitude profile on M|u_k> when labels are binned into a
-    singular-value register instead of rotated."""
-    u, init = _walk_plane(sigma, frob)
-    rows = _qpe_rows(u, init, t)
-    g = _phase0_after_undo(rows * _mu_phases(t)[:, None], u, t)
-    prof = np.zeros(n_codes, dtype=complex)
-    np.add.at(prof, codes, g[:, 0])
-    return prof
-
-
 def _hhl_component(sigma: float, t0: float, t: int, weights: np.ndarray) -> complex:
     """Amplitude left on (|u_k> ⊗ top dilation block, phase=0) for one
     eigenpair +-sigma of the dilation, given signed label weights."""
@@ -248,6 +242,101 @@ def _hhl_component(sigma: float, t0: float, t: int, weights: np.ndarray) -> comp
 
 
 # ---------------------------------------------------------------------------
+# closed-form value-estimation kernels
+#
+# Estimation on a t-bit register followed by its undo multiplies the label-y
+# weight of an eigenphase phi by the Fejer kernel
+#   F(delta) = sin^2(T delta / 2) / (T^2 sin^2(delta / 2)),  delta = phi - 2 pi y / T
+# (Brassard-Hoyer-Mosca-Tapp), so every singular triple's component is a
+# Fejer-weighted label sum. The functions below evaluate those sums for all
+# triples at once; _sve_component and _hhl_component, which simulate the
+# circuit block, are the oracles they are tested against.
+
+_KERNEL_BLOCK = 1 << 15  # elements per block of the (k, 2^t) kernel array
+# 2 pi = _TWO_PI_HI + _TWO_PI_LO, the high part short enough that its product
+# with a label index is exact; sin(fl(pi)) = pi - fl(pi) restores the low bits
+_TWO_PI_HI = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 29)), -29)
+_TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) + 2.0 * math.sin(math.pi)
+
+
+def _fejer_blocks(phases: np.ndarray, t: int):
+    """Yield (rows, f) over row blocks of phases, f[r, y] = F(phases[rows][r]
+    + 2 pi y / 2^t). A block holds max(_KERNEL_BLOCK, 2^t) elements at most,
+    so the whole (k, 2^t) array is never built.
+
+    F changes by O(T) per radian near its peak, so delta is reduced to
+    about [-pi, pi] to its own relative accuracy: phase = 2 pi p / T + rest
+    with |rest| <= pi / T (two-part 2 pi), and delta = rest + 2 pi m / T
+    for the centred index m = (p + y) mod T."""
+    T = 1 << t
+    labels = np.arange(T)
+    centred = labels - T // 2
+    grid = centred * (_TWO_PI_HI / T) + centred * (_TWO_PI_LO / T)  # 2 pi m / T
+    step = max(1, _KERNEL_BLOCK // T)
+    for lo in range(0, phases.size, step):
+        rows = slice(lo, lo + step)
+        p = np.rint(phases[rows] * (T / (2.0 * math.pi)))
+        rest = (phases[rows] - p * (_TWO_PI_HI / T)) - p * (_TWO_PI_LO / T)
+        shift = (p.astype(np.int64) + T // 2) % T
+        half = grid[(labels[None, :] + shift[:, None]) % T]
+        half += rest[:, None]
+        half *= 0.5
+        tiny = np.abs(half) * (2 * T) < 1e-6
+        f = np.sin(T * half)
+        np.sin(half, out=half)
+        half *= T
+        f[tiny] = half[tiny] = 1.0
+        f /= half
+        f *= f
+        yield rows, f
+
+
+def _mirrored(labels: np.ndarray, axis: int = 0) -> np.ndarray:
+    """labels[(-y) mod 2^t] along the label axis."""
+    return np.roll(np.flip(labels, axis), 1, axis)
+
+
+def _fejer_sums(phases: np.ndarray, t: int, weights: np.ndarray):
+    """plus[k] = sum_y F(phases[k] + 2 pi y/T) weights[y] and minus[k], the
+    same with -2 pi y/T, for (T, m) weights; each is (k, m) complex. F is
+    even and 2 pi-periodic, so minus is plus on the mirrored weights."""
+    m = weights.shape[1]
+    both = np.concatenate([weights, _mirrored(weights)], axis=1)
+    real = np.concatenate([both.real, both.imag], axis=1)
+    out = np.empty((phases.size, 4 * m))
+    for rows, f in _fejer_blocks(phases, t):
+        out[rows] = f @ real
+    sums = out[:, : 2 * m] + 1j * out[:, 2 * m :]
+    return sums[:, :m], sums[:, m:]
+
+
+def _walk_angles(sigmas: np.ndarray, frob: float) -> np.ndarray:
+    """Walk rotation angle theta_k, cos(theta_k / 2) = sigma_k / frob."""
+    return 2.0 * np.arccos(np.clip(np.asarray(sigmas, dtype=float) / frob, 0.0, 1.0))
+
+
+def _walk_components(sigmas: np.ndarray, frob: float, t: int, weights: np.ndarray) -> np.ndarray:
+    """_sve_component for every sigma_k at once: N|v_k> has amplitude
+    exp(-+i theta_k / 2) / sqrt(2) on the walk's e^{+-i theta_k} eigenvectors,
+    each of which overlaps M|u_k> by 1/sqrt(2). weights is (T,) or (T, m)."""
+    T = 1 << t
+    theta = _walk_angles(sigmas, frob)
+    w = np.reshape(weights, (T, -1)) * _mu_phases(t)[:, None]
+    plus, minus = _fejer_sums(theta, t, w)
+    turn = np.exp(0.5j * theta)[:, None]
+    return (0.5 * (turn * plus + turn.conj() * minus)).reshape(theta.shape + np.shape(weights)[1:])
+
+
+def _dilation_components(sigmas: np.ndarray, t0: float, t: int, weights: np.ndarray) -> np.ndarray:
+    """_hhl_component for every sigma_k at once: (0, v_k) has amplitude
+    +-1/sqrt(2) on the eigenphases +-sigma_k t0. weights is (T,) or (T, m)."""
+    T = 1 << t
+    phases = np.asarray(sigmas, dtype=float) * t0
+    plus, minus = _fejer_sums(phases, t, np.reshape(weights, (T, -1)))
+    return (0.5 * (minus - plus)).reshape(phases.shape + np.shape(weights)[1:])
+
+
+# ---------------------------------------------------------------------------
 # value-estimation routes
 
 @dataclass(frozen=True)
@@ -256,9 +345,10 @@ class _ValueRoute:
 
     A t-bit register reads each singular value to eps1 = scale / 2^t.
     decode(t) maps labels to values, ceiling(t) is the largest value the
-    grid decodes for sigma_max, and component(sigma, t, weights) is the
-    amplitude one singular triple keeps after its labels are rotated by
-    weights and the estimation is undone.
+    grid decodes for sigma_max, and components(sigmas, t, weights) gives,
+    for every sigma_k, the amplitude its singular triple keeps after its
+    labels are rotated by weights ((T,) or (T, m)) and the estimation is
+    undone.
     """
 
     method: str
@@ -266,7 +356,7 @@ class _ValueRoute:
     lowest: float  # smallest rotation value: 0 for unsigned decodes, -1 for signed
     decode: Callable[[int], np.ndarray]
     ceiling: Callable[[int], float]
-    component: Callable[[float, int, np.ndarray], complex]
+    components: Callable[[np.ndarray, int, np.ndarray], np.ndarray]
     details: dict
 
     def rotation(self, t: int) -> tuple[float, np.ndarray]:
@@ -293,7 +383,7 @@ def walk_route(frob_a: float, sigma_max: float) -> _ValueRoute:
         lowest=0.0,
         decode=lambda t: _sigma_decode(t, frob_a),
         ceiling=ceiling,
-        component=lambda sigma, t, weights: _sve_component(sigma, frob_a, t, weights),
+        components=lambda sigmas, t, weights: _walk_components(sigmas, frob_a, t, weights),
         details={},
     )
 
@@ -316,7 +406,7 @@ def dilation_route(frob_a: float, sigma_max: float) -> _ValueRoute:
         lowest=-1.0,
         decode=lambda t: _lambda_decode(t, t0),
         ceiling=ceiling,
-        component=lambda sigma, t, weights: _hhl_component(sigma, t0, t, weights),
+        components=lambda sigmas, t, weights: _dilation_components(sigmas, t0, t, weights),
         details={"evolution_time": t0},
     )
 
@@ -627,18 +717,27 @@ def sve_transform(
     alphas = bundle.right_vectors.conj().T @ vec
     t = _resolve_phase_bits(eps, phase_bits, eps if eps else 0.05)
     T = 1 << t
-    codes = np.minimum(np.round(np.abs(np.cos(np.pi * np.arange(T) / T)) * T), T - 1).astype(int)
+    live = np.flatnonzero(np.abs(alphas) >= 1e-14)
+    sigmas = np.zeros(d)
+    sigmas[: bundle.sigmas.size] = bundle.sigmas
+    sigmas = sigmas[live]
+    # each live triple k adds alpha_k |u_k> (x) profile_k, the register profile
+    # of its labels binned by the code they write
+    lifted = bundle.left_vectors[:, live] * alphas[live][None, :]
     amps = np.zeros((d, T), dtype=complex)
-    for k in range(d):
-        if abs(alphas[k]) < 1e-14:
-            continue
-        sigma = bundle.sigmas[k] if k < bundle.sigmas.size else 0.0
-        if exact_phase:
-            prof = np.zeros(T, dtype=complex)
-            prof[min(int(round(sigma / frob * T)), T - 1)] = 1.0
-        else:
-            prof = _sve_component_profile(sigma, frob, t, codes, T)
-        amps += alphas[k] * np.outer(bundle.left_vectors[:, k], prof)
+    if exact_phase:
+        np.add.at(amps, (slice(None), np.minimum(np.round(sigmas / frob * T).astype(int), T - 1)), lifted)
+    else:
+        codes = np.minimum(np.round(np.abs(np.cos(np.pi * np.arange(T) / T)) * T), T - 1).astype(int)
+        theta = _walk_angles(sigmas, frob)
+        mu = _mu_phases(t)
+        for rows, f in _fejer_blocks(theta, t):
+            # per-label amplitude on M|u_k>: _walk_components before the weights
+            turn = np.exp(0.5j * theta[rows])[:, None]
+            labels = 0.5 * mu * (turn * f + turn.conj() * _mirrored(f, axis=1))
+            prof = np.zeros(labels.shape, dtype=complex)
+            np.add.at(prof, (slice(None), codes), labels)
+            amps += lifted[:, rows] @ prof
     total = float(np.sum(np.abs(amps) ** 2))
     if total <= 0:
         raise ValueError("no surviving amplitude")
@@ -696,13 +795,9 @@ def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_suppo
         a_vec = (c_rot * sigmas).astype(complex)
     else:
         c_rot, weights = route.rotation(t)
-        a_vec = np.array(
-            [
-                route.component(sigmas[k], t, weights) if np.any(np.abs(alpha[k]) > 1e-14) else 0.0
-                for k in range(d)
-            ],
-            dtype=complex,
-        )
+        live = np.any(np.abs(alpha) > 1e-14, axis=1)
+        a_vec = np.zeros(d, dtype=complex)
+        a_vec[live] = route.components(sigmas[live], t, weights)
 
     state, success = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n)
     ledger = CostLedger()

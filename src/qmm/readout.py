@@ -103,10 +103,8 @@ def _rotated_components(sigmas: np.ndarray, t1: int, route):
     sigma_max, so every rotation stays within [-1, 1].
     """
     c_rot, weights0 = route.rotation(t1)
-    weights1 = np.sqrt(1.0 - weights0**2)
-    comp0 = np.array([route.component(s, t1, weights0) for s in sigmas], dtype=complex)
-    comp1 = np.array([route.component(s, t1, weights1) for s in sigmas], dtype=complex)
-    return c_rot, comp0, comp1
+    comp = route.components(sigmas, t1, np.stack([weights0, np.sqrt(1.0 - weights0**2)], axis=1))
+    return c_rot, comp[:, 0], comp[:, 1]
 
 
 def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> ReadoutReport:

@@ -461,7 +461,11 @@ def test_value_estimation_pipelines_match_pinned_values(case):
         warnings.simplefilter("ignore", SupportViolationWarning)
         res = fn(np.array(case["a"]), np.array(case["b"]), **case["kwargs"])
     assert res.phase_bits == case["phase_bits"]
-    assert res.ledger.to_dict() == case["ledger"]
+    # the one float field is the success probability, compared below; the
+    # closed-form components move it within the ledger identity tolerance
+    ledger, want = res.ledger.to_dict(), dict(case["ledger"])
+    assert ledger.pop("postselect_probability") == pytest.approx(want.pop("postselect_probability"), abs=1e-12)
+    assert ledger == want
     assert np.max(np.abs(np.array(res.details["sigma_eff"]) - case["sigma_eff"])) <= 1e-12
     for key in ("success_probability", "expected_success_probability"):
         assert getattr(res, key) == pytest.approx(case[key], abs=1e-12)

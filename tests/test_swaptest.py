@@ -151,7 +151,7 @@ def overlap_inputs(draw):
     return x, y, draw(st.floats(0.005, 0.5))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(overlap_inputs())
 def test_plane_overlap_estimate_matches_dense_register(case):
     x, y, eps = case

@@ -1,0 +1,169 @@
+"""The closed-form, k-batched value-estimation kernels (route.components and
+sve_transform) against the per-triple block simulations they replace."""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmm.linalg import compute_svd, pad_dim, pad_matrix
+from qmm.matmul import (
+    MAX_PHASE_BITS,
+    _hhl_component,
+    _mu_phases,
+    _phase0_after_undo,
+    _qpe_rows,
+    _sve_component,
+    _walk_plane,
+    dilation_route,
+    sve_transform,
+    walk_route,
+)
+
+ROUTES = {"sve": walk_route, "hhl": dilation_route}
+
+
+def oracle(route, frob: float, sigma: float, t: int, weights: np.ndarray) -> complex:
+    """Gate-level block simulation of one singular triple."""
+    if route.method == "sve":
+        return _sve_component(sigma, frob, t, weights)
+    return _hhl_component(sigma, route.details["evolution_time"], t, weights)
+
+
+def oracle_tolerance(t: int) -> float:
+    # the oracle's repeated squaring drifts by about 2^t ulp: at t = 12 it was
+    # off by up to 9.3e-13 from a 40-digit sum the closed form met to 1.5e-13
+    return max(1e-12, 5e-16 * 2**t)
+
+
+@st.composite
+def kernel_inputs(draw):
+    t = draw(st.integers(2, 12))
+    frob = draw(st.floats(0.1, 10.0))
+    sigma_max = frob * draw(st.floats(0.05, 1.0))
+    sigmas = np.array(draw(st.lists(st.floats(0.0, frob), min_size=1, max_size=4)))
+    random_weights = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return t, frob, sigma_max, sigmas, random_weights, seed
+
+
+@settings(max_examples=150)
+@given(kernel_inputs(), st.sampled_from(sorted(ROUTES)))
+def test_batched_components_match_block_oracle(case, method):
+    t, frob, sigma_max, sigmas, random_weights, seed = case
+    route = ROUTES[method](frob, sigma_max)
+    if random_weights:
+        weights = np.random.default_rng(seed).uniform(-1.0, 1.0, 1 << t)
+    else:
+        weights = route.rotation(t)[1]
+    got = route.components(sigmas, t, weights)
+    want = np.array([oracle(route, frob, s, t, weights) for s in sigmas])
+    assert got.shape == sigmas.shape
+    assert np.max(np.abs(got - want)) <= oracle_tolerance(t)
+
+
+def grid_sigma(route, frob: float, t: int) -> float:
+    """A singular value whose eigenphase sits exactly on a label (the tiny-delta branch)."""
+    y = (1 << t) // 8 + 1
+    if route.method == "sve":
+        return frob * math.cos(math.pi * y / (1 << t))  # theta = 2 pi y / T
+    return 2.0 * math.pi * y / (1 << t) / route.details["evolution_time"]
+
+
+@pytest.mark.parametrize("t", [2, 5, 9, 12])
+@pytest.mark.parametrize("method", sorted(ROUTES))
+def test_batched_components_edge_values(method, t):
+    frob, sigma_max = 2.5, 1.75
+    route = ROUTES[method](frob, sigma_max)
+    # sigma near 0 puts the walk block near -I, where the oracle's 2x2
+    # eigensolver once lost half its digits to cancellation
+    sigmas = np.array([0.0, 1e-6 * frob, sigma_max, frob, grid_sigma(route, frob, t)])
+    w0 = route.rotation(t)[1]
+    rng = np.random.default_rng(t)
+    # the readout's two columns, plus random signed weights
+    weights = np.stack([w0, np.sqrt(1.0 - w0**2), rng.uniform(-1.0, 1.0, 1 << t)], axis=1)
+    got = route.components(sigmas, t, weights)
+    assert got.shape == (5, 3)
+    for j in range(3):
+        want = np.array([oracle(route, frob, s, t, weights[:, j]) for s in sigmas])
+        assert np.max(np.abs(got[:, j] - want)) <= oracle_tolerance(t)
+        # the columns are independent label sums
+        assert np.max(np.abs(route.components(sigmas, t, weights[:, j]) - got[:, j])) <= 1e-14
+
+
+# 30-digit sums of the closed form for the same float inputs; above t = 12
+# the block oracle's own error (up to 3.1e-12 at t = 14 against such sums) passes the tolerance
+PINNED_WIDE = [
+    ("sve", 1.0, 0.9, 14, [0.3, 0.61, 0.9], [
+        [0.3333212378443932, 0.9428119586031523 + 1.0874323922433329e-10j],
+        [0.6777197356121886, 0.7352044925650212 + 6.083176353488763e-09j],
+        [0.9999544182654116, 0.0014246380790349045 + 1.309746913965181e-09j],
+    ]),
+    ("sve", 1.0, 0.9, 16, [0.3, 0.61, 0.9], [
+        [0.3333212390269719, 0.9428081149922077 + 1.0404825045611992e-10j],
+        [0.6777683751257293, 0.7352736971378727 + 2.339388055069288e-11j],
+        [0.9999627403411372, 0.006431631776704231 + 1.2077493182232573e-10j],
+    ]),
+    ("hhl", 2.0, 1.5, 14, [0.2, 0.77, 1.5], [
+        [0.13330291850799464, 0.0], [0.5133243592072652, 0.0], [1.0, 0.0],
+    ]),
+    ("hhl", 2.0, 1.5, 16, [0.2, 0.77, 1.5], [
+        [0.13333305264113413, 0.0], [0.5133209552815029, 0.0], [1.0, 0.0],
+    ]),
+]
+
+
+@pytest.mark.parametrize("method, frob, sigma_max, t, sigmas, want", PINNED_WIDE)
+def test_batched_components_match_high_precision_sums(method, frob, sigma_max, t, sigmas, want):
+    route = ROUTES[method](frob, sigma_max)
+    w0 = route.rotation(t)[1]
+    got = route.components(np.array(sigmas), t, np.stack([w0, np.sqrt(1.0 - w0**2)], axis=1))
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("method", sorted(ROUTES))
+def test_batched_components_never_build_the_full_kernel_array(method):
+    route = ROUTES[method](3.0, 2.0)
+    for d, t in ((64, 16), (2, MAX_PHASE_BITS)):
+        weights = route.rotation(t)[1]
+        sigmas = np.linspace(0.0, 3.0, d)
+        tracemalloc.start()
+        try:
+            route.components(sigmas, t, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2^t row of float64 is 8 * 2^t bytes; the (64, 2^16) array alone is 64 rows
+        assert peak < 32 * 8 * (1 << t)
+
+
+def block_sve_transform(a, x, t: int) -> np.ndarray:
+    """sve_transform's amplitude table from one block simulation per triple."""
+    frob = float(np.linalg.norm(a))
+    d = pad_dim(max(a.shape))
+    bundle = compute_svd(pad_matrix(a, d, d))
+    xp = np.zeros(d)
+    xp[: x.size] = x / np.linalg.norm(x)
+    alphas = bundle.right_vectors.conj().T @ xp
+    T = 1 << t
+    codes = np.minimum(np.round(np.abs(np.cos(np.pi * np.arange(T) / T)) * T), T - 1).astype(int)
+    amps = np.zeros((d, T), dtype=complex)
+    for k in range(d):
+        sigma = bundle.sigmas[k] if k < bundle.sigmas.size else 0.0
+        u, init = _walk_plane(sigma, frob)
+        g = _phase0_after_undo(_qpe_rows(u, init, t) * _mu_phases(t)[:, None], u, t)
+        prof = np.zeros(T, dtype=complex)
+        np.add.at(prof, codes, g[:, 0])
+        amps += alphas[k] * np.outer(bundle.left_vectors[:, k], prof)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("shape, t", [((4, 4), 8), ((3, 5), 6), ((8, 8), 10)])
+def test_sve_transform_matches_block_simulation(shape, t):
+    rng = np.random.default_rng(t)
+    a = rng.normal(size=shape)
+    x = rng.normal(size=shape[1])
+    got = sve_transform(a, x, phase_bits=t).reshaped()
+    assert np.max(np.abs(got - block_sve_transform(a, x, t))) <= oracle_tolerance(t)
