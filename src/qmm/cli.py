@@ -27,10 +27,7 @@ from .io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=0.05, help="target accuracy in (0,1)")
-    p.add_argument("--phase-bits", type=int, default=None, help="phase register width override")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict-support", action="store_true", help="error out on support violations")
-    p.add_argument("--exact-phase", action="store_true", help="replace phase labels by exact angles")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -138,6 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=MULTIPLY_METHODS, required=True)
     p.add_argument("--a", required=True, help="CSV of the left matrix")
     p.add_argument("--b", required=True, help="CSV of the right matrix")
+    p.add_argument("--phase-bits", type=int, default=None, help="phase register width override (swap, sve, hhl)")
+    p.add_argument("--exact-phase", action="store_true", help="replace phase labels by exact angles (swap, sve, hhl)")
+    p.add_argument("--strict-support", action="store_true", help="error out on support violations (sve, hhl)")
     _add_common(p)
     p.set_defaults(func=_cmd_multiply)
 
@@ -146,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--entries-out", default=None, help="CSV path for the estimated entries")
+    p.add_argument("--strict-support", action="store_true", help="error out on support violations (sve, hhl)")
     _add_common(p)
     p.set_defaults(func=_cmd_readout)
 

@@ -22,6 +22,14 @@ from .statevector import aligned_distance
 MULTIPLY_METHODS = ("swap", "sve", "hhl", "lcu")
 READOUT_METHODS = ("readout-swap", "readout-sve", "readout-hhl")
 PREP_METHODS = ("prep-direct", "prep-hamiltonian", "prep-sparse", "prep-dyadic", "prep-signshift")
+# the options each method takes besides eps; setting any other one is an error
+_METHOD_OPTIONS = {
+    "swap": ("phase_bits", "exact_phase"),
+    "sve": ("phase_bits", "exact_phase", "strict_support"),
+    "hhl": ("phase_bits", "exact_phase", "strict_support"),
+    "readout-sve": ("strict_support",),
+    "readout-hhl": ("strict_support",),
+}
 
 
 @dataclass
@@ -40,8 +48,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {known}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.phase_bits is not None and not 1 <= self.phase_bits <= 20:
-            raise ValueError("phase_bits must lie in [1, 20]")
+        if self.phase_bits is not None and not 1 <= self.phase_bits <= matmul.MAX_PHASE_BITS:
+            raise ValueError(f"phase_bits must lie in [1, {matmul.MAX_PHASE_BITS}]")
+        for name in ("phase_bits", "exact_phase", "strict_support"):  # unset: None or False
+            if getattr(self, name) and name not in _METHOD_OPTIONS.get(self.method, ()):
+                raise ValueError(f"method {self.method!r} takes no {name} option")
+
+    def options(self) -> dict:
+        """The keyword options this config's method is called with."""
+        return {name: getattr(self, name) for name in _METHOD_OPTIONS.get(self.method, ())}
 
 
 @dataclass
@@ -109,12 +124,7 @@ def _multiply_row(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray, ident: st
         "hhl": matmul.matmul_hhl,
         "lcu": matmul.matmul_lcu,
     }[cfg.method]
-    kwargs: dict = {}
-    if cfg.method in ("sve", "hhl"):
-        kwargs["strict_support"] = cfg.strict_support
-    if cfg.method != "lcu":
-        kwargs["phase_bits"] = cfg.phase_bits
-    res = fn(a, b, eps=cfg.eps, exact_phase=cfg.exact_phase, **kwargs)
+    res = fn(a, b, eps=cfg.eps, **cfg.options())
     return {
         "id": ident,
         "method": cfg.method,
@@ -139,8 +149,7 @@ def _readout_row(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray, ident: str
         "readout-sve": readout.readout_sve,
         "readout-hhl": readout.readout_hhl,
     }[cfg.method]
-    kwargs = {} if cfg.method == "readout-swap" else {"strict_support": cfg.strict_support}
-    rep = fn(a, b, cfg.eps, **kwargs)
+    rep = fn(a, b, cfg.eps, **cfg.options())
     return {
         "id": ident,
         "method": cfg.method,
@@ -305,14 +314,12 @@ def scaling_study(
 def _recompute_bound(row: dict) -> float | None:
     """Recompute a row's bound from its embedded instance."""
     method = row["method"]
-    if method in READOUT_METHODS:
+    if method in READOUT_METHODS or method == "lcu":
         return float(row["eps"])
-    if method in ("swap", "lcu", "rank-one"):
+    if method == "swap":
         a = np.asarray(row["a"], dtype=float)
         b = np.asarray(row["b"], dtype=float)
         c = exact_product(a, b)
-        if method != "swap":
-            return float(row["eps"])
         eps_inner = math.pi / (1 << int(row["phase_bits"]))
         return matmul.swaptest_error_bound(
             float(np.linalg.norm(a)), float(np.linalg.norm(b)), float(np.linalg.norm(c)), eps_inner

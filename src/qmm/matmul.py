@@ -1,7 +1,7 @@
 """Quantum multiplication pipelines producing the amplitude-encoded state
 of C = AB, with instance-evaluated error budgets and cost accounting.
 
-Three routes are implemented:
+Four routes are implemented:
 
   * matmul_swaptest: per-(i,j) branch-angle estimation of the row/column
     inner products, written into the amplitudes by a controlled rotation.
@@ -12,6 +12,9 @@ Three routes are implemented:
   * matmul_hhl: the same template on the Hermitian dilation
     [[0, A], [A^dag, 0]], whose eigenvalues are +-sigma_k; label accuracy is
     then relative to sigma_max instead of ||A||_F.
+  * matmul_lcu: AB = sum_j A_.j B_j. combined from its rank-one column-row
+    terms, product states assembled directly; rank_one_product, the swap
+    pipeline on one term, is their simulated oracle.
 
 matmul_sve and matmul_hhl are one body, _matmul_by_value_estimation, run
 on a _ValueRoute (walk_route or dilation_route) that carries what the two
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -507,6 +510,19 @@ def _product_state(amps: np.ndarray, rows: int, cols: int) -> tuple[Statevector,
     return Statevector(layout, table.reshape(-1) / math.sqrt(norm2)), norm2
 
 
+def _swap_family_ledger(t: int, success: float) -> CostLedger:
+    """Cost of the swap and lcu pipelines: two state-preparation oracles,
+    four controlled calls per step of a t-bit estimation, postselection
+    at the given success probability and the amplification it needs."""
+    ledger = CostLedger()
+    ledger.charge_oracle(2)
+    ledger.charge_controlled(4 * ((1 << t) - 1))
+    ledger.use_phase_bits(t)
+    ledger.record_postselect(success)
+    charge_amplification(ledger, success)
+    return ledger
+
+
 def matmul_swaptest(
     a,
     b,
@@ -560,16 +576,10 @@ def matmul_swaptest(
 
     state, z = _product_state(amps, l, n)
     success = z / (frob_a * frob_b) ** 2
-    ledger = CostLedger()
-    ledger.charge_oracle(2)
-    ledger.charge_controlled(4 * ((1 << t) - 1))
-    ledger.use_phase_bits(t)
-    ledger.record_postselect(success)
-    charge_amplification(ledger, success)
     realized = aligned_distance(state, vectorize(c))
     bound = swaptest_error_bound(frob_a, frob_b, frob_c, eps_inner)
     return PipelineResult(
-        state=PreparedState(state, success, ledger),
+        state=PreparedState(state, success, _swap_family_ledger(t, success)),
         realized_error=realized,
         predicted_bound=bound,
         method="swap",
@@ -579,30 +589,24 @@ def matmul_swaptest(
     )
 
 
-def rank_one_product(a_vec, b_vec, eps: float = 0.05, **kwargs) -> PipelineResult:
+def rank_one_product(a_vec, b_vec, eps: float = 0.05) -> PipelineResult:
     """State of the rank-one product |a><b|: the swap-test pipeline on a
     column times a row. Branch angles sit exactly on the phase grid, so the
-    result is exact and the cost is independent of any norm ratio."""
+    result is exact and the cost is independent of any norm ratio; the
+    oracle for matmul_lcu's directly assembled terms."""
     a_vec = np.asarray(a_vec, dtype=float).reshape(-1)
     b_vec = np.asarray(b_vec, dtype=float).reshape(-1)
     if not np.linalg.norm(a_vec) or not np.linalg.norm(b_vec):
         raise ValueError("rank-one factors must be nonzero")
-    res = matmul_swaptest(a_vec.reshape(-1, 1), b_vec.reshape(1, -1), eps=eps, **kwargs)
-    return PipelineResult(
-        state=res.state,
-        realized_error=res.realized_error,
-        predicted_bound=min(res.predicted_bound, eps),
-        method="rank-one",
-        phase_bits=res.phase_bits,
-        expected_success_probability=res.expected_success_probability,
-        details=res.details,
-    )
+    res = matmul_swaptest(a_vec.reshape(-1, 1), b_vec.reshape(1, -1), eps=eps)
+    return replace(res, predicted_bound=min(res.predicted_bound, eps), method="rank-one")
 
 
-def matmul_lcu(a, b, eps: float = 0.05, *, exact_phase: bool = False) -> PipelineResult:
+def matmul_lcu(a, b, eps: float = 0.05) -> PipelineResult:
     """State of AB as the weighted combination of rank-one column-row
-    products AB = sum_j A_.j B_j. , each prepared exactly, combined with
-    weights ||A_.j|| ||B_j.||.
+    products AB = sum_j A_.j B_j. , combined with weights ||A_.j|| ||B_j.||.
+    Each term is the product state of a normalized column and row, so it is
+    assembled directly (rank_one_product simulates one as the oracle).
 
     Success probability is ||C||_F^2 / (sum_j ||A_.j|| ||B_j.||)^2, never
     below the swap-test pipeline's, and the inner estimations need only the
@@ -615,33 +619,21 @@ def matmul_lcu(a, b, eps: float = 0.05, *, exact_phase: bool = False) -> Pipelin
         raise ValueError("a 1x1 product has no column-row decomposition to combine")
     c = exact_product(a, b)
     frob_c = float(np.linalg.norm(c))
-    if frob_c <= 1e-14:
+    if frob_c <= 1e-14:  # also every product with no nonzero column-row term
         raise ValueError("AB = 0: the product state is undefined")
     col_a = np.linalg.norm(a, axis=0)
     row_b = np.linalg.norm(b, axis=1)
     lam = col_a * row_b
-    if not np.any(lam > 0):
-        raise ValueError("all column-row terms vanish")
+    live = lam > 0
     t = _resolve_phase_bits(eps, None, eps)
-    combined = np.zeros((l, n))
-    for j in range(a.shape[1]):
-        if lam[j] == 0:
-            continue
-        term = rank_one_product(a[:, j], b[j], eps=eps, exact_phase=exact_phase)
-        table = term.state.state.reshaped()[: pad_dim(l), : pad_dim(n)]
-        combined += lam[j] * table[:l, :n].real
+    # sum_j lam_j (A_.j / ||A_.j||)(B_j. / ||B_j.||) over the live terms: built
+    # from the normalized terms, not copied from AB, so realized_error checks it
+    combined = (a[:, live] / col_a[live] * lam[live]) @ (b[live] / row_b[live][:, None])
     state, _ = _product_state(combined, l, n)
     success = frob_c**2 / float(np.sum(lam)) ** 2
-    ledger = CostLedger()
-    ledger.charge_oracle(2)
-    ledger.charge_controlled(4 * ((1 << t) - 1))
-    ledger.use_phase_bits(t)
-    ledger.record_postselect(success)
-    charge_amplification(ledger, success)
-    realized = aligned_distance(state, vectorize(c))
     return PipelineResult(
-        state=PreparedState(state, success, ledger),
-        realized_error=realized,
+        state=PreparedState(state, success, _swap_family_ledger(t, success)),
+        realized_error=aligned_distance(state, vectorize(c)),
         predicted_bound=eps,
         method="lcu",
         phase_bits=t,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, exact_product, pad_dim
-from .matmul import MAX_PHASE_BITS, _check_support, _sve_setup, dilation_route, walk_route
+from .linalg import exact_product, pad_dim
+from .matmul import MAX_PHASE_BITS, _check_real_pair, _check_support, _sve_setup, dilation_route, walk_route
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
 # import-time binding along with matmul._sve_component
 from .matmul import _sve_component  # noqa: F401
@@ -75,10 +75,7 @@ def inner_product_classical(
 def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     """Entrywise C = AB by one overlap estimation per entry; cost per entry
     scales with ||A_i.|| ||B_.j|| / eps_abs, plus the classical norm pass."""
-    a = as_matrix(a, allow_complex=False)
-    b = as_matrix(b, allow_complex=False)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    a, b = _check_real_pair(a, b)
     ledger = CostLedger()
     ledger.classical_entries += a.size + b.size
     c_tilde = np.zeros((a.shape[0], b.shape[1]))

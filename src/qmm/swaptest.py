@@ -29,7 +29,6 @@ from .statevector import (
     CostLedger,
     Statevector,
     apply_unitary,
-    fidelity,
     marginal_probabilities,
 )
 

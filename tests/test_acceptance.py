@@ -170,7 +170,7 @@ def test_criterion_7_exact_phase_oracle_equivalence():
             overlap = np.vdot(ref, got)
             got = got * (abs(overlap) / overlap)
             worst = max(worst, float(np.max(np.abs(got - ref))))
-        res = matmul_lcu(a, b, eps=0.05, exact_phase=True)
+        res = matmul_lcu(a, b, eps=0.05)
         got = res.state.state.amplitudes
         overlap = np.vdot(ref, got)
         worst = max(worst, float(np.max(np.abs(got * abs(overlap) / overlap - ref))))

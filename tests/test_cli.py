@@ -92,3 +92,38 @@ def test_exact_phase_flag(tmp_path, matrices):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["rows"][0]["realized_error"] < 1e-7
+
+
+def test_multiply_rejects_options_the_method_ignores(matrices, capsys):
+    a, b = matrices
+    assert main(["multiply", "--method", "lcu", "--a", a, "--b", b, "--phase-bits", "8"]) == 1
+    assert "'lcu' takes no phase_bits" in capsys.readouterr().err
+    assert main(["multiply", "--method", "swap", "--a", a, "--b", b, "--strict-support"]) == 1
+    assert "'swap' takes no strict_support" in capsys.readouterr().err
+
+
+def test_readout_rejects_strict_support_for_swap(matrices, capsys):
+    a, b = matrices
+    assert main(["readout", "--method", "swap", "--a", a, "--b", b, "--strict-support"]) == 1
+    assert "'readout-swap' takes no strict_support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["readout", "--method", "sve", "--phase-bits", "8"],
+        ["readout", "--method", "hhl", "--exact-phase"],
+        ["prepare", "--method", "direct", "--phase-bits", "8"],
+        ["prepare", "--method", "direct", "--exact-phase"],
+        ["prepare", "--method", "sparse", "--strict-support"],
+    ],
+)
+def test_verbs_have_only_the_flags_they_use(tmp_path, matrices, argv, capsys):
+    a, b = matrices
+    x = tmp_path / "x.csv"
+    x.write_text("1.0,2.0\n")
+    inputs = ["--x", str(x)] if argv[0] == "prepare" else ["--a", a, "--b", b]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + inputs)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

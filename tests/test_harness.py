@@ -16,6 +16,7 @@ from qmm.harness import (
 )
 from qmm.io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
 from qmm.linalg import compute_svd
+from qmm.matmul import MAX_PHASE_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,45 @@ def test_experiment_config_validation():
         ExperimentConfig(method="swap", eps=2.0)
     with pytest.raises(ValueError, match="phase_bits"):
         ExperimentConfig(method="swap", phase_bits=25)
+    with pytest.raises(ValueError, match=rf"\[1, {MAX_PHASE_BITS}\]"):
+        ExperimentConfig(method="swap", phase_bits=MAX_PHASE_BITS + 1)
+    assert ExperimentConfig(method="swap", phase_bits=MAX_PHASE_BITS).phase_bits == MAX_PHASE_BITS
+
+
+@pytest.mark.parametrize(
+    "method, option",
+    [
+        ("lcu", {"phase_bits": 8}),
+        ("lcu", {"exact_phase": True}),
+        ("lcu", {"strict_support": True}),
+        ("swap", {"strict_support": True}),
+        ("readout-swap", {"strict_support": True}),
+        ("readout-sve", {"phase_bits": 8}),
+        ("readout-hhl", {"exact_phase": True}),
+        ("prep-direct", {"phase_bits": 8}),
+        ("prep-sparse", {"strict_support": True}),
+    ],
+)
+def test_experiment_config_rejects_options_the_method_ignores(method, option):
+    name = next(iter(option))
+    with pytest.raises(ValueError, match=f"{method!r} takes no {name}"):
+        ExperimentConfig(method=method, **option)
+
+
+@pytest.mark.parametrize(
+    "method, option",
+    [
+        ("swap", {"phase_bits": 8, "exact_phase": True}),
+        ("sve", {"phase_bits": 8, "exact_phase": True, "strict_support": True}),
+        ("hhl", {"phase_bits": 8, "exact_phase": True, "strict_support": True}),
+        ("readout-sve", {"strict_support": True}),
+        ("readout-hhl", {"strict_support": True}),
+        ("lcu", {"phase_bits": None, "exact_phase": False, "strict_support": False}),  # defaults pass
+    ],
+)
+def test_experiment_config_accepts_options_the_method_takes(method, option):
+    cfg = ExperimentConfig(method=method, **option)
+    assert cfg.options() == ({} if method == "lcu" else option)
 
 
 def test_run_experiment_swap_identity():
@@ -150,6 +190,16 @@ def test_verify_bounds_flags_tampered_bound():
     ok, findings = verify_bounds(report)
     assert not ok
     assert "recomputed" in findings[0]["problem"]
+
+
+def test_verify_bounds_lcu_row_and_unknown_method():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    report = run_experiment(ExperimentConfig(method="lcu", eps=0.1, inputs={"a": a, "b": b})).to_dict()
+    assert verify_bounds(report) == (True, [])
+    report["rows"][0]["method"] = "rank-one"  # no report row carries it
+    ok, findings = verify_bounds(report)
+    assert not ok and findings[0]["problem"] == "unknown method"
 
 
 @pytest.mark.parametrize("method", ["sve", "hhl"])

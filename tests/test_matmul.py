@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmm.linalg import compute_svd, exact_product, pad_dim, vectorize
 from qmm.matmul import (
@@ -33,10 +35,12 @@ from qmm.qpe import (
     swap_value,
 )
 from qmm.statevector import (
+    CostLedger,
     Statevector,
     aligned_distance,
     apply_unitary,
     basis_state,
+    charge_amplification,
     marginal_probabilities,
     postselect,
     tensor,
@@ -277,6 +281,76 @@ def test_matmul_lcu_rejects_scalar_product():
         matmul_lcu(np.array([[1.0, 2.0]]), np.array([[1.0], [1.0]]), eps=0.05)
 
 
+@st.composite
+def lcu_instances(draw):
+    l, m, n = (draw(st.integers(1, 8)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(l, m))
+    b = rng.normal(size=(m, n))
+    a[:, draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0.0  # zero columns of A
+    b[draw(st.lists(st.booleans(), min_size=m, max_size=m)), :] = 0.0  # zero rows of B
+    return a, b, draw(st.floats(0.01, 0.5))
+
+
+@settings(max_examples=60)
+@given(lcu_instances())
+def test_matmul_lcu_matches_simulated_rank_one_terms(case):
+    a, b, eps = case
+    l, n = a.shape[0], b.shape[1]
+    c = exact_product(a, b)
+    assume(l * n > 1 and np.linalg.norm(c) > 1e-14)
+    res = matmul_lcu(a, b, eps=eps)
+
+    # oracle: every live term simulated gate by gate, then combined
+    lam = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+    combined = np.zeros((l, n))
+    for j in np.flatnonzero(lam):
+        table = rank_one_product(a[:, j], b[j], eps=eps).state.state.reshaped()
+        combined += lam[j] * table[:l, :n].real
+    table = res.state.state.reshaped()
+    assert np.max(np.abs(table[:l, :n] - combined / np.linalg.norm(combined))) <= 1e-12
+    assert np.all(table[l:] == 0) and np.all(table[:, n:] == 0)
+
+    # ledger, bound and success probability as charged before the direct assembly
+    success = float(np.linalg.norm(c)) ** 2 / float(np.sum(lam)) ** 2
+    t = max(math.ceil(math.log2(math.pi / eps)) + 2, 2)
+    ledger = CostLedger()
+    ledger.charge_oracle(2)
+    ledger.charge_controlled(4 * ((1 << t) - 1))
+    ledger.use_phase_bits(t)
+    ledger.record_postselect(success)
+    charge_amplification(ledger, success)
+    assert res.ledger.to_dict() == ledger.to_dict()
+    assert res.phase_bits == t
+    assert res.predicted_bound == eps
+    assert res.success_probability == res.expected_success_probability == success
+    assert res.details == {"weight_sum": float(np.sum(lam))}
+    assert res.realized_error <= res.predicted_bound
+
+
+@pytest.mark.parametrize(
+    "a, b, match",
+    [
+        ([[1.0, 2.0]], [[1.0], [1.0]], "1x1"),  # l * n = 1
+        ([[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 3.0]], "AB = 0"),  # every term vanishes
+        ([[1.0, 1.0], [2.0, 2.0]], [[1.0, 3.0], [-1.0, -3.0]], "AB = 0"),  # live terms cancel
+    ],
+    ids=["scalar", "terms-vanish", "terms-cancel"],
+)
+def test_matmul_lcu_rejects_undefined_products(a, b, match):
+    with pytest.raises(ValueError, match=match):
+        matmul_lcu(np.array(a), np.array(b), eps=0.05)
+
+
+def test_matmul_lcu_keeps_a_term_too_small_for_its_own_pipeline():
+    # the term's own product has norm 1e-16, which matmul_swaptest would
+    # reject as AB = 0; the combination is well defined
+    a = np.array([[1.0, 1e-8], [2.0, 1e-8]])
+    b = np.array([[1.0, 2.0], [1e-8, 1e-8]])
+    res = matmul_lcu(a, b, eps=0.05)
+    assert exact_state_distance(res.state.state, vectorize(exact_product(a, b))) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # singular value transform
 
@@ -443,7 +517,7 @@ def test_exact_phase_mode_reproduces_exact_product(method):
 
 def test_exact_phase_mode_lcu():
     a, b = rand_matrix(3), rand_matrix(4)
-    res = matmul_lcu(a, b, eps=0.05, exact_phase=True)
+    res = matmul_lcu(a, b, eps=0.05)
     assert exact_state_distance(res.state.state, vectorize(exact_product(a, b))) < 1e-10
 
 

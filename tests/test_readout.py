@@ -69,6 +69,20 @@ def test_readout_swaptest_identity():
     assert rep.max_observed_error <= 0.05
 
 
+@pytest.mark.parametrize(
+    "a, b, match",
+    [
+        (np.eye(2), np.eye(3), r"dimension mismatch: \(2, 2\) x \(3, 3\)"),
+        (np.eye(2) * 1j, np.eye(2), "complex entries"),
+        (np.array([[1.0, np.nan]]), np.eye(2), "finite"),
+    ],
+    ids=["dimension-mismatch", "complex", "non-finite"],
+)
+def test_readout_swaptest_rejects_bad_pairs(a, b, match):
+    with pytest.raises(ValueError, match=match):
+        readout_swaptest(a, b, 0.1)
+
+
 def test_readout_swaptest_random_seed31():
     a, b = rand_pair(31)
     rep = readout_swaptest(a, b, 0.05)
