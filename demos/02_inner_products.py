@@ -8,7 +8,7 @@ more phase bit (denominator doubles).
 """
 import numpy as np
 
-from qmm import StatePreparer, generalized_swap_test, inner_product_estimate
+from qmm import from_vector, generalized_swap_test, inner_product_estimate
 from qmm.statevector import CostLedger
 from qmm.swaptest import tag_modal_value
 
@@ -17,7 +17,7 @@ x = rng.normal(size=8)
 x /= np.linalg.norm(x)
 y = rng.normal(size=8)
 y /= np.linalg.norm(y)
-px, py = StatePreparer.from_vector(x), StatePreparer.from_vector(y)
+px, py = from_vector("x", x), from_vector("y", y)
 
 exact = float(x @ y)
 print(f"exact <x|y> = {exact:+.6f}\n")

@@ -12,7 +12,6 @@ study = scaling_study(
     n_grid=[2, 4, 8],
     eps_grid=[2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6],
     seeds=[1, 2, 3],
-    sigma_max=1.0,
 )
 print("readout-swap cost table (mean over seeds):")
 print(f"{'n':>3} {'eps':>9} {'cost':>12}")

@@ -24,7 +24,6 @@ from .matmul import (
 )
 from .qpe import (
     PhaseConfig,
-    controlled_value_rotation,
     grover_rotation,
     invert_phase_estimate,
     phase_estimate,
@@ -43,7 +42,6 @@ from .statevector import (
     from_vector,
     marginal_probabilities,
     postselect,
-    sample_counts,
     tensor,
 )
 from .stateprep import (
@@ -57,7 +55,6 @@ from .stateprep import (
     synthesize_direct,
 )
 from .swaptest import (
-    StatePreparer,
     coefficient_tag,
     complex_inner_product,
     generalized_swap_test,

@@ -1,8 +1,8 @@
 """Flat-file formats: CSV matrices and vectors, JSON reports.
 
-Matrices are one row per line, comma-separated decimal reals. Complex
-entries (re+imj tokens) are parsed only when explicitly enabled; real mode
-is the primary path. Reports are versioned JSON (schema 1).
+Matrices are one row per line, comma-separated decimal reals; any other
+token, a complex one included, is an error naming its line. Reports are
+versioned JSON (schema 1).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 REPORT_SCHEMA = 1
 
 
-def load_matrix_csv(path, allow_complex: bool = False) -> np.ndarray:
+def load_matrix_csv(path) -> np.ndarray:
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -24,10 +24,7 @@ def load_matrix_csv(path, allow_complex: bool = False) -> np.ndarray:
                 continue
             parts = [p.strip() for p in text.split(",")]
             try:
-                if allow_complex:
-                    row = [complex(p.replace(" ", "")) for p in parts]
-                else:
-                    row = [float(p) for p in parts]
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             if width is None:

@@ -191,5 +191,5 @@ def col_marginal_state(a, name: str = "col") -> Statevector:
 
 def pipeline_initial_state(a, b) -> Statevector:
     """Tensor of A's row-norm marginal and B's column-norm marginal, the
-    initial state of the swap-test multiplication pipeline."""
+    initial state of the swap-test multiplication pipeline; demo 01 shows it."""
     return tensor(row_marginal_state(a, "row"), col_marginal_state(b, "col"))

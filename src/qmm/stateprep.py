@@ -15,7 +15,7 @@ pieces the primitive handles well, then recombine them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .statevector import (
     from_vector,
     postselect,
 )
-from .swaptest import StatePreparer
 
 SYNTH_LOG_CONST = 2  # exponent in the generic gate-count model
 
@@ -46,11 +45,11 @@ class VectorSpec:
     kappa_x: float
 
     @classmethod
-    def from_values(cls, values, zero_tol: float = 0.0) -> "VectorSpec":
+    def from_values(cls, values) -> "VectorSpec":
         vals = np.asarray(values, dtype=float).reshape(-1)
         if vals.size == 0 or not np.all(np.isfinite(vals)):
             raise ValueError("expected a nonempty finite vector")
-        support = np.flatnonzero(np.abs(vals) > zero_tol)
+        support = np.flatnonzero(vals)
         if support.size == 0:
             raise ValueError("vector has empty support")
         mags = np.abs(vals[support])
@@ -81,28 +80,25 @@ class PrepReport:
     details: dict = field(default_factory=dict)
 
 
-def _target_state(x: np.ndarray, name: str = "x") -> Statevector:
-    return from_vector(name, x)
+def _target_state(x: np.ndarray) -> Statevector:
+    return from_vector("x", x)
 
 
-def synthesize_direct(x, name: str = "x") -> PreparedState:
+def synthesize_direct(x) -> PreparedState:
     """Exact preparation through a synthesized unitary with U|0> = |x>.
 
-    Always available; the charged gate count follows the generic synthesis
-    model n^2 (log n)^2 log^c(n^2 (log n)^2 / precision), which is what makes
-    the structured routes below worth having.
+    Always available. The unitary is charged, not built: the gate count
+    follows the generic synthesis model n^2 (log n)^2 log^c(n^2 (log n)^2 /
+    precision), which is what makes the structured routes below worth having.
     """
     spec = _as_spec(x)
-    prep = StatePreparer.from_vector(spec.values)
-    state = from_vector(name, spec.values)
+    state = _target_state(spec.values)
     ledger = CostLedger()
     n = spec.values.size
     logn = max(math.log2(max(n, 2)), 1.0)
     gates = n**2 * logn**2
     ledger.gate_units += gates * max(math.log2(gates / 1e-12), 1.0) ** SYNTH_LOG_CONST
     ledger.charge_oracle(1)
-    # the completion is exact; keep the realized unitary around via details
-    assert np.max(np.abs(prep.unitary[:, 0] - state.amplitudes)) < 1e-10
     return PreparedState(state, 1.0, ledger)
 
 
@@ -196,15 +192,7 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
         ledger.amplification_rounds *= penalty
         ledger.oracle_calls *= penalty
         method = "sparse-unknown"
-    return PrepReport(
-        result=report.result,
-        target_fidelity_bound=report.target_fidelity_bound,
-        realized_distance=report.realized_distance,
-        method=method,
-        epsilon0=report.epsilon0,
-        epsilon1=report.epsilon1,
-        details=report.details,
-    )
+    return replace(report, method=method)
 
 
 def dyadic_bands(spec: VectorSpec) -> list[np.ndarray]:
@@ -255,19 +243,17 @@ def prep_dyadic(x, eps: float) -> PrepReport:
     )
 
 
-def prep_signshift(x, eps: float, big_m: float | None = None) -> PrepReport:
+def prep_signshift(x, eps: float) -> PrepReport:
     """Prepare |x> as the combination (||z||/||x||)|z> - (||y||/||x||)|y>
     with y = M sign(x) on the support and z = x + y.
 
-    z has magnitude spread at most 2 for M = max|x|, so it is cheap for the
+    M = max|x| gives z a magnitude spread of at most 2, so it is cheap for the
     small-angle route, and the sign state y is exact. The recombination is
     the two-state interference circuit; success probability
     ||x||^2 / (2(||y||^2 + ||z||^2)).
     """
     spec = _as_spec(x)
-    m_val = float(big_m) if big_m is not None else spec.max_abs
-    if m_val < spec.max_abs:
-        raise ValueError("shift magnitude must be at least max|x|")
+    m_val = spec.max_abs
     signs = np.where(spec.values >= 0.0, 1.0, -1.0)
     on = np.zeros_like(spec.values)
     on[spec.support] = 1.0

@@ -1,9 +1,8 @@
 """Multi-register statevectors with exact postselection and cost accounting.
 
 States are dense complex amplitude vectors over a named register layout.
-Measurement is replaced by exact-probability postselection so every
-downstream quantity is deterministic; a seeded sampling mode exists for
-demonstrations only. Run costs (oracle calls, controlled powers,
+Measurement is replaced by exact-probability postselection, so every
+downstream quantity is deterministic and nothing is sampled. Run costs (oracle calls, controlled powers,
 amplification rounds) are tracked in a CostLedger instead of being unrolled.
 """
 from __future__ import annotations
@@ -278,26 +277,17 @@ def fidelity(a: Statevector, b: Statevector) -> float:
 
 
 def aligned_distance(a: Statevector, b: Statevector) -> float:
-    """2-norm distance minimized over a global phase: sqrt(2 - 2|<a|b>|)."""
-    f = min(fidelity(a, b), 1.0)
-    return math.sqrt(max(0.0, 2.0 - 2.0 * f))
+    """2-norm distance minimized over a global phase, ||a - e^(i phi) b||
+    with e^(i phi) = <b|a>/|<b|a>|. Computed directly: the equal value
+    sqrt(2 - 2|<a|b>|) cancels when the states nearly agree."""
+    if a.layout != b.layout:
+        raise ValueError(f"layout mismatch: {a.layout} vs {b.layout}")
+    overlap = np.vdot(b.amplitudes, a.amplitudes)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
 
 
-def sample_counts(s: Statevector, shots: int, seed: int | None = None) -> dict[str, int]:
-    """Seeded sampling of full basis outcomes; demonstration only, every
-    verified quantity in this package uses exact postselection instead."""
-    rng = np.random.default_rng(seed)
-    probs = np.abs(s.amplitudes) ** 2
-    probs = probs / probs.sum()
-    draws = rng.choice(probs.size, size=shots, p=probs)
-    values, counts = np.unique(draws, return_counts=True)
-    width = s.total_qubits
-    return {format(int(v), f"0{width}b"): int(c) for v, c in zip(values, counts)}
-
-
-def grover_amplify(
-    s: Statevector, register: str, outcome: int, max_rounds: int = 10000
-) -> tuple[int, list[float]]:
+def grover_amplify(s: Statevector, register: str, outcome: int) -> tuple[int, list[float]]:
     """Unrolled Grover amplification of one branch, for validating the
     ceil(1/sqrt(p)) charge model on small instances.
 
@@ -306,7 +296,6 @@ def grover_amplify(
     probability trace (index 0 is the unamplified probability).
     """
     axis = s.register_index(register)
-    tens = s.reshaped()
 
     def good_prob(vec: np.ndarray) -> float:
         branch = np.take(vec.reshape(s.tensor_shape()), outcome, axis=axis)
@@ -322,7 +311,7 @@ def grover_amplify(
 
     trace = [good_prob(vec)]
     best_round, best_p = 0, trace[0]
-    for k in range(1, max_rounds + 1):
+    for k in range(1, 10001):  # the peak comes after about pi/(4 sqrt(p)) rounds
         vec = np.where(mask, -vec, vec)           # reflect about the bad subspace
         vec = 2.0 * np.vdot(psi0, vec) * psi0 - vec  # reflect about the start state
         p = good_prob(vec)

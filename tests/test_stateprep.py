@@ -249,11 +249,6 @@ def test_signshift_random_seed61():
     assert spread <= 2.0
 
 
-def test_signshift_rejects_small_shift():
-    with pytest.raises(ValueError, match="at least"):
-        prep_signshift([1.0, 2.0], 0.05, big_m=1.0)
-
-
 # ---------------------------------------------------------------------------
 # combination
 

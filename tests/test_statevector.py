@@ -15,7 +15,6 @@ from qmm.statevector import (
     grover_amplify,
     marginal_probabilities,
     postselect,
-    sample_counts,
     tensor,
 )
 
@@ -155,6 +154,20 @@ def test_fidelity_and_distance():
     assert aligned_distance(x, phased) < 1e-7
 
 
+def test_aligned_distance_has_no_cancellation_floor():
+    rng = np.random.default_rng(3)
+    a = from_vector("q", rng.normal(size=16) + 1j * rng.normal(size=16))
+    assert aligned_distance(a, a) == 0.0
+    # b = e^(0.3i) (cos(d) a + sin(d) w) with w orthogonal to a lies at
+    # distance 2 sin(d/2) from a once the global phase is removed
+    w = rng.normal(size=16) + 1j * rng.normal(size=16)
+    w -= np.vdot(a.amplitudes, w) * a.amplitudes
+    w /= np.linalg.norm(w)
+    d = 1e-9
+    b = Statevector(a.layout, np.exp(0.3j) * (math.cos(d) * a.amplitudes + math.sin(d) * w))
+    assert aligned_distance(a, b) == pytest.approx(2.0 * math.sin(d / 2.0), rel=1e-6)
+
+
 def test_fidelity_rejects_layout_mismatch():
     with pytest.raises(ValueError, match="layout"):
         fidelity(from_vector("a", [1, 0]), from_vector("b", [1, 0]))
@@ -197,14 +210,6 @@ def test_qubit_budget_enforced(monkeypatch):
 def test_norm_validation():
     with pytest.raises(ValueError, match="norm"):
         Statevector((("a", 1),), np.array([1.0, 1.0]))
-
-
-def test_sample_counts_deterministic_per_seed():
-    s = from_vector("q", [1, 1, 1, 1])
-    c1 = sample_counts(s, 100, seed=4)
-    c2 = sample_counts(s, 100, seed=4)
-    assert c1 == c2
-    assert sum(c1.values()) == 100
 
 
 def test_grover_rounds_match_charge_model_within_pi_over_2():

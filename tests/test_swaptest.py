@@ -6,9 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmm.qpe import PhaseConfig, decode_fixed, grover_rotation, phase_estimate, swap_value
-from qmm.statevector import CostLedger, fidelity, marginal_probabilities
+from qmm.statevector import CostLedger, fidelity, from_vector, marginal_probabilities
 from qmm.swaptest import (
-    StatePreparer,
     coefficient_tag,
     complex_inner_product,
     control_pair_state,
@@ -27,20 +26,11 @@ def unit(rng, n, complex_=False):
 
 
 # ---------------------------------------------------------------------------
-# preparers
-
-def test_preparer_realizes_declared_state():
-    rng = np.random.default_rng(0)
-    for n in (2, 3, 8):
-        v = unit(rng, n)
-        p = StatePreparer.from_vector(v)
-        assert np.max(np.abs(p.unitary[:, 0] - p.vector)) < 1e-10
-        assert np.max(np.abs(p.unitary.conj().T @ p.unitary - np.eye(p.dimension))) < 1e-10
-
+# input states
 
 def test_preparer_rejects_zero():
     with pytest.raises(ValueError, match="zero"):
-        StatePreparer.from_vector(np.zeros(4))
+        from_vector("x", np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +38,13 @@ def test_preparer_rejects_zero():
 
 def test_inner_product_identical_states():
     x = unit(np.random.default_rng(1), 4)
-    p = StatePreparer.from_vector(x)
+    p = from_vector("x", x)
     assert abs(inner_product_estimate(p, p, 2**-5) - 1.0) <= 2**-5
 
 
 def test_inner_product_orthogonal_states():
-    px = StatePreparer.from_vector([1.0, 0.0])
-    py = StatePreparer.from_vector([0.0, 1.0])
+    px = from_vector("x", [1.0, 0.0])
+    py = from_vector("x", [0.0, 1.0])
     assert abs(inner_product_estimate(px, py, 2**-5)) <= 2**-5
 
 
@@ -65,7 +55,7 @@ def test_inner_product_random_pair_seed21():
     direct = float(sum(a * b for a, b in zip(x, y)))
     led = CostLedger()
     est = inner_product_estimate(
-        StatePreparer.from_vector(x), StatePreparer.from_vector(y), 2**-8, led
+        from_vector("x", x), from_vector("x", y), 2**-8, led
     )
     assert abs(est - direct) <= 2**-8
     assert led.controlled_oracle_calls > 0
@@ -73,7 +63,7 @@ def test_inner_product_random_pair_seed21():
 
 def test_inner_product_cost_scales_inverse_eps():
     x = unit(np.random.default_rng(2), 4)
-    p = StatePreparer.from_vector(x)
+    p = from_vector("x", x)
     costs = []
     for eps in (2**-4, 2**-5, 2**-6):
         led = CostLedger()
@@ -91,7 +81,7 @@ def test_inner_product_estimator_bias_within_grid():
     for _ in range(10):
         x, y = unit(rng, 8), unit(rng, 8)
         est = inner_product_estimate(
-            StatePreparer.from_vector(x), StatePreparer.from_vector(y), eps
+            from_vector("x", x), from_vector("x", y), eps
         )
         assert abs(est - float(x @ y)) <= math.pi / (1 << t)
 
@@ -104,7 +94,7 @@ def test_inner_product_monotone_refinement():
         errs = []
         for x, y in pairs:
             est = inner_product_estimate(
-                StatePreparer.from_vector(x), StatePreparer.from_vector(y), eps
+                from_vector("x", x), from_vector("x", y), eps
             )
             errs.append(abs(est - float(x @ y)))
         if prev is not None:
@@ -180,8 +170,8 @@ def test_overlap_estimate_respects_qubit_budget(monkeypatch):
 def test_inner_product_dimension_mismatch():
     with pytest.raises(ValueError, match="different dimensions"):
         inner_product_estimate(
-            StatePreparer.from_vector([1.0, 0.0]),
-            StatePreparer.from_vector([1.0, 0.0, 0.0, 0.0]),
+            from_vector("x", [1.0, 0.0]),
+            from_vector("x", [1.0, 0.0, 0.0, 0.0]),
             0.1,
         )
 
@@ -194,7 +184,7 @@ def test_complex_inner_product_of_state_with_i_times_itself():
     rng = np.random.default_rng(4)
     x = unit(rng, 4, complex_=True)
     got = complex_inner_product(
-        StatePreparer.from_vector(x), StatePreparer.from_vector(1j * x), 2**-6
+        from_vector("x", x), from_vector("x", 1j * x), 2**-6
     )
     direct = complex(np.vdot(x, 1j * x))
     assert abs(got.real - direct.real) <= 2**-6
@@ -205,7 +195,7 @@ def test_complex_inner_product_of_state_with_i_times_itself():
 def test_complex_inner_product_real_pair_has_no_imag():
     x = unit(np.random.default_rng(5), 4)
     got = complex_inner_product(
-        StatePreparer.from_vector(x), StatePreparer.from_vector(x), 2**-6
+        from_vector("x", x), from_vector("x", x), 2**-6
     )
     assert abs(got.imag) <= 2**-6
 
@@ -217,7 +207,7 @@ def test_complex_inner_product_orthogonal_complex_pair():
     y = y - np.vdot(x, y) * x
     y /= np.linalg.norm(y)
     got = complex_inner_product(
-        StatePreparer.from_vector(x), StatePreparer.from_vector(y), 2**-6
+        from_vector("x", x), from_vector("x", y), 2**-6
     )
     assert abs(got.real) <= 2**-6
     assert abs(got.imag) <= 2**-6
@@ -228,16 +218,16 @@ def test_complex_inner_product_orthogonal_complex_pair():
 
 def test_generalized_swap_test_identical_states():
     x = unit(np.random.default_rng(6), 4)
-    p = StatePreparer.from_vector(x)
+    p = from_vector("x", x)
     out = generalized_swap_test(p, p, lambda s: s, 2**-5)
     assert abs(tag_modal_value(out) - 1.0) <= 2**-5
-    ref = control_pair_state(p.vector, p.vector)
+    ref = control_pair_state(p.amplitudes, p.amplitudes)
     assert discard_tag_fidelity(out, ref) > 1 - 2**-5
 
 
 def test_generalized_swap_test_orthogonal_squared():
-    px = StatePreparer.from_vector([1.0, 0.0])
-    py = StatePreparer.from_vector([0.0, 1.0])
+    px = from_vector("x", [1.0, 0.0])
+    py = from_vector("x", [0.0, 1.0])
     out = generalized_swap_test(px, py, lambda s: s * s, 2**-5)
     assert abs(tag_modal_value(out)) <= 2**-5
 
@@ -246,7 +236,7 @@ def test_generalized_swap_test_random_pair_seed8():
     rng = np.random.default_rng(8)
     x, y = unit(rng, 8), unit(rng, 8)
     out = generalized_swap_test(
-        StatePreparer.from_vector(x), StatePreparer.from_vector(y), lambda s: s, 2**-6
+        from_vector("x", x), from_vector("x", y), lambda s: s, 2**-6
     )
     assert abs(tag_modal_value(out) - float(x @ y)) <= 2**-6
 
@@ -257,7 +247,7 @@ def test_generalized_swap_test_restores_control_state_exactly():
     rng = np.random.default_rng(9)
     x, y = unit(rng, 4), unit(rng, 4)
     out = generalized_swap_test(
-        StatePreparer.from_vector(x), StatePreparer.from_vector(y), lambda s: s, 2**-5
+        from_vector("x", x), from_vector("x", y), lambda s: s, 2**-5
     )
     ref = control_pair_state(x, y)
     assert discard_tag_fidelity(out, ref) > 1 - 1e-10
@@ -265,7 +255,7 @@ def test_generalized_swap_test_restores_control_state_exactly():
 
 def test_generalized_swap_test_ledger_scales():
     x = unit(np.random.default_rng(7), 4)
-    p = StatePreparer.from_vector(x)
+    p = from_vector("x", x)
     led1, led2 = CostLedger(), CostLedger()
     generalized_swap_test(p, p, lambda s: s, 2**-4, ledger=led1)
     generalized_swap_test(p, p, lambda s: s, 2**-5, ledger=led2)
@@ -278,7 +268,7 @@ def test_generalized_swap_test_ledger_scales():
 def test_coefficient_tag_basis_state():
     vals = np.zeros(8)
     vals[5] = 1.0
-    out = coefficient_tag(StatePreparer.from_vector(vals), lambda s: s, 2**-5)
+    out = coefficient_tag(from_vector("x", vals), lambda s: s, 2**-5)
     probs = np.abs(out.reshaped()) ** 2
     j, code = np.unravel_index(np.argmax(probs), probs.shape)
     width = out.register_size("tag")
@@ -287,7 +277,7 @@ def test_coefficient_tag_basis_state():
 
 
 def test_coefficient_tag_uniform_state():
-    out = coefficient_tag(StatePreparer.from_vector(np.ones(4)), lambda s: s, 2**-6)
+    out = coefficient_tag(from_vector("x", np.ones(4)), lambda s: s, 2**-6)
     width = out.register_size("tag")
     tens = out.reshaped()
     for j in range(4):
@@ -300,7 +290,7 @@ def test_coefficient_tag_random_state_seed30():
     rng = np.random.default_rng(30)
     psi = unit(rng, 8)
     led = CostLedger()
-    out = coefficient_tag(StatePreparer.from_vector(psi), lambda s: s, 2**-7, ledger=led)
+    out = coefficient_tag(from_vector("x", psi), lambda s: s, 2**-7, ledger=led)
     width = out.register_size("tag")
     tens = out.reshaped()
     for j in range(8):
@@ -322,7 +312,7 @@ def test_coefficient_tag_index_marginal_matches_concentration_weights():
     rng = np.random.default_rng(30)
     psi = unit(rng, 8)
     eps = 2**-7
-    out = coefficient_tag(StatePreparer.from_vector(psi), lambda s: s, eps)
+    out = coefficient_tag(from_vector("x", psi), lambda s: s, eps)
     index_probs = marginal_probabilities(out, "index")
 
     cfg = PhaseConfig.from_epsilon(eps)
@@ -347,5 +337,5 @@ def test_coefficient_tag_rejects_complex():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError, match="real"):
         coefficient_tag(
-            StatePreparer.from_vector(unit(rng, 4, complex_=True)), lambda s: s, 0.05
+            from_vector("x", unit(rng, 4, complex_=True)), lambda s: s, 0.05
         )
