@@ -2,7 +2,9 @@
 
 Verbs: multiply, readout, prepare, scaling, verify, gen. Exit status is
 nonzero exactly when a bound was violated or an error occurred. Environment:
-QMM_MAX_QUBITS caps simulator width.
+QMM_MAX_QUBITS caps the width of a simulated state and of a phase-estimation
+register; it does not cap the closed-form sve/hhl kernel arrays, whose block
+size matmul._KERNEL_BLOCK bounds.
 """
 from __future__ import annotations
 

@@ -2,16 +2,23 @@
 
 Matrices are one row per line, comma-separated decimal reals; any other
 token, a complex one included, is an error naming its line. Reports are
-versioned JSON (schema 1).
+versioned JSON (schema 2). A row's instance fields (INSTANCE_FIELDS) are
+written packed, as {"shape": [...], "f8": base64 of the little-endian
+float64 bytes}, and loaded back as nested lists, bit for bit; outputs stay
+readable lists. The loader also reads schema 1, where the instance fields
+are plain lists.
 """
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
+READABLE_SCHEMAS = (1, 2)
+INSTANCE_FIELDS = ("a", "b", "x")  # the inputs verify_bounds recomputes from
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -54,14 +61,37 @@ def load_vector_csv(path) -> np.ndarray:
     raise ValueError(f"{path}: expected a single row or column of values")
 
 
+def _pack(values) -> dict:
+    arr = np.asarray(values, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _unpack(packed: dict) -> list:
+    raw = base64.b64decode(packed["f8"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(packed["shape"]).tolist()
+
+
 def save_report_json(path, report: dict) -> None:
-    report = dict(report)
-    report.setdefault("schema", REPORT_SCHEMA)
+    report = dict(report, schema=REPORT_SCHEMA)
+    if "rows" in report:
+        report["rows"] = [
+            {k: _pack(v) if k in INSTANCE_FIELDS else v for k, v in row.items()}
+            for row in report["rows"]
+        ]
     Path(path).write_text(json.dumps(report, sort_keys=True), encoding="utf-8")
 
 
 def load_report_json(path) -> dict:
     report = json.loads(Path(path).read_text(encoding="utf-8"))
-    if report.get("schema") != REPORT_SCHEMA:
+    if report.get("schema") not in READABLE_SCHEMAS:
         raise ValueError(f"{path}: unsupported report schema {report.get('schema')!r}")
+    for row in report.get("rows", []):
+        for name in INSTANCE_FIELDS:
+            if isinstance(row.get(name), dict):  # packed; schema-1 lists stay as they are
+                try:
+                    row[name] = _unpack(row[name])
+                except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+                    raise ValueError(
+                        f"{path}: row {row.get('id', '?')!r}: field {name!r} cannot be decoded: {exc}"
+                    ) from exc
     return report

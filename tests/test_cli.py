@@ -29,7 +29,7 @@ def test_gen_then_multiply_then_verify(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["violations"] == []
     assert main(["verify", str(out)]) == 0
     assert "pass" in capsys.readouterr().out
