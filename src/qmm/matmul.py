@@ -137,10 +137,12 @@ def _rotation(angle: float) -> np.ndarray:
 
 def _qpe_rows(u: np.ndarray, psi: np.ndarray, t: int) -> np.ndarray:
     """Forward phase-estimation amplitudes restricted to an invariant
-    subspace: rows[y] is the system amplitude attached to label y."""
+    subspace: rows[y] is the system amplitude attached to label y. Every
+    label starts from psi/sqrt(2^t), so the controlled powers get that one
+    start row and fill the labels by doubling."""
     T = 1 << t
-    rows = np.repeat(np.asarray(psi, dtype=complex)[None, :], T, axis=0) / math.sqrt(T)
-    rows = _controlled_powers(rows, np.asarray(u, dtype=complex), t)
+    start = np.asarray(psi, dtype=complex)[None, :] / math.sqrt(T)
+    rows = _controlled_powers(start, np.asarray(u, dtype=complex), t)
     return np.fft.fft(rows, axis=0) / math.sqrt(T)
 
 

@@ -114,11 +114,27 @@ def grover_rotation(phi: Statevector) -> np.ndarray:
 # phase estimation circuit
 
 def _controlled_powers(rows: np.ndarray, u: np.ndarray, t: int, dagger: bool = False) -> np.ndarray:
-    """Apply controlled-u^(2^k) for each phase bit k to rows indexed by label.
-    rows has shape (2^t, system_dim); powers come from repeated squaring."""
-    T = 1 << t
-    labels = np.arange(T)
+    """Apply controlled-u^(2^k) for each phase bit k to rows indexed by label;
+    powers come from repeated squaring.
+
+    rows has shape (2^t, system_dim) and is updated in place, one masked
+    product per bit. A forward estimation starts every label from the same
+    row, so rows may instead be that single (1, system_dim) start row: the
+    (2^t, system_dim) result is then filled by doubling, label y being label
+    y - 2^k times u^(2^k) for the top bit k of y. That applies the same
+    powers in the same order as the masked loop, with 2^t - 1 row products
+    in all, and leaves the start row unmodified."""
     p = u.conj().T.copy() if dagger else u.copy()
+    if rows.shape[0] == 1:
+        out = np.empty((1 << t, rows.shape[1]), dtype=np.result_type(rows, p))
+        out[0] = rows[0]
+        for k in range(t):
+            h = 1 << k
+            np.matmul(out[:h], p.T, out=out[h : 2 * h])
+            if k + 1 < t:
+                p = p @ p
+        return out
+    labels = np.arange(1 << t)
     for k in range(t):
         mask = (labels >> k) & 1 == 1
         rows[mask] = rows[mask] @ p.T
@@ -148,6 +164,11 @@ def phase_estimate(
     controlled powers u^(2^k) (computed by repeated squaring), then the
     inverse Fourier transform on the new register. Charges 2^t - 1
     controlled applications of u.
+
+    After the Hadamards every label holds the same row s/sqrt(2^t), so
+    only that (1, dim) start row is passed to the controlled powers, which
+    fill the label rows by doubling: the same powers in the same order as
+    one masked product per bit, 2^t - 1 row products, and s is not mutated.
     """
     u = np.asarray(u, dtype=complex)
     dim = s.amplitudes.size
@@ -160,8 +181,7 @@ def phase_estimate(
     T = 1 << t
     layout = ((PHASE_REGISTER, t),) + s.layout
     _check_phase_budget(t + s.total_qubits)
-    rows = np.repeat(s.amplitudes[None, :], T, axis=0) / math.sqrt(T)
-    rows = _controlled_powers(rows, u, t)
+    rows = _controlled_powers(s.amplitudes[None, :] / math.sqrt(T), u, t)
     rows = np.fft.fft(rows, axis=0) / math.sqrt(T)
     if ledger is not None:
         ledger.charge_controlled(T - 1)

@@ -4,7 +4,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qmm.harness import generate_matrix, generate_vector
 from qmm.linalg import compute_svd, exact_product, pad_matrix, vectorize

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmm.linalg import compute_svd, exact_product, pad_dim, vectorize
+from qmm.linalg import compute_svd, exact_product, vectorize
 from qmm.matmul import (
-    PipelineResult,
+    MAX_PHASE_BITS,
     SupportViolationError,
     SupportViolationWarning,
     SVEOperators,
     _phase0_after_undo,
-    _qpe_rows,
     matmul_hhl,
     matmul_lcu,
     matmul_swaptest,
@@ -27,7 +26,6 @@ from qmm.matmul import (
 )
 from qmm.qpe import (
     PhaseConfig,
-    _controlled_powers,
     grover_rotation,
     invert_phase_estimate,
     phase_estimate,
@@ -37,7 +35,6 @@ from qmm.qpe import (
 from qmm.statevector import (
     CostLedger,
     Statevector,
-    aligned_distance,
     apply_unitary,
     basis_state,
     charge_amplification,
@@ -207,6 +204,15 @@ def test_matmul_swaptest_ledger_slope_vs_inverse_eps():
         costs.append(res.ledger.total_oracle_units())
     slope = np.polyfit(np.log(1.0 / np.asarray(eps_grid)), np.log(costs), 1)[0]
     assert abs(slope - 1.0) <= 0.15
+
+
+def test_matmul_swaptest_at_max_phase_bits():
+    # one 2^20-label phase estimation per entry of the 2 x 2 product
+    a, b = rand_matrix(7, shape=(2, 3)), rand_matrix(8, shape=(3, 2))
+    res = matmul_swaptest(a, b, phase_bits=MAX_PHASE_BITS)
+    assert res.phase_bits == MAX_PHASE_BITS == 20
+    assert res.realized_error <= res.predicted_bound
+    assert res.success_probability == pytest.approx(res.expected_success_probability, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

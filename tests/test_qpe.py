@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmm.matmul import _qpe_rows
 from qmm.qpe import (
     PhaseConfig,
+    _controlled_powers,
     decode_fixed,
     encode_fixed,
     grover_rotation,
@@ -214,6 +218,54 @@ def test_phase_estimate_exact_phase_recovered_with_certainty():
         out = phase_estimate(np.array([[np.exp(1j * phase)]]), from_vector("q", [1.0], pad=False), PhaseConfig(t))
         probs = marginal_probabilities(out, "phase")
         assert abs(probs[k] - 1.0) < 1e-12
+
+
+def masked_powers(rows: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
+    """Reference controlled powers: for each bit k, multiply the rows whose
+    label has bit k set by u^(2^k), the power built by repeated squaring."""
+    rows = rows.copy()
+    labels = np.arange(1 << t)
+    p = u.copy()
+    for k in range(t):
+        mask = (labels >> k) & 1 == 1
+        rows[mask] = rows[mask] @ p.T
+        p = p @ p
+    return rows
+
+
+@st.composite
+def kernel_cases(draw):
+    t = draw(st.integers(1, 12))
+    dim = draw(st.sampled_from([1, 2, 4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = np.linalg.qr(g)[0]
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return t, u, psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=80)
+@given(kernel_cases())
+def test_controlled_powers_doubling_matches_masked_loop(case):
+    t, u, psi = case
+    T = 1 << t
+    start = psi[None, :] / math.sqrt(T)
+    kept = start.copy()
+    want = masked_powers(np.repeat(start, T, axis=0), u, t)
+    got = _controlled_powers(start, u, t)
+    assert got.shape == (T, psi.size)
+    assert np.array_equal(start, kept)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    # arbitrary rows still take the masked loop
+    rows = np.random.default_rng(t).normal(size=(T, psi.size)) + 0j
+    assert np.array_equal(_controlled_powers(rows.copy(), u, t), masked_powers(rows, u, t))
+    # both forward estimations start from the single row psi/sqrt(2^t)
+    want_rows = np.fft.fft(want, axis=0) / math.sqrt(T)
+    assert np.max(np.abs(_qpe_rows(u, psi, t) - want_rows)) <= 1e-15
+    s = Statevector((("q", psi.size.bit_length() - 1),), psi)
+    out = phase_estimate(u, s, PhaseConfig(t))
+    assert np.array_equal(s.amplitudes, psi)
+    assert np.max(np.abs(out.amplitudes - want_rows.reshape(-1))) <= 1e-15
 
 
 def test_invert_phase_estimate_roundtrip():

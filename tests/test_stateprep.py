@@ -5,7 +5,6 @@ import pytest
 
 from qmm.statevector import CostLedger, PreparedState, fidelity, from_vector
 from qmm.stateprep import (
-    PrepReport,
     VectorSpec,
     dyadic_bands,
     lcu_combine,

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmm.qpe import PhaseConfig, decode_fixed, grover_rotation, phase_estimate, swap_value
-from qmm.statevector import CostLedger, fidelity, from_vector, marginal_probabilities
+from qmm.statevector import CostLedger, from_vector, marginal_probabilities
 from qmm.swaptest import (
     coefficient_tag,
     complex_inner_product,

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 from qmm.linalg import compute_svd, pad_dim, pad_matrix
 from qmm.matmul import (
     MAX_PHASE_BITS,
+    _fejer_blocks,
     _hhl_component,
     _mu_phases,
     _phase0_after_undo,
     _qpe_rows,
+    _rotation,
     _sve_component,
     _walk_plane,
     dilation_route,
     sve_transform,
     walk_route,
 )
+from qmm.qpe import swap_value
 
 ROUTES = {"sve": walk_route, "hhl": dilation_route}
 
@@ -137,6 +140,22 @@ def test_batched_components_never_build_the_full_kernel_array(method):
             tracemalloc.stop()
         # one 2^t row of float64 is 8 * 2^t bytes; the (64, 2^16) array alone is 64 rows
         assert peak < 32 * 8 * (1 << t)
+
+
+@pytest.mark.parametrize("t", [16, MAX_PHASE_BITS])
+def test_swap_plane_distribution_drift_stays_within_oracle_tolerance(t):
+    # the swap plane's label distribution from the gate-level rows (u^(2^k)
+    # by repeated squaring) against its Fejer mixture
+    # (F(2 theta - 2 pi y / T) + F(-2 theta - 2 pi y / T)) / 2; measured
+    # drift 1.0e-12 (decoded value 1.7e-12) at t = 16, 1.5e-11 (2.7e-11) at t = 20
+    svals = swap_value(np.arange(1 << t), t)
+    for s in (-0.93, 0.2, 0.77):
+        theta = math.asin(math.sqrt((1.0 + s) / 2.0))
+        rows = _qpe_rows(_rotation(2.0 * theta), np.array([math.sin(theta), math.cos(theta)]), t)
+        probs = np.sum(np.abs(rows) ** 2, axis=1)
+        want = sum(f.sum(axis=0) for _, f in _fejer_blocks(np.array([2.0 * theta, -2.0 * theta]), t)) / 2.0
+        assert np.max(np.abs(probs - want)) <= oracle_tolerance(t)
+        assert abs(probs @ svals - want @ svals) <= oracle_tolerance(t)
 
 
 def block_sve_transform(a, x, t: int) -> np.ndarray:
