@@ -124,16 +124,16 @@ def compute_svd(a) -> SVDBundle:
         raise ValueError(f"SVD iteration failed to converge: {exc}") from exc
     v = vh.conj().T
     # gauge: rotate each v column so its first nonzero coordinate is real
-    # positive; paired u columns absorb the conjugate phase
-    for i in range(v.shape[1]):
-        col = v[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-14)
-        if nz.size == 0:
-            continue
-        phase = col[nz[0]] / abs(col[nz[0]])
-        v[:, i] = col / phase
-        if i < u.shape[1] and i < s.size:
-            u[:, i] = u[:, i] * phase
+    # positive; paired u columns absorb the conjugate phase. A column with no
+    # nonzero coordinate keeps phase 1. hypot is the scalar abs bit for bit
+    # (np.abs of a complex array may round differently).
+    nonzero = np.abs(v) > 1e-14
+    pivot = v[nonzero.argmax(axis=0), np.arange(v.shape[1])]
+    pivot[~nonzero.any(axis=0)] = 1.0
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    v /= phase
+    k = min(u.shape[1], s.size)
+    u[:, :k] *= phase[:k]
     return SVDBundle(sigmas=s, left_vectors=u, right_vectors=v)
 
 

@@ -274,26 +274,38 @@ def _fejer_blocks(phases: np.ndarray, t: int):
     F changes by O(T) per radian near its peak, so delta is reduced to
     about [-pi, pi] to its own relative accuracy: phase = 2 pi p / T + rest
     with |rest| <= pi / T (two-part 2 pi), and delta = rest + 2 pi m / T
-    for the centred index m = (p + y) mod T."""
+    for the centred index m = (p + y) mod T. No sine is taken per label:
+      * the numerator sin^2(T delta / 2) = sin^2(T rest / 2 + pi m)
+        = sin^2(T rest / 2) is one value per row;
+      * the denominator's sin(delta / 2) = sin(pi m / T) cos(rest / 2)
+        + cos(pi m / T) sin(rest / 2), with the sines and cosines of the
+        centred half-grid pi m / T taken once per call. For m != 0,
+        |pi m / T| >= 2 |rest / 2|, so the first term outweighs the second
+        and the sum loses at most a factor of 3 to cancellation; for m = 0
+        it is sin(rest / 2) exactly.
+    Label y of a row reads index y of the window that starts at the row's
+    shift (p + T/2) mod T in the grids laid end to end twice."""
     T = 1 << t
-    labels = np.arange(T)
-    centred = labels - T // 2
-    grid = centred * (_TWO_PI_HI / T) + centred * (_TWO_PI_LO / T)  # 2 pi m / T
+    centred = np.arange(T) - T // 2
+    half_grid = centred * (0.5 * _TWO_PI_HI / T) + centred * (0.5 * _TWO_PI_LO / T)  # pi m / T
+    windows = np.lib.stride_tricks.sliding_window_view
+    sines = windows(np.tile(np.sin(half_grid), 2), T)
+    cosines = windows(np.tile(np.cos(half_grid), 2), T)
     step = max(1, _KERNEL_BLOCK // T)
     for lo in range(0, phases.size, step):
         rows = slice(lo, lo + step)
         p = np.rint(phases[rows] * (T / (2.0 * math.pi)))
         rest = (phases[rows] - p * (_TWO_PI_HI / T)) - p * (_TWO_PI_LO / T)
         shift = (p.astype(np.int64) + T // 2) % T
-        half = grid[(labels[None, :] + shift[:, None]) % T]
-        half += rest[:, None]
-        half *= 0.5
-        tiny = np.abs(half) * (2 * T) < 1e-6
-        f = np.sin(T * half)
-        np.sin(half, out=half)
-        half *= T
-        f[tiny] = half[tiny] = 1.0
-        f /= half
+        den = sines[shift]  # T sin(delta / 2); scaling by T = 2^t is exact
+        den *= (T * np.cos(0.5 * rest))[:, None]
+        den += cosines[shift] * (T * np.sin(0.5 * rest))[:, None]
+        # |delta| * T < 1e-6 only at m = 0, label (T/2 - shift) mod T, where F = 1
+        tiny = np.flatnonzero(np.abs(rest) * T < 1e-6)
+        peak = (T // 2 - shift[tiny]) % T
+        den[tiny, peak] = 1.0
+        f = np.divide(np.sin(0.5 * T * rest)[:, None], den, out=den)
+        f[tiny, peak] = 1.0
         f *= f
         yield rows, f
 

@@ -142,6 +142,41 @@ def test_svd_deterministic_bit_identical():
     assert np.array_equal(b1.right_vectors, b2.right_vectors)
 
 
+def column_loop_gauge(a):
+    """compute_svd's gauge applied one column at a time: the reference its
+    vectorized form must equal bit for bit."""
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    v = vh.conj().T
+    for i in range(v.shape[1]):
+        col = v[:, i]
+        nz = np.flatnonzero(np.abs(col) > 1e-14)
+        if nz.size == 0:
+            continue
+        phase = col[nz[0]] / abs(col[nz[0]])
+        v[:, i] = col / phase
+        if i < u.shape[1] and i < s.size:
+            u[:, i] = u[:, i] * phase
+    return s, u, v
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_svd_gauge_matches_column_loop_bit_for_bit(complex_entries):
+    rng = np.random.default_rng(11)
+    for shape in ((1, 1), (3, 3), (4, 2), (2, 5), (7, 9), (64, 64)):
+        for zero_first_column in (False, True):
+            a = rng.normal(size=shape)
+            if complex_entries:
+                a = a + 1j * rng.normal(size=shape)
+            if zero_first_column:
+                # right vectors of nonzero sigmas then start with a coordinate below the threshold
+                a[:, 0] = 0.0
+            bundle = compute_svd(a)
+            s, u, v = column_loop_gauge(a)
+            assert np.array_equal(bundle.sigmas, s)
+            assert np.array_equal(bundle.left_vectors, u)
+            assert np.array_equal(bundle.right_vectors, v)
+
+
 def test_svd_degenerate_subspace_projectors():
     # degenerate sigmas: compare projectors, not individual vectors
     a = np.eye(3) * 2.0

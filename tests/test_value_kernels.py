@@ -2,15 +2,20 @@
 sve_transform) against the per-triple block simulations they replace."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmm.linalg import compute_svd, pad_dim, pad_matrix
 from qmm.matmul import (
+    _KERNEL_BLOCK,
+    _TWO_PI_HI,
+    _TWO_PI_LO,
     MAX_PHASE_BITS,
+    SupportViolationWarning,
     _fejer_blocks,
     _hhl_component,
     _mu_phases,
@@ -20,12 +25,15 @@ from qmm.matmul import (
     _sve_component,
     _walk_plane,
     dilation_route,
+    matmul_hhl,
+    matmul_sve,
     sve_transform,
     walk_route,
 )
 from qmm.qpe import swap_value
 
 ROUTES = {"sve": walk_route, "hhl": dilation_route}
+PIPELINES = {"sve": matmul_sve, "hhl": matmul_hhl}
 
 
 def oracle(route, frob: float, sigma: float, t: int, weights: np.ndarray) -> complex:
@@ -65,6 +73,98 @@ def test_batched_components_match_block_oracle(case, method):
     want = np.array([oracle(route, frob, s, t, weights) for s in sigmas])
     assert got.shape == sigmas.shape
     assert np.max(np.abs(got - want)) <= oracle_tolerance(t)
+
+
+def reference_fejer_blocks(phases: np.ndarray, t: int):
+    """Reference kernel: both sines taken for every label, on a half-angle
+    gathered from the 2 pi m / T grid by a modular index."""
+    T = 1 << t
+    labels = np.arange(T)
+    centred = labels - T // 2
+    grid = centred * (_TWO_PI_HI / T) + centred * (_TWO_PI_LO / T)
+    step = max(1, _KERNEL_BLOCK // T)
+    for lo in range(0, phases.size, step):
+        rows = slice(lo, lo + step)
+        p = np.rint(phases[rows] * (T / (2.0 * math.pi)))
+        rest = (phases[rows] - p * (_TWO_PI_HI / T)) - p * (_TWO_PI_LO / T)
+        shift = (p.astype(np.int64) + T // 2) % T
+        half = grid[(labels[None, :] + shift[:, None]) % T]
+        half += rest[:, None]
+        half *= 0.5
+        tiny = np.abs(half) * (2 * T) < 1e-6
+        f = np.sin(T * half)
+        np.sin(half, out=half)
+        half *= T
+        f[tiny] = half[tiny] = 1.0
+        f /= half
+        f *= f
+        yield rows, f
+
+
+@st.composite
+def kernel_phases(draw):
+    t = draw(st.integers(1, 16))
+    T = 1 << t
+    on_grid = st.integers(-2 * T, 2 * T).map(lambda j: 2.0 * math.pi * j / T)
+    # inside the tiny-delta branch (|delta| T < 1e-6) and just outside it
+    nudges = [0.0, 1e-13, -1e-13, 1e-9 / T, -1e-9 / T, 1e-5 / T, -1e-5 / T]
+    phase = st.one_of(
+        st.floats(-4.0 * math.pi, 4.0 * math.pi),
+        st.sampled_from([0.0, 2.0 * math.pi]),
+        st.builds(lambda p, e: p + e, on_grid, st.sampled_from(nudges)),
+    )
+    return t, np.array(draw(st.lists(phase, min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_phases())
+def test_fejer_blocks_match_two_sine_reference(case):
+    t, phases = case
+    with warnings.catch_warnings():
+        # an on-grid row left unmasked would divide 0 / 0
+        warnings.simplefilter("error")
+        got = list(_fejer_blocks(phases, t))
+        want = list(reference_fejer_blocks(phases, t))
+    assert [rows for rows, _ in got] == [rows for rows, _ in want]
+    for (_, f), (_, g) in zip(got, want):
+        assert f.shape == g.shape
+        assert np.max(np.abs(f - g)) <= 1e-15
+
+
+@st.composite
+def degenerate_pairs(draw):
+    """Rank-deficient or non-square A, possibly with zero columns, and a B with AB != 0."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(1, min(rows, cols)))
+    zero_cols = draw(st.lists(st.integers(0, cols - 1), max_size=cols - 1, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    a[:, zero_cols] = 0.0
+    b = rng.normal(size=(cols, draw(st.integers(1, 4))))
+    assume(np.linalg.norm(a @ b) > 1e-6)
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_pairs(), st.integers(2, 10), st.sampled_from(sorted(ROUTES)))
+def test_degenerate_inputs_match_block_oracle_and_keep_bound(case, t, method):
+    a, b = case
+    frob = float(np.linalg.norm(a))
+    d = pad_dim(max(a.shape))
+    sigmas = compute_svd(pad_matrix(a, d, d)).sigmas
+    route = ROUTES[method](frob, float(sigmas[0]))
+    # sigma = 0 and sigma = ||A||_F put the walk angle exactly on the label grid
+    probe = np.concatenate([sigmas, [0.0, frob]])
+    weights = route.rotation(t)[1]
+    got = route.components(probe, t, weights)
+    want = np.array([oracle(route, frob, s, t, weights) for s in probe])
+    assert np.max(np.abs(got - want)) <= oracle_tolerance(t)
+    with warnings.catch_warnings():
+        # columns of B outside A's row space are reported, not fatal
+        warnings.simplefilter("ignore", SupportViolationWarning)
+        res = PIPELINES[method](a, b, phase_bits=t)
+    assert res.phase_bits == t
+    assert res.realized_error <= res.predicted_bound
 
 
 def grid_sigma(route, frob: float, t: int) -> float:
