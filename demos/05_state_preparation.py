@@ -26,8 +26,8 @@ print(f"dim {x.size}, kappa(x) = {spec.kappa_x:.1f}\n")
 
 bands = dyadic_bands(spec)
 print(f"dyadic split: {len(bands)} bands, per-band magnitude spread "
-      f"{max(np.abs(b[b != 0]).max() / np.abs(b[b != 0]).min() for b in bands):.3f} (<= 2)")
-print(f"bands sum back to x exactly: {np.array_equal(sum(bands), x)}\n")
+      f"{max(band.kappa_x for band in bands):.3f} (<= 2)")
+print(f"bands sum back to x exactly: {np.array_equal(sum(band.values for band in bands), x)}\n")
 
 rows = [
     ("direct", synthesize_direct(x), None),

@@ -17,7 +17,7 @@ import numpy as np
 from . import matmul, readout, stateprep
 from .io import REPORT_SCHEMA
 from .linalg import exact_product, pad_dim
-from .statevector import Statevector, aligned_distance
+from .statevector import _owned, aligned_distance, from_vector
 
 MULTIPLY_METHODS = ("swap", "sve", "hhl", "lcu")
 READOUT_METHODS = ("readout-swap", "readout-sve", "readout-hhl")
@@ -128,8 +128,8 @@ def _multiply_row(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray, ident: st
     return {
         "id": ident,
         "method": cfg.method,
-        "a": a.tolist(),
-        "b": b.tolist(),
+        "a": a,
+        "b": b,
         "eps": cfg.eps,
         "phase_bits": res.phase_bits,
         "realized_error": res.realized_error,
@@ -153,8 +153,8 @@ def _readout_row(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray, ident: str
     return {
         "id": ident,
         "method": cfg.method,
-        "a": a.tolist(),
-        "b": b.tolist(),
+        "a": a,
+        "b": b,
         "eps": cfg.eps,
         "c_tilde": rep.c_tilde.tolist(),
         "realized_error": rep.max_observed_error,
@@ -170,9 +170,9 @@ def _prep_by_sign_base(x, eps: float) -> stateprep.PrepReport:
     charged ceil(log2 n) gate units, as prep_signshift charges its own."""
     spec = stateprep.VectorSpec.from_values(x)
     dim = pad_dim(spec.values.size)
-    signs = np.zeros(dim)
+    signs = np.zeros(dim, dtype=complex)
     signs[spec.support] = np.sign(spec.values[spec.support]) / math.sqrt(spec.support.size)
-    base = Statevector((("x", max(1, int(math.log2(dim)))),), signs)
+    base = _owned((("x", max(1, int(math.log2(dim)))),), signs)
     report = stateprep.prep_hamiltonian(np.abs(spec.values), base, eps)
     report.result.ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
     return report
@@ -182,7 +182,7 @@ def _prep_row(cfg: ExperimentConfig, x: np.ndarray, ident: str) -> dict:
     started = time.perf_counter()
     if cfg.method == "prep-direct":
         ps = stateprep.synthesize_direct(x)
-        target = stateprep._target_state(np.asarray(x, dtype=float))
+        target = from_vector("x", x)
         row = {
             # the route is exact, so the distance is at rounding level; the
             # fixed bound is what reports record for it
@@ -211,7 +211,7 @@ def _prep_row(cfg: ExperimentConfig, x: np.ndarray, ident: str) -> dict:
         {
             "id": ident,
             "method": cfg.method,
-            "x": np.asarray(x, dtype=float).tolist(),
+            "x": x,
             "eps": cfg.eps,
             "wall_time": time.perf_counter() - started,
         }
@@ -221,16 +221,19 @@ def _prep_row(cfg: ExperimentConfig, x: np.ndarray, ident: str) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> ReportTable:
     """Run the configured method on its inputs and report one row per
-    instance; rows carry the instance itself for later verification."""
+    instance; rows carry the instance itself, as read-only float64 arrays
+    copied from cfg.inputs, for later verification."""
     rows = []
+    inputs = {name: np.array(values, dtype=float) for name, values in cfg.inputs.items()}
+    for arr in inputs.values():
+        arr.setflags(write=False)
     if cfg.method in MULTIPLY_METHODS or cfg.method in READOUT_METHODS:
-        a = np.asarray(cfg.inputs["a"], dtype=float)
-        b = np.asarray(cfg.inputs["b"], dtype=float)
+        a, b = inputs["a"], inputs["b"]
         ident = f"{cfg.method}-n{a.shape[0]}-seed{cfg.seed}"
         maker = _multiply_row if cfg.method in MULTIPLY_METHODS else _readout_row
         rows.append(maker(cfg, a, b, ident))
     else:
-        x = np.asarray(cfg.inputs["x"], dtype=float)
+        x = inputs["x"]
         rows.append(_prep_row(cfg, x, f"{cfg.method}-n{x.size}-seed{cfg.seed}"))
     config = {
         "method": cfg.method,
@@ -330,17 +333,14 @@ def _recompute_bound(row: dict) -> float | None:
     if method in READOUT_METHODS or method == "lcu":
         return float(row["eps"])
     if method == "swap":
-        a = np.asarray(row["a"], dtype=float)
-        b = np.asarray(row["b"], dtype=float)
+        a, b = row["a"], row["b"]
         c = exact_product(a, b)
         eps_inner = math.pi / (1 << int(row["phase_bits"]))
         return matmul.swaptest_error_bound(
             float(np.linalg.norm(a)), float(np.linalg.norm(b)), float(np.linalg.norm(c)), eps_inner
         )
     if method in ("sve", "hhl"):
-        a = np.asarray(row["a"], dtype=float)
-        b = np.asarray(row["b"], dtype=float)
-        a0, _, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = matmul._sve_setup(a, b)
+        a0, _, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = matmul._sve_setup(row["a"], row["b"])
         sigmas = np.zeros(d)
         sigmas[: bundle.sigmas.size] = bundle.sigmas
         route_of = matmul.walk_route if method == "sve" else matmul.dilation_route
@@ -355,7 +355,7 @@ def _recompute_bound(row: dict) -> float | None:
     if method == "prep-direct":
         return PREP_DIRECT_BOUND
     if method in ("prep-hamiltonian", "prep-sparse"):
-        x = np.abs(np.asarray(row["x"], dtype=float))
+        x = np.abs(row["x"])
         kappa_f = float(x.max() / x[x > 0].min())
         return math.sqrt(kappa_f / 3.0) * (float(row["eps"]) / math.sqrt(kappa_f))
     if method in ("prep-dyadic", "prep-signshift"):

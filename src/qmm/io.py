@@ -3,10 +3,10 @@
 Matrices are one row per line, comma-separated decimal reals; any other
 token, a complex one included, is an error naming its line. Reports are
 versioned JSON (schema 2). A row's instance fields (INSTANCE_FIELDS) are
-written packed, as {"shape": [...], "f8": base64 of the little-endian
-float64 bytes}, and loaded back as nested lists, bit for bit; outputs stay
-readable lists. The loader also reads schema 1, where the instance fields
-are plain lists.
+float64 arrays, written packed as {"shape": [...], "f8": base64 of the
+little-endian float64 bytes} and loaded back as arrays, bit for bit; outputs
+stay readable lists. The loader also reads schema 1, whose instance fields
+are plain lists, converting them to float64 arrays once.
 """
 from __future__ import annotations
 
@@ -62,13 +62,15 @@ def load_vector_csv(path) -> np.ndarray:
 
 
 def _pack(values) -> dict:
-    arr = np.asarray(values, dtype="<f8")
+    arr = np.asarray(values, dtype="<f8")  # no copy for a float64 array
     return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _unpack(packed: dict) -> list:
+def _unpack(packed) -> np.ndarray:
+    if not isinstance(packed, dict):  # schema 1: a (nested) list
+        return np.array(packed, dtype=float)
     raw = base64.b64decode(packed["f8"], validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(packed["shape"]).tolist()
+    return np.frombuffer(raw, dtype="<f8").reshape(packed["shape"])
 
 
 def save_report_json(path, report: dict) -> None:
@@ -82,12 +84,13 @@ def save_report_json(path, report: dict) -> None:
 
 
 def load_report_json(path) -> dict:
+    """Read a schema 1 or 2 report; instance fields come back as float64 arrays."""
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if report.get("schema") not in READABLE_SCHEMAS:
         raise ValueError(f"{path}: unsupported report schema {report.get('schema')!r}")
     for row in report.get("rows", []):
         for name in INSTANCE_FIELDS:
-            if isinstance(row.get(name), dict):  # packed; schema-1 lists stay as they are
+            if name in row:
                 try:
                     row[name] = _unpack(row[name])
                 except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import Statevector, from_vector, tensor
+from .statevector import Statevector, _owned, from_vector, tensor
 
 SIGMA_ZERO_TOL = 1e-12
 
@@ -168,7 +168,7 @@ def vectorize(a) -> Statevector:
         ("row", int(math.log2(padded.shape[0]))),
         ("col", int(math.log2(padded.shape[1]))),
     )
-    return Statevector(layout, padded.reshape(-1))
+    return _owned(layout, padded.reshape(-1))
 
 
 def row_marginal_state(a, name: str = "row") -> Statevector:

@@ -54,6 +54,7 @@ from .statevector import (
     CostLedger,
     PreparedState,
     Statevector,
+    _owned,
     aligned_distance,
     charge_amplification,
 )
@@ -523,7 +524,7 @@ def _product_state(amps: np.ndarray, rows: int, cols: int) -> tuple[Statevector,
     if norm2 <= 0:
         raise ValueError("pipeline produced a zero state")
     layout = (("row", int(math.log2(lp))), ("col", int(math.log2(npad))))
-    return Statevector(layout, table.reshape(-1) / math.sqrt(norm2)), norm2
+    return _owned(layout, table.reshape(-1) / math.sqrt(norm2)), norm2
 
 
 def _swap_family_ledger(t: int, success: float) -> CostLedger:
@@ -754,7 +755,7 @@ def sve_transform(
         ledger.use_phase_bits(t)
         ledger.record_postselect(total)
     layout = (("out", int(math.log2(d))), ("sigma", t))
-    return Statevector(layout, (amps / math.sqrt(total)).reshape(-1))
+    return _owned(layout, (amps / math.sqrt(total)).reshape(-1))
 
 
 def sigma_register_decode(code: int, phase_bits: int, frob: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import CostLedger, Statevector, max_qubits
+from .statevector import CostLedger, Statevector, _owned, max_qubits
 
 PHASE_REGISTER = "phase"
 
@@ -186,7 +186,7 @@ def phase_estimate(
     if ledger is not None:
         ledger.charge_controlled(T - 1)
         ledger.use_phase_bits(t)
-    return Statevector(layout, rows.reshape(-1))
+    return _owned(layout, rows.reshape(-1))
 
 
 def invert_phase_estimate(s: Statevector, u: np.ndarray) -> Statevector:
@@ -199,7 +199,7 @@ def invert_phase_estimate(s: Statevector, u: np.ndarray) -> Statevector:
     t = s.layout[0][1]
     rows = s.amplitudes.reshape(1 << t, -1)
     rows = _unnormalized_invert(rows, np.asarray(u, dtype=complex), t)
-    return Statevector(s.layout, rows.reshape(-1))
+    return _owned(s.layout, rows.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def tag_even_function(
     if ledger is not None:
         ledger.record_postselect(prob)
     layout = (("tag", width),) + s.layout[1:]
-    return Statevector(layout, out.reshape(-1))
+    return _owned(layout, out.reshape(-1))
 
 
 def _unnormalized_invert(rows: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:

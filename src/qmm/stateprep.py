@@ -21,13 +21,14 @@ import numpy as np
 
 from .linalg import pad_dim
 from .statevector import (
+    NORM_TOL,
     CostLedger,
     PreparedState,
     Statevector,
+    _owned,
     aligned_distance,
     charge_amplification,
     from_vector,
-    postselect,
 )
 
 SYNTH_LOG_CONST = 2  # exponent in the generic gate-count model
@@ -80,10 +81,6 @@ class PrepReport:
     details: dict = field(default_factory=dict)
 
 
-def _target_state(x: np.ndarray) -> Statevector:
-    return from_vector("x", x)
-
-
 def synthesize_direct(x) -> PreparedState:
     """Exact preparation through a synthesized unitary with U|0> = |x>.
 
@@ -92,7 +89,7 @@ def synthesize_direct(x) -> PreparedState:
     precision), which is what makes the structured routes below worth having.
     """
     spec = _as_spec(x)
-    state = _target_state(spec.values)
+    state = from_vector("x", spec.values)
     ledger = CostLedger()
     n = spec.values.size
     logn = max(math.log2(max(n, 2)), 1.0)
@@ -109,7 +106,9 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> PrepReport:
     t = eps1/max|f| with eps1 = eps/sqrt(kappa(f)), so every angle f(k) t
     lies in [eps0, eps1] with eps0 = eps1/kappa(f); the sine-branch distance
     is then at most sqrt(kappa(f)/3) eps1. Amplification is charged at the
-    worst-case ceil(1/eps0) rounds.
+    worst-case ceil(1/eps0) rounds. The postselected sine branch is built
+    directly, bit for bit as staging and postselecting the 2 dim flag state
+    would give it; that circuit stays in the tests as the oracle.
     """
     if len(base.layout) != 1:
         raise ValueError("base state must live on a single register")
@@ -125,23 +124,28 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> PrepReport:
         raise ValueError("base state must be real")
     b = b.real
     populated = np.abs(b) > 1e-14
-    if np.any(np.abs(fvals[populated]) < 1e-300):
+    f_on = np.abs(fvals[populated])
+    if np.any(f_on < 1e-300):
         raise ValueError("f vanishes on the support of the base state")
     if not 0.0 < eps < 1.0:
         raise ValueError("accuracy must lie in (0, 1): larger values would push "
                          "evolution angles out of the small-angle window")
-    fmax = float(np.max(np.abs(fvals[populated])))
-    fmin = float(np.min(np.abs(fvals[populated])))
+    fmax, fmin = float(np.max(f_on)), float(np.min(f_on))
+    del f_on  # half a vector, not held across the branch and target below
     kappa_f = fmax / fmin
     eps1 = eps / math.sqrt(kappa_f)
     t_evo = eps1 / fmax
 
-    angles = np.where(populated, fvals * t_evo, 0.0)
-    flag_amps = np.concatenate([b * np.cos(angles), 1j * b * np.sin(angles)])
-    staged = Statevector((("flag", 1), base.layout[0]), flag_amps)
+    # the flag = 1 branch i sum_k b_k sin(f(k) t)|k> without its global i,
+    # scaled by 1/sqrt(p) as numpy's complex division by sqrt(p) scales it
+    v = b * np.sin(np.where(populated, fvals * t_evo, 0.0))
+    v += 0.0  # -0.0 to +0.0 off the support, as the staged branch rounds it
+    prob = float(np.sum(v * v))
+    if prob <= NORM_TOL**2:
+        raise ValueError("outcome 1 of 'flag' has zero probability")
     ledger = CostLedger()
-    picked = postselect(staged, "flag", 1, ledger)
-    prob = picked.success_probability
+    ledger.record_postselect(prob)
+    produced = _owned(base.layout, v * (1.0 / math.sqrt(prob)))
 
     eps0_raw = fmin * t_evo  # = eps1 / kappa(f)
     # exact floor of the branch amplitude; backed off by one part in 1e9 so
@@ -152,10 +156,7 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> PrepReport:
     ledger.charge_oracle(rounds)  # each round reruns base prep + evolution
     ledger.gate_units += rounds  # one diagonal-evolution unit per pass
 
-    target_vals = np.where(populated, fvals * b, 0.0)
-    target = from_vector(reg, target_vals, pad=False)
-    # strip the global i left by the Hadamard step before comparing
-    produced = Statevector(picked.state.layout, picked.state.amplitudes / 1j)
+    target = from_vector(reg, np.where(populated, fvals * b, 0.0), pad=False)
     realized = float(np.linalg.norm(produced.amplitudes - target.amplitudes))
     bound = math.sqrt(kappa_f / 3.0) * eps1
     result = PreparedState(produced, prob, ledger)
@@ -180,9 +181,9 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
     spec = _as_spec(x)
     dim = pad_dim(spec.values.size)
     qubits = max(1, int(math.log2(dim)))
-    base_vals = np.zeros(dim)
+    base_vals = np.zeros(dim, dtype=complex)
     base_vals[spec.support] = 1.0 / math.sqrt(spec.support.size)
-    base = Statevector((("x", qubits),), base_vals)
+    base = _owned((("x", qubits),), base_vals)
     report = prep_hamiltonian(spec.values, base, eps)
     ledger = report.result.ledger
     ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))  # base prep
@@ -195,20 +196,20 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
     return replace(report, method=method)
 
 
-def dyadic_bands(spec: VectorSpec) -> list[np.ndarray]:
+def dyadic_bands(spec: VectorSpec) -> list[VectorSpec]:
     """Split x into magnitude bands [2^(j-1) m, 2^j m) over the smallest
     nonzero magnitude m; each band vector has magnitude spread at most 2 and
-    the bands sum back to x exactly."""
+    the bands' values sum back to x exactly; each spec is read off its members."""
     mags = np.abs(spec.values[spec.support])
     idx = np.floor(np.log2(mags / spec.min_abs_nonzero)).astype(int)
     bands = []
-    for j in range(int(idx.max()) + 1):
+    for j in np.flatnonzero(np.bincount(idx)):
         members = spec.support[idx == j]
-        if members.size == 0:
-            continue
         y = np.zeros_like(spec.values)
         y[members] = spec.values[members]
-        bands.append(y)
+        band = np.abs(y[members])
+        hi, lo = float(band.max()), float(band.min())
+        bands.append(VectorSpec(y, members, hi, lo, hi / lo))
     return bands
 
 
@@ -222,17 +223,17 @@ def prep_dyadic(x, eps: float) -> PrepReport:
     eps_band = eps / (2.0 * math.sqrt(q))
     parts = []
     weights = []
-    for y in bands:
-        rep = prep_sparse(VectorSpec.from_values(y), eps_band)
+    for band in bands:
+        rep = prep_sparse(band, eps_band)
         parts.append(rep.result)
-        weights.append(float(np.linalg.norm(y)) / norm_x)
+        weights.append(float(np.linalg.norm(band.values)) / norm_x)
     combined = lcu_combine(parts, weights)
     ledger = combined.ledger
     # selection-unitary synthesis for the q combination weights
     logq = max(math.log2(max(q, 2)), 1.0)
     cq = q**2 * logq**2
     ledger.gate_units += cq * max(math.log2(max(cq, 2.0) / eps), 1.0) ** SYNTH_LOG_CONST
-    target = _target_state(spec.values)
+    target = from_vector("x", spec.values)
     realized = aligned_distance(combined.state, target)
     return PrepReport(
         result=combined,
@@ -266,7 +267,7 @@ def prep_signshift(x, eps: float) -> PrepReport:
 
     y_led = CostLedger()
     y_led.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
-    y_state = PreparedState(_target_state(y), 1.0, y_led)
+    y_state = PreparedState(from_vector("x", y), 1.0, y_led)
     eps_z = eps * norm_x / (2.0 * norm_z)
     z_rep = prep_sparse(VectorSpec.from_values(z), eps_z)
 
@@ -282,8 +283,8 @@ def prep_signshift(x, eps: float) -> PrepReport:
     ledger.merge(y_led)
     ledger.record_postselect(success)
     ledger.amplification_rounds += math.ceil(1.0 / math.sqrt(success))
-    state = Statevector(z_rep.result.state.layout, combined_vals / nrm)
-    target = _target_state(spec.values)
+    state = _owned(z_rep.result.state.layout, combined_vals / nrm)
+    target = from_vector("x", spec.values)
     realized = aligned_distance(state, target)
     return PrepReport(
         result=PreparedState(state, success, ledger),
@@ -317,7 +318,7 @@ def lcu_combine(states: list[PreparedState], weights) -> PreparedState:
             raise ValueError("all states must share one register layout")
     combined = np.zeros_like(states[0].state.amplitudes)
     for w, ps in zip(weights, states):
-        combined = combined + w * ps.state.amplitudes
+        combined += w * ps.state.amplitudes
     nrm = float(np.linalg.norm(combined))
     wsum = float(np.sum(np.abs(weights)))
     if nrm < 1e-12 * wsum:
@@ -328,4 +329,4 @@ def lcu_combine(states: list[PreparedState], weights) -> PreparedState:
         ledger.merge(ps.ledger)
     ledger.record_postselect(min(success, 1.0))
     charge_amplification(ledger, min(success, 1.0))
-    return PreparedState(Statevector(layout, combined / nrm), min(success, 1.0), ledger)
+    return PreparedState(_owned(layout, combined / nrm), min(success, 1.0), ledger)

@@ -99,14 +99,19 @@ class Statevector:
     """A unit-norm amplitude vector over an ordered multi-register layout.
 
     layout is a tuple of (register name, qubit count); the first register is
-    the most significant block of the basis index. Instances are immutable.
+    the most significant block of the basis index. Instances are immutable and
+    the amplitudes read-only: Statevector(layout, amps) copies amps, which
+    the caller may still hold; _owned takes qmm's fresh arrays uncopied.
     """
 
     layout: tuple[tuple[str, int], ...]
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        layout = tuple((str(n), int(q)) for n, q in self.layout)
+        self._adopt(self.layout, np.array(self.amplitudes, dtype=complex))
+
+    def _adopt(self, layout, amps: np.ndarray):
+        layout = tuple((str(n), int(q)) for n, q in layout)
         object.__setattr__(self, "layout", layout)
         names = [n for n, _ in layout]
         if len(set(names)) != len(names):
@@ -120,7 +125,7 @@ class Statevector:
                 f"layout needs {total} qubits, over the budget of {max_qubits()} "
                 f"(set QMM_MAX_QUBITS to raise it)"
             )
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        amps = amps.reshape(-1)
         if amps.size != 1 << total:
             raise ValueError(
                 f"{amps.size} amplitudes for a {total}-qubit layout "
@@ -160,21 +165,30 @@ class Statevector:
         return self.amplitudes.reshape(self.tensor_shape())
 
 
+def _owned(layout, amps) -> Statevector:
+    """A Statevector over an array qmm has just built and holds nowhere else:
+    checked like the public constructor and marked read-only, not copied."""
+    s = object.__new__(Statevector)
+    s._adopt(layout, np.asarray(amps, dtype=complex))
+    return s
+
+
 def from_vector(name: str, values, *, pad: bool = True) -> Statevector:
     """Amplitude-encode a vector on a single register, zero-padding to a
     power-of-two dimension and normalizing."""
-    vec = np.asarray(values, dtype=complex).reshape(-1)
+    vals = np.asarray(values).reshape(-1)
+    size = max(vals.size, 1)
+    qubits = max(1, math.ceil(math.log2(size))) if pad else int(math.log2(size))
+    if vals.size > 1 << qubits:
+        raise ValueError("dimension is not a power of two and padding is off")
+    out = np.zeros(1 << qubits, dtype=complex)
+    vec = out[: vals.size]
+    vec[:] = vals
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("cannot encode the zero vector as a state")
-    vec = vec / norm
-    qubits = max(1, math.ceil(math.log2(vec.size))) if pad else int(math.log2(vec.size))
-    dim = 1 << qubits
-    if vec.size > dim:
-        raise ValueError("dimension is not a power of two and padding is off")
-    out = np.zeros(dim, dtype=complex)
-    out[: vec.size] = vec
-    return Statevector(((name, qubits),), out)
+    vec /= norm
+    return _owned(((name, qubits),), out)
 
 
 def basis_state(layout, indices) -> Statevector:
@@ -187,7 +201,7 @@ def basis_state(layout, indices) -> Statevector:
         if not 0 <= p < d:
             raise ValueError(f"index {p} out of range for register {n!r}")
     amps[pos] = 1.0
-    return Statevector(layout, amps.reshape(-1))
+    return _owned(layout, amps.reshape(-1))
 
 
 def apply_unitary(s: Statevector, u: np.ndarray, targets) -> Statevector:
@@ -214,7 +228,7 @@ def apply_unitary(s: Statevector, u: np.ndarray, targets) -> Statevector:
     mat = u @ mat
     moved = mat.reshape(tuple(dims) + kept)
     tens = np.moveaxis(moved, range(len(axes)), axes)
-    return Statevector(s.layout, tens.reshape(-1))
+    return _owned(s.layout, tens.reshape(-1))
 
 
 def tensor(a: Statevector, b: Statevector) -> Statevector:
@@ -223,7 +237,7 @@ def tensor(a: Statevector, b: Statevector) -> Statevector:
     if overlap:
         raise ValueError(f"register name collision: {sorted(overlap)}")
     amps = np.outer(a.amplitudes, b.amplitudes).reshape(-1)
-    return Statevector(a.layout + b.layout, amps)
+    return _owned(a.layout + b.layout, amps)
 
 
 @dataclass(frozen=True)
@@ -254,7 +268,7 @@ def postselect(
     if prob <= NORM_TOL**2:
         raise ValueError(f"outcome {outcome} of {register!r} has zero probability")
     new_layout = s.layout[:axis] + s.layout[axis + 1 :]
-    state = Statevector(new_layout, branch.reshape(-1) / math.sqrt(prob))
+    state = _owned(new_layout, branch.reshape(-1) / math.sqrt(prob))
     if ledger is None:
         ledger = CostLedger()
     ledger.record_postselect(prob)

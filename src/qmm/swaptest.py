@@ -31,6 +31,7 @@ from .qpe import (
 from .statevector import (
     CostLedger,
     Statevector,
+    _owned,
     apply_unitary,
     marginal_probabilities,
 )
@@ -50,7 +51,7 @@ def superposed_pair_state(x: np.ndarray, y: np.ndarray) -> Statevector:
         raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
     data_qubits = int(math.log2(x.size))
     amps = np.concatenate([(x + y) / 2.0, (x - y) / 2.0])
-    return Statevector((("ctrl", 1), ("data", data_qubits)), amps)
+    return _owned((("ctrl", 1), ("data", data_qubits)), amps)
 
 
 def control_pair_state(x: np.ndarray, y: np.ndarray) -> Statevector:
@@ -60,7 +61,7 @@ def control_pair_state(x: np.ndarray, y: np.ndarray) -> Statevector:
     y = np.asarray(y, dtype=complex).reshape(-1)
     data_qubits = int(math.log2(x.size))
     amps = np.concatenate([x, y]) / math.sqrt(2.0)
-    return Statevector((("ctrl", 1), ("data", data_qubits)), amps)
+    return _owned((("ctrl", 1), ("data", data_qubits)), amps)
 
 
 def _require_real(vec: np.ndarray, what: str) -> np.ndarray:
@@ -240,7 +241,7 @@ def coefficient_tag(
         ledger.record_postselect(total)
     amps /= math.sqrt(total)
     layout = (("index", index_qubits), ("tag", width))
-    return Statevector(layout, amps.reshape(-1))
+    return _owned(layout, amps.reshape(-1))
 
 
 def discard_tag_fidelity(state: Statevector, reference: Statevector) -> float:

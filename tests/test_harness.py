@@ -18,6 +18,7 @@ from qmm.harness import (
 from qmm.io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
 from qmm.linalg import compute_svd
 from qmm.matmul import MAX_PHASE_BITS
+from helpers import comparable, comparable_rows
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +134,28 @@ def test_run_experiment_deterministic_reports():
     cfg = ExperimentConfig(method="sve", eps=0.1, seed=3, inputs={"a": a, "b": b})
     r1 = run_experiment(cfg).to_dict()
     r2 = run_experiment(cfg).to_dict()
-    for rows in (r1["rows"], r2["rows"]):
-        for row in rows:
+    for r in (r1, r2):
+        for row in r["rows"]:
             row.pop("wall_time")
+        r["rows"] = comparable_rows(r["rows"])
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+@pytest.mark.parametrize("method, names", [("sve", ("a", "b")), ("readout-swap", ("a", "b")), ("prep-dyadic", ("x",))])
+def test_rows_hold_read_only_snapshots_of_the_inputs(tmp_path, method, names):
+    rng = np.random.default_rng(4)
+    inputs = {name: rng.normal(size=(3, 3) if name != "x" else 16) for name in names}
+    table = run_experiment(ExperimentConfig(method=method, eps=0.1, seed=1, inputs=inputs))
+    save_report_json(tmp_path / "before.json", table.to_dict())
+    row = table.rows[0]
+    kept = {name: row[name].copy() for name in names}
+    for name in names:
+        assert row[name].dtype == np.float64 and not row[name].flags.writeable
+        inputs[name][...] = 9.0  # the caller reuses its arrays
+    for name in names:
+        assert np.array_equal(row[name].view(np.uint64), kept[name].view(np.uint64))
+    save_report_json(tmp_path / "after.json", table.to_dict())
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +293,7 @@ def test_prep_hamiltonian_reweights_the_sign_state(monkeypatch):
     # f times the sign state is x over sqrt(z): the same state as prep-sparse
     for key in ("id", "method", "wall_time"):
         del row[key], sparse[key]
-    assert row == sparse
+    assert comparable(row) == comparable(sparse)
 
 
 # ---------------------------------------------------------------------------

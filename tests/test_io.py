@@ -19,6 +19,7 @@ from qmm.harness import (
     verify_bounds,
 )
 from qmm.io import INSTANCE_FIELDS, REPORT_SCHEMA, load_report_json, save_report_json
+from helpers import comparable_rows
 
 TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
 BIG = sys.float_info.max
@@ -39,7 +40,7 @@ def test_report_round_trip_keeps_rows_and_verifies(tmp_path, method):
     path = tmp_path / "r.json"
     save_report_json(path, report)
     loaded = load_report_json(path)
-    assert loaded["rows"] == report["rows"]
+    assert comparable_rows(loaded["rows"]) == comparable_rows(report["rows"])
     assert verify_bounds(loaded) == (True, [])
     # instance fields are packed on disk; outputs stay readable lists
     raw = json.loads(path.read_text())
@@ -59,43 +60,62 @@ def _float_array_shapes():
     return st.one_of(vector, non_square)
 
 
-@given(
-    arrays(
-        np.float64,
-        _float_array_shapes(),
-        elements=st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False)),
-    )
+INSTANCE_ARRAYS = arrays(
+    np.float64,
+    _float_array_shapes(),
+    elements=st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False)),
 )
+
+
+@given(INSTANCE_ARRAYS)
 @example(np.array(SPECIAL))
 @example(np.array(SPECIAL[:6]).reshape(2, 3))
 def test_packed_instance_round_trip_is_bit_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("packed") / "r.json"
-    save_report_json(path, {"rows": [{"id": "r", "x": values.tolist()}]})
-    got = np.asarray(load_report_json(path)["rows"][0]["x"], dtype=np.float64)
+    save_report_json(path, {"rows": [{"id": "r", "x": values.tolist()}, {"id": "s", "x": values}]})
+    for row in load_report_json(path)["rows"]:
+        assert_bit_exact_array(row["x"], values)
+
+
+@given(INSTANCE_ARRAYS)
+@example(np.array(SPECIAL))
+@example(np.array(SPECIAL[:6]).reshape(2, 3))
+def test_schema_1_instance_lists_load_as_bit_exact_arrays(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("schema1") / "r.json"
+    path.write_text(json.dumps({"schema": 1, "rows": [{"id": "r", "x": values.tolist()}]}))
+    assert_bit_exact_array(load_report_json(path)["rows"][0]["x"], values)
+
+
+def assert_bit_exact_array(got, values):
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
     assert got.shape == values.shape
     assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
 
 
+def _schema_1(report: dict) -> dict:
+    """The report as schema 1 wrote it: instance fields as plain lists."""
+    rows = [{k: v.tolist() if k in INSTANCE_FIELDS else v for k, v in row.items()} for row in report["rows"]]
+    return dict(report, schema=1, rows=rows)
+
+
 def test_schema_1_report_loads_and_verifies(tmp_path, capsys):
     report = _report("sve")
-    report["schema"] = 1
     path = tmp_path / "old.json"
-    path.write_text(json.dumps(report))  # plain lists, as schema 1 wrote them
-    assert load_report_json(path)["rows"] == report["rows"]
+    path.write_text(json.dumps(_schema_1(report)))
+    assert comparable_rows(load_report_json(path)["rows"]) == comparable_rows(report["rows"])
     assert main(["verify", str(path)]) == 0
     assert "pass" in capsys.readouterr().out
 
 
 def test_resaved_schema_1_report_is_labelled_schema_2(tmp_path):
     report = _report("prep-dyadic")
-    report["schema"] = 1
     path = tmp_path / "r.json"
-    path.write_text(json.dumps(report))
+    path.write_text(json.dumps(_schema_1(report)))
     save_report_json(path, load_report_json(path))
     raw = json.loads(path.read_text())
     assert raw["schema"] == 2
     assert sorted(raw["rows"][0]["x"]) == ["f8", "shape"]
-    assert load_report_json(path)["rows"] == report["rows"]
+    assert comparable_rows(load_report_json(path)["rows"]) == comparable_rows(report["rows"])
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmm.readout
 from qmm.harness import generate_matrix
@@ -15,6 +18,7 @@ from qmm.readout import (
 )
 from qmm.matmul import SupportViolationWarning
 from qmm.statevector import CostLedger
+from helpers import dense_overlap_estimate, zero_row_pairs
 
 
 def rand_pair(seed, n=3, shift=0.0):
@@ -192,3 +196,28 @@ def test_readout_report_serialization_fields():
     assert data["eps_abs"] == 0.05
     assert "max_observed_error" in data
     assert "ledger" in data
+
+
+# ---------------------------------------------------------------------------
+# degenerate instances: zero rows of A, and l n = 1
+
+READOUTS = {"readout-swap": readout_swaptest, "readout-sve": readout_sve, "readout-hhl": readout_hhl}
+
+
+@settings(max_examples=25, deadline=None)
+@given(zero_row_pairs(), st.sampled_from(sorted(READOUTS)), st.sampled_from([0.2, 0.05]))
+def test_readouts_on_zero_rows_and_single_entries_match_dense_overlap_oracle(case, method, eps):
+    a, b = case
+    with warnings.catch_warnings():
+        # a rank-deficient A may leave columns of B outside its row space
+        warnings.simplefilter("ignore", SupportViolationWarning)
+        rep = READOUTS[method](a, b, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qmm.readout, "estimate_real_overlap", dense_overlap_estimate)
+            want = READOUTS[method](a, b, eps)
+    assert np.array_equal(rep.c_tilde, want.c_tilde)
+    assert rep.ledger == want.ledger
+    if method == "readout-swap":
+        assert np.all(rep.c_tilde[np.linalg.norm(a, axis=1) == 0] == 0.0)
+    err = float(np.max(np.abs(rep.c_tilde - a @ b)))
+    assert rep.max_observed_error == err <= rep.entrywise_error_bound == eps

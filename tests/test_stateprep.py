@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmm.statevector import CostLedger, PreparedState, fidelity, from_vector
+from qmm.harness import _prep_by_sign_base, generate_vector
+from qmm.statevector import CostLedger, PreparedState, Statevector, fidelity, from_vector, postselect
 from qmm.stateprep import (
     VectorSpec,
     dyadic_bands,
@@ -172,12 +176,12 @@ def test_dyadic_single_band_for_uniform_magnitudes():
     spec = VectorSpec.from_values([1.0, -1.0, 1.0, 1.0])
     bands = dyadic_bands(spec)
     assert len(bands) == 1
-    assert np.array_equal(bands[0], spec.values)
+    assert np.array_equal(bands[0].values, spec.values)
 
 
 def test_dyadic_bands_powers_of_two():
     spec = VectorSpec.from_values([1.0, 2.0, 4.0, 8.0])
-    bands = dyadic_bands(spec)
+    bands = [band.values for band in dyadic_bands(spec)]
     assert len(bands) == 4
     assert np.array_equal(sum(bands), spec.values)
     weights = [np.linalg.norm(b) for b in bands]
@@ -190,7 +194,7 @@ def test_dyadic_band_spread_at_most_two():
     rng = np.random.default_rng(59)
     vals = rng.normal(size=64) * np.exp(rng.uniform(0, 10 * math.log(2), size=64))
     for band in dyadic_bands(VectorSpec.from_values(vals)):
-        mags = np.abs(band[band != 0.0])
+        mags = np.abs(band.values[band.values != 0.0])
         assert mags.max() / mags.min() <= 2.0 + 1e-9
 
 
@@ -198,7 +202,7 @@ def test_dyadic_bands_sum_exactly():
     rng = np.random.default_rng(60)
     vals = rng.normal(size=32) * np.exp(rng.uniform(0, 7, size=32))
     bands = dyadic_bands(VectorSpec.from_values(vals))
-    assert np.array_equal(sum(bands), vals)
+    assert np.array_equal(sum(band.values for band in bands), vals)
 
 
 def test_prep_dyadic_wide_spread_seed59():
@@ -306,3 +310,123 @@ def test_all_methods_agree_pairwise():
         assert fidelity(direct, dyadic) >= 1 - 2 * eps
         assert fidelity(direct, shift) >= 1 - 2 * eps
         assert fidelity(dyadic, shift) >= 1 - 2 * eps
+
+
+# ---------------------------------------------------------------------------
+# the direct sine branch against the staged flag state
+
+
+def flag_state_prep_hamiltonian(f, base, eps):
+    """Reference prep_hamiltonian: stage the 2 dim flag state
+    sum_k b_k (cos(f(k) t)|0> + i sin(f(k) t)|1>)|k>, postselect flag = 1
+    and divide by the global i, as the circuit reads."""
+    reg = base.layout[0][0]
+    dim = base.amplitudes.size
+    fvals = np.asarray(f, dtype=float).reshape(-1)
+    if fvals.size != dim:
+        padded = np.zeros(dim)
+        padded[: fvals.size] = fvals
+        fvals = padded
+    b = base.amplitudes
+    if np.max(np.abs(b.imag)) > 1e-12:
+        raise ValueError("base state must be real")
+    b = b.real
+    populated = np.abs(b) > 1e-14
+    if np.any(np.abs(fvals[populated]) < 1e-300):
+        raise ValueError("f vanishes on the support of the base state")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("accuracy must lie in (0, 1): larger values would push "
+                         "evolution angles out of the small-angle window")
+    fmax = float(np.max(np.abs(fvals[populated])))
+    fmin = float(np.min(np.abs(fvals[populated])))
+    kappa_f = fmax / fmin
+    eps1 = eps / math.sqrt(kappa_f)
+    t_evo = eps1 / fmax
+    angles = np.where(populated, fvals * t_evo, 0.0)
+    flag_amps = np.concatenate([b * np.cos(angles), 1j * b * np.sin(angles)])
+    staged = Statevector((("flag", 1), base.layout[0]), flag_amps)
+    ledger = CostLedger()
+    picked = postselect(staged, "flag", 1, ledger)
+    eps0 = math.sin(fmin * t_evo) * (1.0 - 1e-9)
+    rounds = math.ceil(1.0 / eps0)
+    ledger.amplification_rounds += rounds
+    ledger.charge_oracle(rounds)
+    ledger.gate_units += rounds
+    target = from_vector(reg, np.where(populated, fvals * b, 0.0), pad=False)
+    produced = Statevector(picked.state.layout, picked.state.amplitudes / 1j)
+    realized = float(np.linalg.norm(produced.amplitudes - target.amplitudes))
+    return produced, picked.success_probability, realized, eps0, eps1, ledger
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def hamiltonian_inputs(draw):
+    """Signed f with zeros, a base state with zero amplitudes (and sometimes
+    an imaginary part), and eps across (0, 0.999] plus rejected values."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.normal(size=n) * np.exp(rng.uniform(-8.0, 8.0, size=n))
+    f[rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = 0.0
+    b = rng.normal(size=n)
+    b[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    # amplitudes below the 1e-14 support cut, of either sign
+    b[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = rng.choice([-1e-300, -1e-16, 1e-16])
+    b[rng.integers(n)] = 1.0
+    if draw(st.booleans()):  # f set on the base's support only
+        f = np.where(b != 0.0, np.where(f == 0.0, 1.0, f), f)
+    base = from_vector("x", b + 1j * b * draw(st.sampled_from([0.0] * 7 + [1e-3])))
+    if draw(st.integers(0, 3)):
+        eps = draw(st.floats(1e-12, 0.999))
+    else:
+        eps = draw(st.sampled_from([0.999, 1e-9, 1e-12, 0.0, 1.0, -0.5]))
+    return f, base, eps
+
+
+@settings(max_examples=300)
+@given(hamiltonian_inputs())
+def test_prep_hamiltonian_matches_flag_state_oracle_bit_for_bit(case):
+    f, base, eps = case
+    try:
+        want = flag_state_prep_hamiltonian(f, base, eps)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            prep_hamiltonian(f, base, eps)
+        assert str(got.value) == str(exc)
+        return
+    produced, prob, realized, eps0, eps1, ledger = want
+    rep = prep_hamiltonian(f, base, eps)
+    amps = rep.result.state.amplitudes
+    assert rep.result.state.layout == produced.layout
+    assert np.array_equal(bits(amps.real), bits(produced.amplitudes.real))
+    assert not np.any(amps.imag) and not np.any(produced.amplitudes.imag)
+    assert bits(rep.result.success_probability) == bits(prob)
+    assert bits(rep.realized_distance) == bits(realized)
+    assert bits(rep.epsilon0) == bits(eps0) and bits(rep.epsilon1) == bits(eps1)
+    assert rep.result.ledger == ledger
+    assert rep.realized_distance <= rep.target_fidelity_bound
+
+
+def test_prep_hamiltonian_rejects_a_vanishing_sine_branch():
+    base = from_vector("x", [1.0, 1.0])
+    with pytest.raises(ValueError, match="outcome 1 of 'flag' has zero probability"):
+        prep_hamiltonian([1.0, 1.0], base, eps=1e-12)
+
+
+@pytest.mark.parametrize("route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0)])
+def test_small_angle_routes_allocate_a_few_vectors_at_n_65536(route, multiple):
+    # at the peak: the base, the produced and target states and their
+    # difference (four complex vectors), plus float temporaries; f = |x| adds
+    # half a vector for the sign base. A staged 2 dim flag state or one more
+    # amplitude copy held across the peak goes over the line.
+    x = generate_vector(1 << 16, 4.0, seed=1)
+    vector = 16 * x.size  # one complex amplitude vector, 1 MiB
+    tracemalloc.start()
+    try:
+        route(x, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < multiple * vector

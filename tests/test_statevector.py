@@ -231,3 +231,52 @@ def test_marginal_probabilities():
     s = from_vector("q", [1, 1])
     probs = marginal_probabilities(tensor(s, basis_state((("r", 1),), {})), "q")
     assert np.allclose(probs, [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# ownership of the amplitude array
+
+
+def test_public_constructor_and_from_vector_snapshot_their_input():
+    arr = np.array([0.6, 0.8j])
+    s = Statevector((("a", 1),), arr)
+    for vals in (np.array([3.0, 4.0, 0.0]), np.array([3.0, 4.0j])):
+        v = from_vector("x", vals)
+        before = v.amplitudes.copy()
+        vals[:] = 7.0
+        assert np.array_equal(v.amplitudes, before)
+    arr[0] = 5.0
+    assert np.array_equal(s.amplitudes, [0.6, 0.8j])
+
+
+def test_from_vector_keeps_errors_and_normalizes_in_one_array():
+    with pytest.raises(ValueError, match="zero vector"):
+        from_vector("x", [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="zero vector"):
+        from_vector("x", [])
+    with pytest.raises(ValueError, match="padding is off"):
+        from_vector("x", [1.0, 2.0, 3.0], pad=False)
+    # the normalization is the complex division of the unpadded values
+    vals = np.random.default_rng(5).normal(size=11)
+    want = np.asarray(vals, dtype=complex) / np.linalg.norm(np.asarray(vals, dtype=complex))
+    got = from_vector("x", vals).amplitudes
+    assert np.array_equal(got[:11].view(np.uint64), want.view(np.uint64))
+    assert not np.any(got[11:])
+
+
+def test_owned_amplitudes_are_read_only():
+    u = haar_unitary(2, 3)
+    base = from_vector("a", [1.0, 2.0])
+    staged = tensor(base, basis_state((("b", 1),), {"b": 1}))
+    states = [
+        Statevector((("a", 1),), np.array([1.0, 0.0])),
+        base,
+        staged,
+        basis_state((("a", 2),), {"a": 3}),
+        apply_unitary(staged, u, ["b"]),
+        postselect(staged, "b", 1).state,
+    ]
+    for s in states:
+        assert not s.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.amplitudes[0] = 0.0

@@ -18,6 +18,7 @@ from qmm.swaptest import (
     superposed_pair_state,
     tag_modal_value,
 )
+from helpers import dense_overlap_estimate
 
 
 def unit(rng, n, complex_=False):
@@ -100,17 +101,6 @@ def test_inner_product_monotone_refinement():
         if prev is not None:
             assert all(e <= p + 1e-15 for e, p in zip(errs, prev))
         prev = errs
-
-
-def dense_overlap_estimate(x, y, eps, ledger=None):
-    """Reference estimator: the Grover rotation on the full register."""
-    cfg = PhaseConfig.from_epsilon(eps)
-    phi = superposed_pair_state(x, y)
-    if ledger is not None:
-        ledger.charge_oracle(2)
-    est = phase_estimate(grover_rotation(phi), phi, cfg, ledger)
-    label = int(np.argmax(marginal_probabilities(est, "phase")))
-    return float(swap_value(label, cfg.phase_bits))
 
 
 @st.composite
