@@ -3,8 +3,8 @@ number, pipeline execution with bound checking, scaling studies with fitted
 cost slopes, and report verification.
 
 Reports embed the instances they were produced from, so verify_bounds can
-recompute every bound from scratch and flag rows whose stored numbers do
-not hold up.
+recompute every bound (and every readout's entry error) from them and flag
+rows whose stored numbers do not hold up.
 """
 from __future__ import annotations
 
@@ -365,14 +365,18 @@ def _recompute_bound(row: dict) -> float | None:
 
 def verify_bounds(report: dict) -> tuple[bool, list[dict]]:
     """Recompute every row's bound from its stored instance and re-check
-    realized <= bound; returns (ok, findings)."""
+    realized <= bound; a readout row's realized error is also recomputed as
+    max |c_tilde - AB|. Returns (ok, findings)."""
     findings = []
     for row in report.get("rows", []):
         ident = row.get("id", "?")
+        entry_error = None
         try:
             bound = _recompute_bound(row)
+            if row["method"] in READOUT_METHODS:
+                entry_error = float(np.max(np.abs(np.asarray(row["c_tilde"]) - exact_product(row["a"], row["b"]))))
         except Exception as exc:  # surface broken instance data per row
-            findings.append({"id": ident, "problem": f"cannot recompute bound: {exc}"})
+            findings.append({"id": ident, "problem": f"cannot recompute from the instance: {exc}"})
             continue
         if bound is None:
             findings.append({"id": ident, "problem": "unknown method"})
@@ -384,7 +388,9 @@ def verify_bounds(report: dict) -> tuple[bool, list[dict]]:
             )
             continue
         realized = row.get("realized_error")
-        if realized is None or realized > bound + 1e-15:
+        if entry_error is not None and (realized is None or abs(realized - entry_error) > 1e-9 * max(1.0, entry_error)):
+            findings.append({"id": ident, "problem": f"realized error {realized} != {entry_error} recomputed from c_tilde"})
+        elif realized is None or realized > bound + 1e-15:
             findings.append(
                 {"id": ident, "problem": f"realized error {realized} exceeds bound {bound}"}
             )

@@ -147,6 +147,16 @@ def _qpe_rows(u: np.ndarray, psi: np.ndarray, t: int) -> np.ndarray:
     return np.fft.fft(rows, axis=0) / math.sqrt(T)
 
 
+def _swap_plane_probabilities(s: float, t: int) -> np.ndarray:
+    """Label distribution of a t-bit phase estimation of the swap test's
+    Grover rotation at overlap s = Re<x|y> (clipped to [-1, 1]): on the plane
+    of its branch states it turns (sin theta, cos theta) by 2*theta, with
+    sin^2(theta) = (1 + s)/2. Used by matmul_swaptest, readout and swaptest."""
+    theta = math.asin(math.sqrt((1.0 + min(max(s, -1.0), 1.0)) / 2.0))
+    rows = _qpe_rows(_rotation(2.0 * theta), np.array([math.sin(theta), math.cos(theta)]), t)
+    return np.sum(np.abs(rows) ** 2, axis=1)
+
+
 def _eig_unitary_small(u: np.ndarray):
     """Exact spectral data of a 1x1 or 2x2 unitary (analytic, with an
     np.linalg.eig fallback for safety)."""
@@ -580,15 +590,9 @@ def matmul_swaptest(
             if col_norms[j] == 0:
                 continue
             s = float(np.clip(arow @ (b[:, j] / col_norms[j]), -1.0, 1.0))
-            if exact_phase:
-                s_eff = s
-            else:
-                theta = math.asin(math.sqrt((1.0 + s) / 2.0))
-                rows = _qpe_rows(_rotation(2.0 * theta), np.array([math.sin(theta), math.cos(theta)]), t)
-                probs = np.sum(np.abs(rows) ** 2, axis=1)
-                # postselected-branch amplitude: the probability-weighted
-                # label decode (rotation value is even across the +- pair)
-                s_eff = float(probs @ svals)
+            # postselected-branch amplitude: the probability-weighted label
+            # decode (rotation value is even across the +- pair)
+            s_eff = s if exact_phase else float(_swap_plane_probabilities(s, t) @ svals)
             amps[i, j] = row_norms[i] * col_norms[j] * s_eff
 
     state, z = _product_state(amps, l, n)

@@ -6,7 +6,10 @@ a direct overlap estimate (swap route) or from the overlap of a basis state
 with the singular-value-rotated column state (sve/hhl routes). The quantum
 accuracy is budgeted per entry so that the absolute error never exceeds the
 requested eps_abs; the n^2 classical norm precomputation is tracked
-separately from oracle costs.
+separately from oracle costs. A swap-test estimate depends only on the
+overlap s, so each entry hands its s (the normalized row-column product, or
+the rotated column state's amplitude on |i, rot=0>) to the swap-plane
+kernel; no pair state is built, but the qubit budget is the full register's.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .matmul import MAX_PHASE_BITS, _check_real_pair, _check_support, _sve_setup
 from .matmul import _sve_component  # noqa: F401
 from .qpe import PhaseConfig
 from .statevector import CostLedger
-from .swaptest import estimate_real_overlap
+from .swaptest import _modal_overlap
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,8 @@ def inner_product_classical(
     if nx == 0.0 or ny == 0.0:
         return 0.0
     eps_q = min(eps_abs / (nx * ny), 0.5)
-    dim = pad_dim(x.size)
-    xs = np.zeros(dim)
-    ys = np.zeros(dim)
-    xs[: x.size] = x / nx
-    ys[: y.size] = y / ny
-    est = estimate_real_overlap(xs, ys, eps_q, ledger)
-    return nx * ny * est
+    s = float((x / nx) @ (y / ny))
+    return nx * ny * _modal_overlap(s, eps_q, int(math.log2(pad_dim(x.size))), ledger)
 
 
 def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
@@ -92,14 +90,13 @@ def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
 
 def _rotated_components(sigmas: np.ndarray, t1: int, route):
     """Rotation constant c_rot and, for every singular component k, the
-    amplitudes left on the rot = 0 and rot = 1 blocks after a t1-bit
-    estimation on the route, rotation by c_rot * decoded value, and undo.
-    c_rot is the reciprocal of the largest value the grid can decode for
-    sigma_max, so every rotation stays within [-1, 1].
+    amplitude left on the rot = 0 block after a t1-bit estimation on the
+    route, rotation by c_rot * decoded value, and undo. c_rot is the
+    reciprocal of the largest value the grid can decode for sigma_max, so
+    every rotation stays within [-1, 1].
     """
     c_rot, weights0 = route.rotation(t1)
-    comp = route.components(sigmas, t1, np.stack([weights0, np.sqrt(1.0 - weights0**2)], axis=1))
-    return c_rot, comp[:, 0], comp[:, 1]
+    return c_rot, route.components(sigmas, t1, weights0[:, None])[:, 0]
 
 
 def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> ReadoutReport:
@@ -123,6 +120,8 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
     ledger.classical_entries += a0.size + b0.size
     c_tilde = np.zeros((l, n))
     uvec = bundle.left_vectors
+    # the rotated column state: d (component, rot) pairs and a junk amplitude
+    data_qubits = int(math.log2(pad_dim(2 * d + 1)))
     # the components depend on the column only through t1, so columns of
     # equal width share one evaluation
     by_width = {}
@@ -138,25 +137,13 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         t1 = min(max(t1, 2), MAX_PHASE_BITS)
         if t1 not in by_width:
             by_width[t1] = _rotated_components(sigmas, t1, route)
-        c_rot, comp0, comp1 = by_width[t1]
-        support = np.abs(aj) > 1e-14
-        comp0 = np.where(support, comp0, 0.0)
-        comp1 = np.where(support, comp1, 0.0)
-        y0 = uvec @ (aj * comp0)  # rot = 0 block
-        y1 = uvec @ (aj * comp1)  # rot = 1 block
-        junk = max(0.0, 1.0 - float(np.sum(np.abs(y0) ** 2) + np.sum(np.abs(y1) ** 2)))
-        dim_y = pad_dim(2 * d + 1)
-        yfull = np.zeros(dim_y, dtype=complex)
-        yfull[:d] = y0
-        yfull[d : 2 * d] = y1
-        yfull[2 * d] = math.sqrt(junk)
-        # outer overlap estimation against each |i, rot=0>
+        c_rot, comp0 = by_width[t1]
+        # rot = 0 block of the rotated column state: y0[i] = <i, rot=0|state>
+        y0 = uvec @ (aj * np.where(np.abs(aj) > 1e-14, comp0, 0.0))
         eps2_req = min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5)
         t2 = PhaseConfig.from_epsilon(eps2_req).phase_bits
         for i in range(l):
-            xfull = np.zeros(dim_y)
-            xfull[i] = 1.0
-            est = estimate_real_overlap(xfull, yfull, eps2_req, None)
+            est = _modal_overlap(float(y0[i].real), eps2_req, data_qubits, None)
             c_tilde[i, j] = est * col_norms[j] / c_rot
             # nested cost: each controlled step of the outer estimation
             # reruns the inner singular-value pipeline

@@ -110,9 +110,22 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> PrepReport:
     directly, bit for bit as staging and postselecting the 2 dim flag state
     would give it; that circuit stays in the tests as the oracle.
     """
+    return _measured(*_sine_branch(f, base, eps))
+
+
+def _measured(report: PrepReport, target: np.ndarray) -> PrepReport:
+    """The report with its realized distance to the normalized target."""
+    produced = report.result.state
+    want = from_vector(produced.layout[0][0], target, pad=False)
+    return replace(report, realized_distance=float(np.linalg.norm(produced.amplitudes - want.amplitudes)))
+
+
+def _sine_branch(f, base: Statevector, eps: float) -> tuple[PrepReport, np.ndarray]:
+    """prep_hamiltonian's report with realized_distance left at nan, and the
+    unnormalized target f b (zero off the base's support) that _measured
+    compares it with. The composite routes read only the prepared state."""
     if len(base.layout) != 1:
         raise ValueError("base state must live on a single register")
-    reg = base.layout[0][0]
     dim = base.amplitudes.size
     fvals = np.asarray(f, dtype=float).reshape(-1)
     if fvals.size != dim:
@@ -156,19 +169,16 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> PrepReport:
     ledger.charge_oracle(rounds)  # each round reruns base prep + evolution
     ledger.gate_units += rounds  # one diagonal-evolution unit per pass
 
-    target = from_vector(reg, np.where(populated, fvals * b, 0.0), pad=False)
-    realized = float(np.linalg.norm(produced.amplitudes - target.amplitudes))
-    bound = math.sqrt(kappa_f / 3.0) * eps1
-    result = PreparedState(produced, prob, ledger)
-    return PrepReport(
-        result=result,
-        target_fidelity_bound=bound,
-        realized_distance=realized,
+    report = PrepReport(
+        result=PreparedState(produced, prob, ledger),
+        target_fidelity_bound=math.sqrt(kappa_f / 3.0) * eps1,
+        realized_distance=math.nan,
         method="hamiltonian",
         epsilon0=eps0,
         epsilon1=eps1,
         details={"kappa_f": kappa_f, "evolution_time": t_evo, "rounds": rounds},
     )
+    return report, np.where(populated, fvals * b, 0.0)
 
 
 def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
@@ -179,21 +189,25 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
     and amplification pays an extra sqrt(n/z) factor.
     """
     spec = _as_spec(x)
-    dim = pad_dim(spec.values.size)
-    qubits = max(1, int(math.log2(dim)))
-    base_vals = np.zeros(dim, dtype=complex)
-    base_vals[spec.support] = 1.0 / math.sqrt(spec.support.size)
-    base = _owned((("x", qubits),), base_vals)
-    report = prep_hamiltonian(spec.values, base, eps)
-    ledger = report.result.ledger
-    ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))  # base prep
-    method = "sparse-known"
+    report, target = _sparse(spec, eps)
     if not support_known:
         penalty = math.ceil(math.sqrt(spec.values.size / spec.support.size))
-        ledger.amplification_rounds *= penalty
-        ledger.oracle_calls *= penalty
-        method = "sparse-unknown"
-    return replace(report, method=method)
+        report.result.ledger.amplification_rounds *= penalty
+        report.result.ledger.oracle_calls *= penalty
+        report = replace(report, method="sparse-unknown")
+    return _measured(report, target)
+
+
+def _sparse(spec: VectorSpec, eps: float) -> tuple[PrepReport, np.ndarray]:
+    """prep_sparse with the support known, as _sine_branch returns it;
+    prep_dyadic and prep_signshift prepare their pieces with it."""
+    dim = pad_dim(spec.values.size)
+    base_vals = np.zeros(dim, dtype=complex)
+    base_vals[spec.support] = 1.0 / math.sqrt(spec.support.size)
+    base = _owned((("x", max(1, int(math.log2(dim)))),), base_vals)
+    report, target = _sine_branch(spec.values, base, eps)
+    report.result.ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))  # base prep
+    return replace(report, method="sparse-known"), target
 
 
 def dyadic_bands(spec: VectorSpec) -> list[VectorSpec]:
@@ -221,12 +235,8 @@ def prep_dyadic(x, eps: float) -> PrepReport:
     q = len(bands)
     norm_x = float(np.linalg.norm(spec.values))
     eps_band = eps / (2.0 * math.sqrt(q))
-    parts = []
-    weights = []
-    for band in bands:
-        rep = prep_sparse(band, eps_band)
-        parts.append(rep.result)
-        weights.append(float(np.linalg.norm(band.values)) / norm_x)
+    parts = [_sparse(band, eps_band)[0].result for band in bands]
+    weights = [float(np.linalg.norm(band.values)) / norm_x for band in bands]
     combined = lcu_combine(parts, weights)
     ledger = combined.ledger
     # selection-unitary synthesis for the q combination weights
@@ -269,21 +279,21 @@ def prep_signshift(x, eps: float) -> PrepReport:
     y_led.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
     y_state = PreparedState(from_vector("x", y), 1.0, y_led)
     eps_z = eps * norm_x / (2.0 * norm_z)
-    z_rep = prep_sparse(VectorSpec.from_values(z), eps_z)
+    z_prep = _sparse(VectorSpec.from_values(z), eps_z)[0].result
 
     lam = norm_z / norm_x
     mu = norm_y / norm_x
     success = norm_x**2 / (2.0 * (norm_y**2 + norm_z**2))
-    combined_vals = lam * z_rep.result.state.amplitudes - mu * y_state.state.amplitudes
+    combined_vals = lam * z_prep.state.amplitudes - mu * y_state.state.amplitudes
     nrm = np.linalg.norm(combined_vals)
     if nrm < 1e-14:
         raise ValueError("combination cancelled exactly")
     ledger = CostLedger()
-    ledger.merge(z_rep.result.ledger)
+    ledger.merge(z_prep.ledger)
     ledger.merge(y_led)
     ledger.record_postselect(success)
     ledger.amplification_rounds += math.ceil(1.0 / math.sqrt(success))
-    state = _owned(z_rep.result.state.layout, combined_vals / nrm)
+    state = _owned(z_prep.state.layout, combined_vals / nrm)
     target = from_vector("x", spec.values)
     realized = aligned_distance(state, target)
     return PrepReport(

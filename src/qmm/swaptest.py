@@ -9,7 +9,8 @@ inner products in superposition.
 
 Input states are Statevectors (qmm.from_vector normalizes, pads and checks
 unit norm). Each stands for a state-preparation oracle: only its vector is
-read, and every call is charged on the ledger.
+read, and every call is charged on the ledger. The label distribution
+depends only on s = Re<x|y>, which the estimators hand to the swap-plane kernel.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .matmul import _qpe_rows, _rotation
+from .matmul import _swap_plane_probabilities
 from .qpe import (
     PhaseConfig,
     _check_phase_budget,
@@ -78,26 +79,17 @@ def _require_real(vec: np.ndarray, what: str) -> np.ndarray:
     return aligned.real.astype(complex)
 
 
-def _plane_phase_probabilities(
-    phi: Statevector, t: int, ledger: CostLedger | None = None
-) -> np.ndarray:
-    """Phase-label distribution of phase_estimate(grover_rotation(phi), phi)
-    on a t-bit register, simulated on the rotation's invariant plane.
-
-    phi = sin(theta)|0>|u> + cos(theta)|1>|v> lies in the plane of its two
-    branch states, where the Grover rotation is the 2x2 rotation by
-    2*theta; the label distribution therefore needs only that block. The
-    qubit budget and the ledger charges are those of the full register.
-    """
-    _check_phase_budget(t + phi.total_qubits)
-    half = phi.amplitudes.size // 2
-    sin_t = float(np.linalg.norm(phi.amplitudes[:half]))
-    cos_t = float(np.linalg.norm(phi.amplitudes[half:]))
-    rows = _qpe_rows(_rotation(2.0 * math.atan2(sin_t, cos_t)), np.array([sin_t, cos_t]), t)
+def _modal_overlap(s: float, eps: float, data_qubits: int, ledger: CostLedger | None) -> float:
+    """Modal label decode of the swap test of two data_qubits-qubit states
+    with overlap s = Re<x|y>, budgeted and charged for the full register.
+    Shared by estimate_real_overlap and the readouts."""
+    t = PhaseConfig.from_epsilon(eps).phase_bits
+    _check_phase_budget(t + 1 + data_qubits)
     if ledger is not None:
+        ledger.charge_oracle(2)  # one controlled preparation of each input
         ledger.charge_controlled((1 << t) - 1)
         ledger.use_phase_bits(t)
-    return np.sum(np.abs(rows) ** 2, axis=1)
+    return float(swap_value(int(np.argmax(_swap_plane_probabilities(s, t))), t))
 
 
 def estimate_real_overlap(
@@ -109,18 +101,13 @@ def estimate_real_overlap(
     phi = (|0>(x+y) + |1>(x-y))/2 has branch norms sin(theta) and
     cos(theta) with sin^2(theta) = (1 + Re<x|y>)/2, and the Grover rotation
     acts on the plane of the two branch states as a rotation by 2*theta.
-    The label distribution is computed on that 2x2 block, so the cost does
-    not grow with the dimension of x and y. The dense register simulation
-    (grover_rotation + phase_estimate) gives the same estimate, up to one
-    ulp where the mirrored labels y and 2^t - y tie exactly.
+    The label distribution therefore depends only on s = Re<x|y>, and is
+    computed from s on that 2x2 block; phi is built only to check the
+    inputs. The dense register simulation (grover_rotation +
+    phase_estimate) gives the same estimate.
     """
-    cfg = PhaseConfig.from_epsilon(eps)
     phi = superposed_pair_state(x, y)
-    if ledger is not None:
-        ledger.charge_oracle(2)  # one controlled preparation of each input
-    probs = _plane_phase_probabilities(phi, cfg.phase_bits, ledger)
-    label = int(np.argmax(probs))
-    return float(swap_value(label, cfg.phase_bits))
+    return _modal_overlap(float(np.vdot(x, y).real), eps, phi.total_qubits - 1, ledger)
 
 
 def _amplitude_pair(sx: Statevector, sy: Statevector) -> tuple[np.ndarray, np.ndarray]:
@@ -218,21 +205,18 @@ def coefficient_tag(
     svals = swap_value(labels, t)
     codes = np.array([encode_fixed(float(f(float(v))), frac, width) for v in svals])
 
+    # the swap test of psi against |j> reads s = psi[j]; one estimation run
+    # on the full register is charged for all j
+    _check_phase_budget(t + 1 + index_qubits)
+    if ledger is not None:
+        ledger.charge_controlled((1 << t) - 1)
+        ledger.use_phase_bits(t)
     amps = np.zeros((dim, 1 << width), dtype=complex)
-    charged = False
-    for j in range(dim):
-        alpha = psi[j].real
-        if abs(alpha) < 1e-14:
-            continue
-        basis = np.zeros(dim)
-        basis[j] = 1.0
-        phi = superposed_pair_state(basis, psi)
-        probs = _plane_phase_probabilities(phi, t, ledger if not charged else None)
-        charged = True
+    for j in np.flatnonzero(np.abs(psi.real) >= 1e-14):
         # with an even tag the phase machinery uncomputes exactly per bin;
         # the per-bin branch amplitude is the label mass landing in the bin
-        np.add.at(amps[j], codes, probs)
-        amps[j] *= alpha
+        np.add.at(amps[j], codes, _swap_plane_probabilities(psi[j].real, t))
+        amps[j] *= psi[j].real
     total = float(np.sum(np.abs(amps) ** 2))
     if total <= 0:
         raise ValueError("input state has no support")

@@ -1,12 +1,17 @@
 """Helpers shared by the test modules: bit-exact row comparison, the
-dense-register overlap oracle and degenerate matrix instances."""
+dense-register overlap oracle, the readouts run on it, and degenerate matrix
+instances."""
+import math
+
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from qmm.io import INSTANCE_FIELDS
+from qmm.linalg import pad_dim
+from qmm.matmul import MAX_PHASE_BITS, _check_real_pair, _check_support, _sve_setup, dilation_route, walk_route
 from qmm.qpe import PhaseConfig, grover_rotation, phase_estimate, swap_value
-from qmm.statevector import marginal_probabilities
+from qmm.statevector import CostLedger, marginal_probabilities
 from qmm.swaptest import superposed_pair_state
 
 
@@ -32,6 +37,61 @@ def dense_overlap_estimate(x, y, eps, ledger=None):
     est = phase_estimate(grover_rotation(phi), phi, cfg, ledger)
     label = int(np.argmax(marginal_probabilities(est, "phase")))
     return float(swap_value(label, cfg.phase_bits))
+
+
+def dense_readout(method, a, b, eps_abs):
+    """Reference readout: (c_tilde, ledger) of readout-swap, -sve or -hhl
+    with every entry estimated by dense_overlap_estimate on the full padded
+    pair. readout-swap pairs the normalized row and column; readout-sve and
+    -hhl pair |i, rot=0> with the rotated column state, whose rot = 1 block
+    and junk amplitude the production readouts never build."""
+    if method == "readout-swap":
+        a, b = _check_real_pair(a, b)
+        ledger = CostLedger()
+        ledger.classical_entries += a.size + b.size
+        c_tilde = np.zeros((a.shape[0], b.shape[1]))
+        dim = pad_dim(a.shape[1])
+        for i, j in np.ndindex(*c_tilde.shape):
+            nx, ny = float(np.linalg.norm(a[i])), float(np.linalg.norm(b[:, j]))
+            if nx == 0.0 or ny == 0.0:
+                continue
+            xs, ys = np.zeros(dim), np.zeros(dim)
+            xs[: a.shape[1]] = a[i] / nx
+            ys[: a.shape[1]] = b[:, j] / ny
+            c_tilde[i, j] = nx * ny * dense_overlap_estimate(xs, ys, min(eps_abs / (nx * ny), 0.5), ledger)
+        return c_tilde, ledger
+    a0, b0, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = _sve_setup(a, b)
+    _check_support(bundle.sigmas, alpha, col_norms, frob_b, False)
+    route_of = walk_route if method == "readout-sve" else dilation_route
+    route = route_of(float(np.linalg.norm(a0)), float(bundle.sigmas[0]))
+    sigmas = np.zeros(d)
+    sigmas[: bundle.sigmas.size] = bundle.sigmas
+    ledger = CostLedger()
+    ledger.classical_entries += a0.size + b0.size
+    c_tilde = np.zeros((l, n))
+    uvec = bundle.left_vectors
+    for j in np.flatnonzero(col_norms):
+        aj = alpha[:, j]
+        colsum = np.abs(aj) @ np.abs(uvec[:l].T)
+        eps1_req = eps_abs / (2.0 * col_norms[j] * max(float(np.max(colsum)), 1e-14))
+        t1 = min(max(math.ceil(math.log2(2.0 * route.scale / eps1_req)), 2), MAX_PHASE_BITS)
+        c_rot, w0 = route.rotation(t1)
+        comp = route.components(sigmas, t1, np.stack([w0, np.sqrt(1.0 - w0**2)], axis=1))
+        comp = np.where((np.abs(aj) > 1e-14)[:, None], comp, 0.0)
+        y0, y1 = uvec @ (aj * comp[:, 0]), uvec @ (aj * comp[:, 1])  # rot = 0 and rot = 1 blocks
+        yfull = np.zeros(pad_dim(2 * d + 1), dtype=complex)
+        yfull[:d], yfull[d : 2 * d] = y0, y1
+        yfull[2 * d] = math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(y0) ** 2) + np.sum(np.abs(y1) ** 2))))
+        eps2_req = min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5)
+        t2 = PhaseConfig.from_epsilon(eps2_req).phase_bits
+        for i in range(l):
+            xfull = np.zeros(yfull.size)
+            xfull[i] = 1.0
+            c_tilde[i, j] = dense_overlap_estimate(xfull, yfull, eps2_req) * col_norms[j] / c_rot
+            ledger.charge_controlled(((1 << t2) - 1) * ((1 << t1) - 1))
+            ledger.use_phase_bits(max(t1, t2))
+        ledger.charge_oracle(1)
+    return c_tilde, ledger
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from qmm import stateprep
 from qmm.harness import (
     PREP_METHODS,
+    READOUT_METHODS,
     ExperimentConfig,
     fit_loglog_slope,
     generate_matrix,
@@ -252,6 +253,20 @@ def test_verify_bounds_recomputes_prep_bounds(method):
     ok, findings = verify_bounds(report)
     assert not ok
     assert "recomputed" in findings[0]["problem"]
+
+
+@pytest.mark.parametrize("method", READOUT_METHODS)
+def test_verify_bounds_recomputes_readout_entries(method):
+    # a tampered entry that leaves the stored realized error in place is
+    # caught: the error is recomputed from c_tilde and the instance
+    a, b = generate_matrix(4, 2.0, seed=3), generate_matrix(4, 2.0, seed=4)
+    report = run_experiment(ExperimentConfig(method=method, eps=0.05, inputs={"a": a, "b": b})).to_dict()
+    assert verify_bounds(report) == (True, [])
+    row = report["rows"][0]
+    row["c_tilde"][0][0] += 10 * row["eps"]
+    ok, findings = verify_bounds(report)
+    assert not ok
+    assert "recomputed from c_tilde" in findings[0]["problem"]
 
 
 def test_verify_bounds_batch_of_seeded_swap_runs():

@@ -18,7 +18,7 @@ from qmm.readout import (
 )
 from qmm.matmul import SupportViolationWarning
 from qmm.statevector import CostLedger
-from helpers import dense_overlap_estimate, zero_row_pairs
+from helpers import dense_readout, zero_row_pairs
 
 
 def rand_pair(seed, n=3, shift=0.0):
@@ -212,12 +212,33 @@ def test_readouts_on_zero_rows_and_single_entries_match_dense_overlap_oracle(cas
         # a rank-deficient A may leave columns of B outside its row space
         warnings.simplefilter("ignore", SupportViolationWarning)
         rep = READOUTS[method](a, b, eps)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qmm.readout, "estimate_real_overlap", dense_overlap_estimate)
-            want = READOUTS[method](a, b, eps)
-    assert np.array_equal(rep.c_tilde, want.c_tilde)
-    assert rep.ledger == want.ledger
+        want_c, want_ledger = dense_readout(method, a, b, eps)
+    assert np.array_equal(rep.c_tilde, want_c)
+    assert rep.ledger == want_ledger
     if method == "readout-swap":
         assert np.all(rep.c_tilde[np.linalg.norm(a, axis=1) == 0] == 0.0)
     err = float(np.max(np.abs(rep.c_tilde - a @ b)))
     assert rep.max_observed_error == err <= rep.entrywise_error_bound == eps
+
+
+@pytest.mark.parametrize("method", sorted(READOUTS))
+def test_readout_qubit_budget_is_the_dense_registers(method, monkeypatch):
+    # no pair state is built, but each estimate is budgeted for the full
+    # register: every QMM_MAX_QUBITS value fails with the dense reference's
+    # message, or passes with it
+    a, b = rand_pair(7, n=3)
+
+    def outcome(fn):
+        try:
+            fn(a, b, 0.05)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    seen = set()
+    for budget in range(6, 18):
+        monkeypatch.setenv("QMM_MAX_QUBITS", str(budget))
+        got = outcome(READOUTS[method])
+        assert got == outcome(lambda *args: dense_readout(method, *args))
+        seen.add(got is None)
+    assert seen == {True, False}

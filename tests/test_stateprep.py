@@ -415,11 +415,13 @@ def test_prep_hamiltonian_rejects_a_vanishing_sine_branch():
         prep_hamiltonian([1.0, 1.0], base, eps=1e-12)
 
 
-@pytest.mark.parametrize("route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0)])
+@pytest.mark.parametrize("route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0), (prep_dyadic, 10.0)])
 def test_small_angle_routes_allocate_a_few_vectors_at_n_65536(route, multiple):
     # at the peak: the base, the produced and target states and their
     # difference (four complex vectors), plus float temporaries; f = |x| adds
-    # half a vector for the sign base. A staged 2 dim flag state or one more
+    # half a vector for the sign base. prep_dyadic peaks in its final
+    # distance, holding its three band states, their float band vectors and
+    # the combined state besides. A staged 2 dim flag state or one more
     # amplitude copy held across the peak goes over the line.
     x = generate_vector(1 << 16, 4.0, seed=1)
     vector = 16 * x.size  # one complex amplitude vector, 1 MiB

@@ -107,6 +107,23 @@ def test_inner_product_monotone_refinement():
 def overlap_inputs(draw):
     dim = 1 << draw(st.integers(1, 5))
     is_complex = draw(st.booleans())
+    kind = draw(st.sampled_from(["random", "equal", "negated", "basis", "near-tie", "exact"]))
+    if kind in ("near-tie", "exact"):
+        # x = |a>, y = s|a> + sqrt(1 - s^2)|b>: s within a few ulp of a
+        # modal tie, 2^t theta / pi = k + 1/2 with sin^2(theta) = (1 + s)/2,
+        # or s in {-1, 0, 1}
+        eps = draw(st.floats(0.005, 0.5))
+        T = 1 << PhaseConfig.from_epsilon(eps).phase_bits
+        if kind == "near-tie":
+            theta = math.pi * (draw(st.integers(0, T // 2 - 1)) + 0.5) / T
+            s = -math.cos(2.0 * (theta + draw(st.integers(-4, 4)) * math.ulp(theta)))
+        else:
+            s = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        a, b = draw(st.permutations(range(dim)))[:2]
+        x, y = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
+        x[a], y[a] = 1.0, s
+        y[b] = math.sqrt(1.0 - s * s) * (1j if is_complex else 1.0)
+        return x, y, eps
     part = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
 
     def unit_vector():
@@ -118,7 +135,6 @@ def overlap_inputs(draw):
         return v / norm
 
     x = unit_vector()
-    kind = draw(st.sampled_from(["random", "equal", "negated", "basis"]))
     if kind == "random":
         y = unit_vector()
     elif kind == "equal":
@@ -131,7 +147,7 @@ def overlap_inputs(draw):
     return x, y, draw(st.floats(0.005, 0.5))
 
 
-@settings(max_examples=120)
+@settings(max_examples=200)
 @given(overlap_inputs())
 def test_plane_overlap_estimate_matches_dense_register(case):
     x, y, eps = case
@@ -321,6 +337,32 @@ def test_coefficient_tag_index_marginal_matches_concentration_weights():
         np.add.at(prof, codes, label_probs)
         weights[j] = psi[j] ** 2 * float(np.sum(prof**2))
     assert np.allclose(index_probs, weights / weights.sum(), atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([2**-3, 2**-5, 2**-7]))
+def test_coefficient_tag_matches_dense_register(qubits, seed, sparse, eps):
+    # oracle: branch j carries psi[j] times the dense swap test of |j>
+    # against psi, its phase-label distribution binned by tag code
+    from qmm.qpe import encode_fixed
+
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << qubits)
+    if sparse:
+        psi[rng.random(psi.size) < 0.5] = 0.0
+    assume(np.any(psi != 0.0))
+    psi /= np.linalg.norm(psi)
+    out = coefficient_tag(from_vector("x", psi), lambda s: s, eps)
+
+    cfg = PhaseConfig.from_epsilon(eps)
+    t = cfg.phase_bits
+    codes = np.array([encode_fixed(float(v), t, t + 2) for v in swap_value(np.arange(1 << t), t)])
+    want = np.zeros((psi.size, 1 << (t + 2)))
+    for j in np.flatnonzero(psi):
+        phi = superposed_pair_state(np.eye(psi.size)[j], psi)
+        np.add.at(want[j], codes, marginal_probabilities(phase_estimate(grover_rotation(phi), phi, cfg), "phase"))
+        want[j] *= psi[j]
+    assert np.allclose(out.reshaped(), want / np.linalg.norm(want), rtol=0.0, atol=1e-12)
 
 
 def test_coefficient_tag_rejects_complex():
