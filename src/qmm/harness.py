@@ -16,8 +16,8 @@ import numpy as np
 
 from . import matmul, readout, stateprep
 from .io import REPORT_SCHEMA
-from .linalg import exact_product, pad_dim
-from .statevector import _owned, aligned_distance, from_vector
+from .linalg import exact_product
+from .statevector import aligned_distance, from_vector
 
 MULTIPLY_METHODS = ("swap", "sve", "hhl", "lcu")
 READOUT_METHODS = ("readout-swap", "readout-sve", "readout-hhl")
@@ -164,20 +164,6 @@ def _readout_row(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray, ident: str
     }
 
 
-def _prep_by_sign_base(x, eps: float) -> stateprep.PrepReport:
-    """prep_hamiltonian with f = |x| over the sign state
-    sum_k sign(x_k)|k>/sqrt(z) on the z-point support of x. The sign state is
-    charged ceil(log2 n) gate units, as prep_signshift charges its own."""
-    spec = stateprep.VectorSpec.from_values(x)
-    dim = pad_dim(spec.values.size)
-    signs = np.zeros(dim, dtype=complex)
-    signs[spec.support] = np.sign(spec.values[spec.support]) / math.sqrt(spec.support.size)
-    base = _owned((("x", max(1, int(math.log2(dim)))),), signs)
-    report = stateprep.prep_hamiltonian(np.abs(spec.values), base, eps)
-    report.result.ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
-    return report
-
-
 def _prep_row(cfg: ExperimentConfig, x: np.ndarray, ident: str) -> dict:
     started = time.perf_counter()
     if cfg.method == "prep-direct":
@@ -193,7 +179,7 @@ def _prep_row(cfg: ExperimentConfig, x: np.ndarray, ident: str) -> dict:
         }
     else:
         fn = {
-            "prep-hamiltonian": _prep_by_sign_base,
+            "prep-hamiltonian": stateprep._prep_by_sign_base,
             "prep-sparse": stateprep.prep_sparse,
             "prep-dyadic": stateprep.prep_dyadic,
             "prep-signshift": stateprep.prep_signshift,
@@ -340,18 +326,11 @@ def _recompute_bound(row: dict) -> float | None:
             float(np.linalg.norm(a)), float(np.linalg.norm(b)), float(np.linalg.norm(c)), eps_inner
         )
     if method in ("sve", "hhl"):
-        a0, _, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = matmul._sve_setup(row["a"], row["b"])
-        sigmas = np.zeros(d)
-        sigmas[: bundle.sigmas.size] = bundle.sigmas
+        a0, _, _, sigmas, col_norms, _, alpha = matmul._sve_setup(row["a"], row["b"])
         route_of = matmul.walk_route if method == "sve" else matmul.dilation_route
-        route = route_of(float(np.linalg.norm(a0)), float(bundle.sigmas[0]))
-        return matmul.sve_error_bound(
-            route.scale / (1 << int(row["phase_bits"])),
-            col_norms,
-            alpha,
-            np.asarray(row["details"]["sigma_eff"], dtype=float),
-            sigmas,
-        )
+        route = route_of(float(np.linalg.norm(a0)), float(sigmas[0]))
+        sigma_eff = np.asarray(row["details"]["sigma_eff"], dtype=float)
+        return matmul.sve_error_bound(route.scale / (1 << int(row["phase_bits"])), col_norms, alpha, sigma_eff, sigmas)
     if method == "prep-direct":
         return PREP_DIRECT_BOUND
     if method in ("prep-hamiltonian", "prep-sparse"):

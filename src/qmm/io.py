@@ -86,9 +86,16 @@ def save_report_json(path, report: dict) -> None:
 def load_report_json(path) -> dict:
     """Read a schema 1 or 2 report; instance fields come back as float64 arrays."""
     report = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(report, dict):
+        raise ValueError(f"{path}: a report is a JSON object, not {type(report).__name__}")
     if report.get("schema") not in READABLE_SCHEMAS:
         raise ValueError(f"{path}: unsupported report schema {report.get('schema')!r}")
-    for row in report.get("rows", []):
+    rows = report.get("rows", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: the rows are a JSON list, not {type(rows).__name__}")
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: row {index}: a row is a JSON object, not {type(row).__name__}")
         for name in INSTANCE_FIELDS:
             if name in row:
                 try:

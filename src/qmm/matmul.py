@@ -136,6 +136,10 @@ def _rotation(angle: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+# eigenvectors of _rotation(angle), for its eigenphases +angle and -angle
+_ROTATION_EIGENVECTORS = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
+
+
 def _qpe_rows(u: np.ndarray, psi: np.ndarray, t: int) -> np.ndarray:
     """Forward phase-estimation amplitudes restricted to an invariant
     subspace: rows[y] is the system amplitude attached to label y. Every
@@ -157,46 +161,19 @@ def _swap_plane_probabilities(s: float, t: int) -> np.ndarray:
     return np.sum(np.abs(rows) ** 2, axis=1)
 
 
-def _eig_unitary_small(u: np.ndarray):
-    """Exact spectral data of a 1x1 or 2x2 unitary (analytic, with an
-    np.linalg.eig fallback for safety)."""
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if d == 1:
-        return u.diagonal().copy(), np.eye(1, dtype=complex)
-    if max(abs(u[0, 1]), abs(u[1, 0])) < 1e-13:
-        return u.diagonal().copy(), np.eye(2, dtype=complex)
-    tr = u[0, 0] + u[1, 1]
-    # tr^2 - 4 det without the cancellation near u = -+I
-    disc = np.sqrt((u[0, 0] - u[1, 1]) ** 2 + 4.0 * u[0, 1] * u[1, 0] + 0j)
-    lam = np.array([(tr + disc) / 2.0, (tr - disc) / 2.0])
-    vecs = []
-    for ev in lam:
-        c1 = np.array([u[0, 1], ev - u[0, 0]])
-        c2 = np.array([ev - u[1, 1], u[1, 0]])
-        v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-        vecs.append(v / np.linalg.norm(v))
-    q = np.stack(vecs, axis=1)
-    if np.max(np.abs(u @ q - q * lam[None, :])) > 1e-9:
-        w, v = np.linalg.eig(u)
-        q, _ = np.linalg.qr(v)
-        lam = np.diag(q.conj().T @ u @ q)
-    return lam, q
-
-
-def _phase0_after_undo(weighted_rows: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
+def _phase0_after_undo(weighted_rows: np.ndarray, phases: np.ndarray, q: np.ndarray, t: int) -> np.ndarray:
     """Per-label contribution to the phase-|0..0> system component after the
-    estimation circuit is inverted on label-weighted amplitudes.
+    estimation circuit of a block u, with eigenphases phases and orthonormal
+    eigenvectors q[:, k], is inverted on label-weighted amplitudes.
 
     out[y] = (1/T) sum_z w^{zy} (u^dag)^z rows[y]; the geometric sums over z
-    are evaluated in closed form from the spectrum of u (exact, and checked
+    are evaluated in closed form from that spectrum (exact, and checked
     against the gate-by-gate inversion in tests).
     """
     T = 1 << t
-    lam, q = _eig_unitary_small(u)
     coords = weighted_rows @ q.conj()
     y = np.arange(T)
-    delta = 2.0 * np.pi * y[:, None] / T - np.angle(lam)[None, :]
+    delta = 2.0 * np.pi * y[:, None] / T - np.asarray(phases)[None, :]
     delta = np.angle(np.exp(1j * delta))  # reduce to (-pi, pi]
     half = delta / 2.0
     tiny = np.abs(delta) * T < 1e-6
@@ -231,31 +208,31 @@ def _lambda_decode(t: int, t0: float) -> np.ndarray:
 
 def _walk_plane(sigma: float, frob: float):
     """Walk restricted to one singular plane, in the orthonormal basis
-    (M|u>, complement): a rotation by theta with cos(theta/2) = sigma/frob.
-    Also returns N|v> coordinates in that basis."""
+    (M|u>, complement): _rotation(theta) with cos(theta/2) = sigma/frob.
+    Returns theta and the N|v> coordinates in that basis."""
     c = min(max(sigma / frob, 0.0), 1.0)
     theta = 2.0 * math.acos(c)
     init = np.array([c, math.sqrt(max(0.0, 1.0 - c * c))])
-    return _rotation(theta), init
+    return theta, init
 
 
 def _sve_component(sigma: float, frob: float, t: int, weights: np.ndarray) -> complex:
     """Amplitude left on (M|u_k>, phase=0) after running label weights
     through the walk plane of one singular triple. The complement coordinate
     is exactly outside range(M) and is lost to the data postselection."""
-    u, init = _walk_plane(sigma, frob)
-    rows = _qpe_rows(u, init, t)
-    g = _phase0_after_undo(rows * (weights * _mu_phases(t))[:, None], u, t)
+    theta, init = _walk_plane(sigma, frob)
+    rows = _qpe_rows(_rotation(theta), init, t) * (weights * _mu_phases(t))[:, None]
+    g = _phase0_after_undo(rows, np.array([theta, -theta]), _ROTATION_EIGENVECTORS, t)
     return complex(g.sum(axis=0)[0])
 
 
 def _hhl_component(sigma: float, t0: float, t: int, weights: np.ndarray) -> complex:
     """Amplitude left on (|u_k> ⊗ top dilation block, phase=0) for one
     eigenpair +-sigma of the dilation, given signed label weights."""
-    u = np.diag([np.exp(1j * sigma * t0), np.exp(-1j * sigma * t0)])
+    phases = np.array([sigma * t0, -sigma * t0])
     init = np.array([1.0, -1.0]) / math.sqrt(2.0)  # (0, v_k) in the +- basis
-    rows = _qpe_rows(u, init, t)
-    g = _phase0_after_undo(rows * weights[:, None], u, t).sum(axis=0)
+    rows = _qpe_rows(np.diag(np.exp(1j * phases)), init, t) * weights[:, None]
+    g = _phase0_after_undo(rows, phases, np.eye(2), t).sum(axis=0)
     return complex((g[0] + g[1]) / math.sqrt(2.0))
 
 
@@ -511,13 +488,18 @@ def _check_real_pair(a, b):
     return a, b
 
 
-def _resolve_phase_bits(eps, phase_bits, eps_inner_target):
+def _resolve_phase_bits(phase_bits, accuracy, scale: float = math.pi, guard: int = 2) -> int:
+    """Phase-register width of every pipeline and readout: phase_bits, or the
+    t reading a value to accuracy on a scale / 2^t grid plus guard bits
+    (value routes: route.scale, 0); at least 2, at most MAX_PHASE_BITS."""
     if phase_bits is not None:
         t = int(phase_bits)
+    elif accuracy is None:
+        raise ValueError("need either eps or phase_bits")
+    elif not accuracy > 0:
+        raise ValueError(f"accuracy must be positive, got {accuracy}")
     else:
-        if eps is None:
-            raise ValueError("need either eps or phase_bits")
-        t = math.ceil(math.log2(math.pi / eps_inner_target)) + 2  # guard bits
+        t = math.ceil(math.log2(scale / accuracy)) + guard
     t = max(t, 2)
     if t > MAX_PHASE_BITS:
         raise ValueError(f"would need a {t}-bit phase register (cap {MAX_PHASE_BITS})")
@@ -537,13 +519,14 @@ def _product_state(amps: np.ndarray, rows: int, cols: int) -> tuple[Statevector,
     return _owned(layout, table.reshape(-1) / math.sqrt(norm2)), norm2
 
 
-def _swap_family_ledger(t: int, success: float) -> CostLedger:
-    """Cost of the swap and lcu pipelines: two state-preparation oracles,
-    four controlled calls per step of a t-bit estimation, postselection
-    at the given success probability and the amplification it needs."""
+def _pipeline_ledger(oracles: int, per_step: int, t: int, success: float) -> CostLedger:
+    """Cost of a product-state pipeline: its state-preparation oracles,
+    per_step controlled calls per step of a t-bit estimation (4 for swap and
+    lcu, 2 for sve and hhl), postselection at the given success probability
+    and the amplification it needs."""
     ledger = CostLedger()
-    ledger.charge_oracle(2)
-    ledger.charge_controlled(4 * ((1 << t) - 1))
+    ledger.charge_oracle(oracles)
+    ledger.charge_controlled(per_step * ((1 << t) - 1))
     ledger.use_phase_bits(t)
     ledger.record_postselect(success)
     charge_amplification(ledger, success)
@@ -576,7 +559,7 @@ def matmul_swaptest(
     row_norms = np.linalg.norm(a, axis=1)
     col_norms = np.linalg.norm(b, axis=0)
     r2 = (frob_a * frob_b / frob_c) ** 2
-    t = _resolve_phase_bits(eps, phase_bits, (eps or 0.05) / math.sqrt(2 * r2 + 2 * r2 * r2))
+    t = _resolve_phase_bits(phase_bits, None if eps is None else eps / math.sqrt(2 * r2 + 2 * r2 * r2))
     eps_inner = math.pi / (1 << t)
     l, n = a.shape[0], b.shape[1]
 
@@ -600,7 +583,7 @@ def matmul_swaptest(
     realized = aligned_distance(state, vectorize(c))
     bound = swaptest_error_bound(frob_a, frob_b, frob_c, eps_inner)
     return PipelineResult(
-        state=PreparedState(state, success, _swap_family_ledger(t, success)),
+        state=PreparedState(state, success, _pipeline_ledger(2, 4, t, success)),
         realized_error=realized,
         predicted_bound=bound,
         method="swap",
@@ -646,14 +629,14 @@ def matmul_lcu(a, b, eps: float = 0.05) -> PipelineResult:
     row_b = np.linalg.norm(b, axis=1)
     lam = col_a * row_b
     live = lam > 0
-    t = _resolve_phase_bits(eps, None, eps)
+    t = _resolve_phase_bits(None, eps)
     # sum_j lam_j (A_.j / ||A_.j||)(B_j. / ||B_j.||) over the live terms: built
     # from the normalized terms, not copied from AB, so realized_error checks it
     combined = (a[:, live] / col_a[live] * lam[live]) @ (b[live] / row_b[live][:, None])
     state, _ = _product_state(combined, l, n)
     success = frob_c**2 / float(np.sum(lam)) ** 2
     return PipelineResult(
-        state=PreparedState(state, success, _swap_family_ledger(t, success)),
+        state=PreparedState(state, success, _pipeline_ledger(2, 4, t, success)),
         realized_error=aligned_distance(state, vectorize(c)),
         predicted_bound=eps,
         method="lcu",
@@ -667,25 +650,22 @@ def matmul_lcu(a, b, eps: float = 0.05) -> PipelineResult:
 # singular-value pipelines
 
 def _sve_setup(a, b):
+    """(a, b, bundle, sigmas, col_norms, frob_b, alpha) for the sve and hhl
+    pipelines and readouts: the SVD of A padded to d x d, d = pad_dim(max(l, m)),
+    all d of its singular values, and alpha[k, j] = <v_k|B_.j>/||B_.j||."""
     a, b = _check_real_pair(a, b)
-    l, m = a.shape
-    n = b.shape[1]
-    d = pad_dim(max(l, m))
-    ap = pad_matrix(a, d, d)
-    bp = pad_matrix(b, d, n)
-    bundle = compute_svd(ap)
+    d = pad_dim(max(a.shape))
+    bp = pad_matrix(b, d, b.shape[1])
+    bundle = compute_svd(pad_matrix(a, d, d))
     col_norms = np.linalg.norm(bp, axis=0)
     frob_b = float(np.linalg.norm(bp))
     bhat = np.where(col_norms[None, :] > 0, bp / np.where(col_norms == 0, 1.0, col_norms)[None, :], 0.0)
-    alpha = bundle.right_vectors.conj().T @ bhat  # alpha[k, j]
-    return a, b, l, m, n, d, ap, bundle, col_norms, frob_b, alpha
+    alpha = bundle.right_vectors.conj().T @ bhat
+    return a, b, bundle, bundle.sigmas, col_norms, frob_b, alpha
 
 
 def _check_support(sigmas, alpha, col_norms, frob_b, strict: bool) -> float:
-    sigma_max = float(sigmas[0]) if sigmas.size else 0.0
-    cutoff = SUPPORT_TOL * max(sigma_max, 1.0)
-    dead = np.ones(alpha.shape[0], dtype=bool)
-    dead[: sigmas.size] = sigmas <= cutoff
+    dead = sigmas <= SUPPORT_TOL * max(float(sigmas[0]), 1.0)
     bad = float(np.sum((col_norms**2)[None, :] * np.abs(alpha[dead]) ** 2) / frob_b**2)
     if bad > 1e-10:
         msg = (
@@ -720,20 +700,16 @@ def sve_transform(
         raise ValueError("zero matrix has no singular-value transform")
     d = pad_dim(max(a.shape))
     ap = pad_matrix(a, d, d)
-    bundle = compute_svd(ap)
-    vec = input_state.amplitudes if isinstance(input_state, Statevector) else np.asarray(input_state, dtype=complex).reshape(-1)
-    if vec.size != d:
-        padded = np.zeros(d, dtype=complex)
-        padded[: vec.size] = vec
-        vec = padded
-    vec = vec / np.linalg.norm(vec)
+    bundle = compute_svd(ap)  # square, so all d singular values
+    given = input_state.amplitudes if isinstance(input_state, Statevector) else np.asarray(input_state).reshape(-1)
+    vec = np.zeros(d, dtype=complex)
+    vec[: given.size] = given
+    vec /= np.linalg.norm(vec)
     alphas = bundle.right_vectors.conj().T @ vec
-    t = _resolve_phase_bits(eps, phase_bits, eps if eps else 0.05)
+    t = _resolve_phase_bits(phase_bits, eps)
     T = 1 << t
     live = np.flatnonzero(np.abs(alphas) >= 1e-14)
-    sigmas = np.zeros(d)
-    sigmas[: bundle.sigmas.size] = bundle.sigmas
-    sigmas = sigmas[live]
+    sigmas = bundle.sigmas[live]
     # each live triple k adds alpha_k |u_k> (x) profile_k, the register profile
     # of its labels binned by the code they write
     lifted = bundle.left_vectors[:, live] * alphas[live][None, :]
@@ -782,47 +758,34 @@ def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_suppo
     realized state distance obeys sve_error_bound(eps1, ...). Success
     probability approaches ||AB||_F^2 / (||B||_F^2 sigma_max^2).
     """
-    a0, b0, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = _sve_setup(a, b)
+    a0, b0, bundle, sigmas, col_norms, frob_b, alpha = _sve_setup(a, b)
     c = exact_product(a0, b0)
     frob_c = float(np.linalg.norm(c))
     if frob_c <= 1e-14:
         raise ValueError("AB = 0: the product state is undefined")
-    _check_support(bundle.sigmas, alpha, col_norms, frob_b, strict_support)
-    sigma_max = float(bundle.sigmas[0])
+    _check_support(sigmas, alpha, col_norms, frob_b, strict_support)
+    sigma_max = float(sigmas[0])
     route = route_of(float(np.linalg.norm(a0)), sigma_max)
-    if phase_bits is None:
-        if eps is None:
-            raise ValueError("need either eps or phase_bits")
-        eps1_target = eps * frob_c**2 / (2.0 * frob_b**2 * sigma_max)
-        t = _resolve_phase_bits(None, math.ceil(math.log2(route.scale / eps1_target)), eps)
-    else:
-        t = _resolve_phase_bits(None, phase_bits, 0.0)
+    eps1_target = None if eps is None else eps * frob_c**2 / (2.0 * frob_b**2 * sigma_max)
+    t = _resolve_phase_bits(phase_bits, eps1_target, route.scale, 0)
     T = 1 << t
     # per-component accuracy actually achieved by the probability-weighted
     # label decode (worst case measured well under this; asserted in tests)
     eps1_eff = route.scale / T
 
-    sigmas = np.zeros(d)
-    sigmas[: bundle.sigmas.size] = bundle.sigmas
     if exact_phase:
         c_rot = 1.0 / sigma_max
         a_vec = (c_rot * sigmas).astype(complex)
     else:
         c_rot, weights = route.rotation(t)
         live = np.any(np.abs(alpha) > 1e-14, axis=1)
-        a_vec = np.zeros(d, dtype=complex)
+        a_vec = np.zeros(sigmas.size, dtype=complex)
         a_vec[live] = route.components(sigmas[live], t, weights)
 
-    state, success = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n)
-    ledger = CostLedger()
-    ledger.charge_oracle(1)
-    ledger.charge_controlled(2 * (T - 1))
-    ledger.use_phase_bits(t)
-    ledger.record_postselect(success)
-    charge_amplification(ledger, success)
+    state, success = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, a0.shape[0], b0.shape[1])
     sigma_eff = np.abs(a_vec) / c_rot
     return PipelineResult(
-        state=PreparedState(state, success, ledger),
+        state=PreparedState(state, success, _pipeline_ledger(1, 2, t, success)),
         realized_error=aligned_distance(state, vectorize(c)),
         predicted_bound=sve_error_bound(eps1_eff, col_norms, alpha, sigma_eff, sigmas),
         method=route.method,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import exact_product, pad_dim
-from .matmul import MAX_PHASE_BITS, _check_real_pair, _check_support, _sve_setup, dilation_route, walk_route
+from .matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_setup, dilation_route, walk_route
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
 # import-time binding along with matmul._sve_component
 from .matmul import _sve_component  # noqa: F401
@@ -88,17 +88,6 @@ def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     )
 
 
-def _rotated_components(sigmas: np.ndarray, t1: int, route):
-    """Rotation constant c_rot and, for every singular component k, the
-    amplitude left on the rot = 0 block after a t1-bit estimation on the
-    route, rotation by c_rot * decoded value, and undo. c_rot is the
-    reciprocal of the largest value the grid can decode for sigma_max, so
-    every rotation stays within [-1, 1].
-    """
-    c_rot, weights0 = route.rotation(t1)
-    return c_rot, route.components(sigmas, t1, weights0[:, None])[:, 0]
-
-
 def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> ReadoutReport:
     """Shared sve/hhl readout: per column j build the rotated state
     (1/sigma_ceiling) sum_k alpha_jk sigma~_k |u_k>|0> + junk, then estimate
@@ -108,22 +97,23 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
     rescaling) and the singular-value part (sigma read to eps1 with
     eps1 ||B_.j|| sum_k |alpha_jk <i|u_k>| <= eps_abs/2).
     """
-    a0, b0, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = _sve_setup(a, b)
+    a0, b0, bundle, sigmas, col_norms, frob_b, alpha = _sve_setup(a, b)
     if frob_b == 0:
         raise ValueError("B is zero")
-    _check_support(bundle.sigmas, alpha, col_norms, frob_b, strict_support)
-    route = route_of(float(np.linalg.norm(a0)), float(bundle.sigmas[0]))
-    sigmas = np.zeros(d)
-    sigmas[: bundle.sigmas.size] = bundle.sigmas
+    _check_support(sigmas, alpha, col_norms, frob_b, strict_support)
+    route = route_of(float(np.linalg.norm(a0)), float(sigmas[0]))
 
     ledger = CostLedger()
     ledger.classical_entries += a0.size + b0.size
+    l, n = a0.shape[0], b0.shape[1]
     c_tilde = np.zeros((l, n))
     uvec = bundle.left_vectors
     # the rotated column state: d (component, rot) pairs and a junk amplitude
-    data_qubits = int(math.log2(pad_dim(2 * d + 1)))
-    # the components depend on the column only through t1, so columns of
-    # equal width share one evaluation
+    data_qubits = int(math.log2(pad_dim(2 * sigmas.size + 1)))
+    # for every singular component k, the amplitude left on the rot = 0
+    # block after a t1-bit estimation, rotation by c_rot times the decoded
+    # value, and undo; it depends on the column only through t1, so columns
+    # of equal width share one evaluation
     by_width = {}
     for j in range(n):
         if col_norms[j] == 0.0:
@@ -133,10 +123,10 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         colsum = np.abs(aj) @ np.abs(uvec[:l].T)  # sum_k |alpha_jk u_k[i]| per i
         eps1_req = eps_abs / (2.0 * col_norms[j] * max(float(np.max(colsum)), 1e-14))
         # sigma is read to route.scale / 2^t1 <= eps1_req / 2
-        t1 = math.ceil(math.log2(2.0 * route.scale / eps1_req))
-        t1 = min(max(t1, 2), MAX_PHASE_BITS)
+        t1 = _resolve_phase_bits(None, eps1_req / 2.0, route.scale, 0)
         if t1 not in by_width:
-            by_width[t1] = _rotated_components(sigmas, t1, route)
+            c_rot, weights0 = route.rotation(t1)
+            by_width[t1] = c_rot, route.components(sigmas, t1, weights0[:, None])[:, 0]
         c_rot, comp0 = by_width[t1]
         # rot = 0 block of the rotated column state: y0[i] = <i, rot=0|state>
         y0 = uvec @ (aj * np.where(np.abs(aj) > 1e-14, comp0, 0.0))

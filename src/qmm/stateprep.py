@@ -198,16 +198,31 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
     return _measured(report, target)
 
 
+def _on_support(spec: VectorSpec, shape, reweight):
+    """reweight(base), a (PrepReport, ...) tuple, for the base state
+    shape(x_k)/sqrt(z) on the z-point support of x, with the base's
+    ceil(log2 n) gate units charged: the uniform base of _sparse, the sign
+    base of _prep_by_sign_base."""
+    dim = pad_dim(spec.values.size)
+    base = np.zeros(dim, dtype=complex)
+    base[spec.support] = shape(spec.values[spec.support]) / math.sqrt(spec.support.size)
+    out = reweight(_owned((("x", max(1, int(math.log2(dim)))),), base))
+    out[0].result.ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
+    return out
+
+
 def _sparse(spec: VectorSpec, eps: float) -> tuple[PrepReport, np.ndarray]:
     """prep_sparse with the support known, as _sine_branch returns it;
     prep_dyadic and prep_signshift prepare their pieces with it."""
-    dim = pad_dim(spec.values.size)
-    base_vals = np.zeros(dim, dtype=complex)
-    base_vals[spec.support] = 1.0 / math.sqrt(spec.support.size)
-    base = _owned((("x", max(1, int(math.log2(dim)))),), base_vals)
-    report, target = _sine_branch(spec.values, base, eps)
-    report.result.ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))  # base prep
+    report, target = _on_support(spec, lambda values: 1.0, lambda base: _sine_branch(spec.values, base, eps))
     return replace(report, method="sparse-known"), target
+
+
+def _prep_by_sign_base(x, eps: float) -> PrepReport:
+    """prep_hamiltonian with f = |x| over the sign state sum_k sign(x_k)|k>/sqrt(z)
+    on the support of x: the harness's prep-hamiltonian method."""
+    spec = _as_spec(x)
+    return _on_support(spec, np.sign, lambda base: (prep_hamiltonian(np.abs(spec.values), base, eps),))[0]
 
 
 def dyadic_bands(spec: VectorSpec) -> list[VectorSpec]:
@@ -235,9 +250,9 @@ def prep_dyadic(x, eps: float) -> PrepReport:
     q = len(bands)
     norm_x = float(np.linalg.norm(spec.values))
     eps_band = eps / (2.0 * math.sqrt(q))
-    parts = [_sparse(band, eps_band)[0].result for band in bands]
     weights = [float(np.linalg.norm(band.values)) / norm_x for band in bands]
-    combined = lcu_combine(parts, weights)
+    # one band state alive at a time
+    combined = lcu_combine((_sparse(band, eps_band)[0].result for band in bands), weights)
     ledger = combined.ledger
     # selection-unitary synthesis for the q combination weights
     logq = max(math.log2(max(q, 2)), 1.0)
@@ -309,34 +324,37 @@ def prep_signshift(x, eps: float) -> PrepReport:
     )
 
 
-def lcu_combine(states: list[PreparedState], weights) -> PreparedState:
+def lcu_combine(states, weights) -> PreparedState:
     """Combine prepared states into one proportional to sum_i w_i |s_i>.
 
-    Success probability ||sum w_i s_i||^2 / (sum |w_i|)^2 (the select-based
+    states may be any iterable, a generator included: it is walked once, so
+    only the combination and the current state need be alive. Success
+    probability ||sum w_i s_i||^2 / (sum |w_i|)^2 (the select-based
     combination; the two-state interference case divides by 2(w1^2+w2^2)
     instead and is what prep_signshift records)."""
-    if not states:
-        raise ValueError("nothing to combine")
     weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.size != len(states):
+    states = iter(states)
+    combined, layout, ledger, count = None, None, CostLedger(), 0
+    for w, ps in zip(weights, states):
+        if combined is None:
+            layout, combined = ps.state.layout, np.zeros_like(ps.state.amplitudes)
+        elif ps.state.layout != layout:
+            raise ValueError("all states must share one register layout")
+        combined += w * ps.state.amplitudes
+        ledger.merge(ps.ledger)
+        count += 1
+    extra = next(states, None) is not None
+    if count == 0 and not extra:
+        raise ValueError("nothing to combine")
+    if extra or count != weights.size:
         raise ValueError("one weight per state required")
     if not np.any(weights != 0.0):
         raise ValueError("weights must not all vanish")
-    layout = states[0].state.layout
-    for ps in states[1:]:
-        if ps.state.layout != layout:
-            raise ValueError("all states must share one register layout")
-    combined = np.zeros_like(states[0].state.amplitudes)
-    for w, ps in zip(weights, states):
-        combined += w * ps.state.amplitudes
     nrm = float(np.linalg.norm(combined))
     wsum = float(np.sum(np.abs(weights)))
     if nrm < 1e-12 * wsum:
         raise ValueError("combination cancelled exactly")
     success = (nrm / wsum) ** 2
-    ledger = CostLedger()
-    for ps in states:
-        ledger.merge(ps.ledger)
     ledger.record_postselect(min(success, 1.0))
     charge_amplification(ledger, min(success, 1.0))
     return PreparedState(_owned(layout, combined / nrm), min(success, 1.0), ledger)

@@ -155,9 +155,6 @@ class Statevector:
     def register_size(self, name: str) -> int:
         return self.layout[self.register_index(name)][1]
 
-    def register_dim(self, name: str) -> int:
-        return 1 << self.register_size(name)
-
     def tensor_shape(self) -> tuple[int, ...]:
         return tuple(1 << q for _, q in self.layout)
 

@@ -30,6 +30,7 @@ from .qpe import (
     tag_even_function,
 )
 from .statevector import (
+    NORM_TOL,
     CostLedger,
     Statevector,
     _owned,
@@ -102,12 +103,20 @@ def estimate_real_overlap(
     cos(theta) with sin^2(theta) = (1 + Re<x|y>)/2, and the Grover rotation
     acts on the plane of the two branch states as a rotation by 2*theta.
     The label distribution therefore depends only on s = Re<x|y>, and is
-    computed from s on that 2x2 block; phi is built only to check the
-    inputs. The dense register simulation (grover_rotation +
-    phase_estimate) gives the same estimate.
+    computed from s on that 2x2 block; phi is never built. x and y must be
+    unit vectors of one power-of-two size. The dense register simulation
+    (grover_rotation + phase_estimate) gives the same estimate.
     """
-    phi = superposed_pair_state(x, y)
-    return _modal_overlap(float(np.vdot(x, y).real), eps, phi.total_qubits - 1, ledger)
+    x, y = np.asarray(x).reshape(-1), np.asarray(y).reshape(-1)
+    if x.size != y.size:
+        raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
+    if x.size == 0 or x.size & (x.size - 1):
+        raise ValueError(f"dimension {x.size} is not a power of two")
+    for name, vec in (("x", x), ("y", y)):
+        norm = float(np.linalg.norm(vec))
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"{name} has norm {norm}, not 1 within {NORM_TOL}")
+    return _modal_overlap(float(np.vdot(x, y).real), eps, x.size.bit_length() - 1, ledger)
 
 
 def _amplitude_pair(sx: Statevector, sy: Statevector) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qmm.io import INSTANCE_FIELDS
 from qmm.linalg import pad_dim
-from qmm.matmul import MAX_PHASE_BITS, _check_real_pair, _check_support, _sve_setup, dilation_route, walk_route
+from qmm.matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_setup, dilation_route, walk_route
 from qmm.qpe import PhaseConfig, grover_rotation, phase_estimate, swap_value
 from qmm.statevector import CostLedger, marginal_probabilities
 from qmm.swaptest import superposed_pair_state
@@ -60,12 +60,11 @@ def dense_readout(method, a, b, eps_abs):
             ys[: a.shape[1]] = b[:, j] / ny
             c_tilde[i, j] = nx * ny * dense_overlap_estimate(xs, ys, min(eps_abs / (nx * ny), 0.5), ledger)
         return c_tilde, ledger
-    a0, b0, l, m, n, d, ap, bundle, col_norms, frob_b, alpha = _sve_setup(a, b)
-    _check_support(bundle.sigmas, alpha, col_norms, frob_b, False)
+    a0, b0, bundle, sigmas, col_norms, frob_b, alpha = _sve_setup(a, b)
+    _check_support(sigmas, alpha, col_norms, frob_b, False)
     route_of = walk_route if method == "readout-sve" else dilation_route
-    route = route_of(float(np.linalg.norm(a0)), float(bundle.sigmas[0]))
-    sigmas = np.zeros(d)
-    sigmas[: bundle.sigmas.size] = bundle.sigmas
+    route = route_of(float(np.linalg.norm(a0)), float(sigmas[0]))
+    d, l, n = sigmas.size, a0.shape[0], b0.shape[1]
     ledger = CostLedger()
     ledger.classical_entries += a0.size + b0.size
     c_tilde = np.zeros((l, n))
@@ -74,7 +73,7 @@ def dense_readout(method, a, b, eps_abs):
         aj = alpha[:, j]
         colsum = np.abs(aj) @ np.abs(uvec[:l].T)
         eps1_req = eps_abs / (2.0 * col_norms[j] * max(float(np.max(colsum)), 1e-14))
-        t1 = min(max(math.ceil(math.log2(2.0 * route.scale / eps1_req)), 2), MAX_PHASE_BITS)
+        t1 = _resolve_phase_bits(None, eps1_req / 2.0, route.scale, 0)
         c_rot, w0 = route.rotation(t1)
         comp = route.components(sigmas, t1, np.stack([w0, np.sqrt(1.0 - w0**2)], axis=1))
         comp = np.where((np.abs(aj) > 1e-14)[:, None], comp, 0.0)

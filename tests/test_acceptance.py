@@ -79,9 +79,7 @@ def test_criterion_3_sve_pipeline_error_budget():
         b = generate_matrix(4, 2.0, seed=seed + 2000)
         res = matmul_sve(a, b, phase_bits=10)
         # the instance-evaluated budget, recomputed from scratch
-        _, _, _, _, _, d, _, bundle, col_norms, _, alpha = _sve_setup(a, b)
-        sigmas = np.zeros(d)
-        sigmas[: bundle.sigmas.size] = bundle.sigmas
+        _, _, _, sigmas, col_norms, _, alpha = _sve_setup(a, b)
         budget = sve_error_bound(
             res.details["eps1_eff"], col_norms, alpha,
             np.asarray(res.details["sigma_eff"]), sigmas,

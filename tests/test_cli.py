@@ -46,6 +46,22 @@ def test_verify_fails_on_tampered_report(tmp_path, matrices, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "a report is a JSON object, not list"),
+        ('{"schema": 2, "rows": 5}', "the rows are a JSON list, not int"),
+        ('{"schema": 2, "rows": [1]}', "row 0: a row is a JSON object, not int"),
+    ],
+)
+def test_verify_reports_a_malformed_report_without_a_traceback(tmp_path, capsys, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_readout_entries_within_eps(tmp_path, matrices):
     a, b = matrices
     entries = tmp_path / "c.csv"

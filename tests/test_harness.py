@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmm import stateprep
 from qmm.harness import (
+    MULTIPLY_METHODS,
     PREP_METHODS,
     READOUT_METHODS,
     ExperimentConfig,
@@ -16,7 +18,7 @@ from qmm.harness import (
     scaling_study,
     verify_bounds,
 )
-from qmm.io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
+from qmm.io import INSTANCE_FIELDS, load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
 from qmm.linalg import compute_svd
 from qmm.matmul import MAX_PHASE_BITS
 from helpers import comparable, comparable_rows
@@ -279,6 +281,51 @@ def test_verify_bounds_batch_of_seeded_swap_runs():
     for report in reports:
         ok, findings = verify_bounds(report)
         assert ok, findings
+
+
+# ---------------------------------------------------------------------------
+# pinned rows of every method
+
+HARNESS_PINNED = json.loads((Path(__file__).parent / "data" / "harness_pinned.json").read_text())
+
+
+def assert_matches_pinned(got, want, path="row"):
+    """Ints, strings, bools and ledgers equal; floats within 1e-12 relative."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            if key == "ledger":
+                assert got[key] == want[key], f"{path}.ledger"
+            else:
+                assert_matches_pinned(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches_pinned(g, w, f"{path}[{k}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want), f"{path}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("case", HARNESS_PINNED["cases"], ids=lambda c: c["row"]["id"])
+def test_every_method_matches_its_pinned_row(case):
+    # rows recorded with n = 4 matrices and n = 300 vectors, without wall_time
+    pinned, seed = HARNESS_PINNED, case["seed"]
+    method = case["row"]["method"]
+    if method in PREP_METHODS:
+        inputs = {"x": generate_vector(pinned["n_vector"], pinned["kappa_vector"], seed)}
+    else:
+        n, kappa = pinned["n_matrix"], pinned["kappa_matrix"]
+        inputs = {"a": generate_matrix(n, kappa, seed), "b": generate_matrix(n, kappa, seed + 10_000)}
+    row = run_experiment(ExperimentConfig(method=method, eps=pinned["eps"], seed=seed, inputs=inputs)).rows[0]
+    got = {k: v for k, v in row.items() if k != "wall_time" and k not in INSTANCE_FIELDS}
+    assert_matches_pinned(json.loads(json.dumps(got)), case["row"])
+
+
+def test_pinned_rows_cover_every_method():
+    methods = {case["row"]["method"] for case in HARNESS_PINNED["cases"]}
+    assert methods == set(MULTIPLY_METHODS + READOUT_METHODS + PREP_METHODS)
 
 
 # ---------------------------------------------------------------------------

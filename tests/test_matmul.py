@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from qmm.linalg import compute_svd, exact_product, vectorize
 from qmm.matmul import (
+    _ROTATION_EIGENVECTORS,
     MAX_PHASE_BITS,
     SupportViolationError,
     SupportViolationWarning,
     SVEOperators,
     _phase0_after_undo,
+    _rotation,
     matmul_hhl,
     matmul_lcu,
     matmul_swaptest,
@@ -135,15 +137,14 @@ def test_phase0_closed_form_matches_gate_inversion():
     rng = np.random.default_rng(1)
     t = 6
     T = 1 << t
-    for angle in (0.0, 0.37, math.pi / 2, math.pi):
-        c, s = math.cos(angle), math.sin(angle)
-        u = np.array([[c, s], [-s, c]])
+    for angle in (0.0, 0.37, math.pi / 2, math.pi, math.pi - 1e-6):
+        u = _rotation(angle)
         rows = (rng.normal(size=(T, 2)) + 1j * rng.normal(size=(T, 2))) / T
         # oracle: gate-by-gate inversion of the estimation circuit
         from qmm.qpe import _unnormalized_invert
 
         expect = _unnormalized_invert(rows.copy(), u, t)[0]
-        got = _phase0_after_undo(rows, u, t).sum(axis=0)
+        got = _phase0_after_undo(rows, np.array([angle, -angle]), _ROTATION_EIGENVECTORS, t).sum(axis=0)
         assert np.max(np.abs(got - expect)) < 1e-11
 
 
@@ -214,6 +215,17 @@ def test_matmul_swaptest_at_max_phase_bits():
     assert res.phase_bits == MAX_PHASE_BITS == 20
     assert res.realized_error <= res.predicted_bound
     assert res.success_probability == pytest.approx(res.expected_success_probability, rel=1e-5)
+
+
+@pytest.mark.parametrize("fn", [matmul_swaptest, matmul_lcu, matmul_sve, matmul_hhl, sve_transform])
+def test_a_nonpositive_eps_is_rejected_not_resized(fn):
+    # the width rule once sized eps = 0 as 0.05 (swap, sve_transform) or
+    # divided by it (lcu, sve, hhl)
+    a, b = rand_matrix(3), rand_matrix(4)
+    with pytest.raises(ValueError, match="accuracy must be positive"):
+        fn(a, b[:, 0] if fn is sve_transform else b, eps=0.0)
+    with pytest.raises(ValueError, match="need either eps or phase_bits"):
+        fn(a, b[:, 0] if fn is sve_transform else b, eps=None)
 
 
 # ---------------------------------------------------------------------------

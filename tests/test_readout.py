@@ -16,7 +16,7 @@ from qmm.readout import (
     readout_sve,
     readout_swaptest,
 )
-from qmm.matmul import SupportViolationWarning
+from qmm.matmul import SupportViolationWarning, matmul_sve
 from qmm.statevector import CostLedger
 from helpers import dense_readout, zero_row_pairs
 
@@ -163,13 +163,14 @@ def test_value_estimation_readout_matches_pinned_values(case, monkeypatch):
     # c_tilde and ledger recorded from the per-column dense-register
     # implementation; phase_widths lists the distinct t1 of the columns
     widths = []
-    kernel = qmm.readout._rotated_components
+    name = "_walk_components" if case["method"] == "readout-sve" else "_dilation_components"
+    kernel = getattr(qmm.matmul, name)
 
-    def recording(sigmas, t1, *args):
+    def recording(sigmas, scale, t1, weights):
         widths.append(t1)
-        return kernel(sigmas, t1, *args)
+        return kernel(sigmas, scale, t1, weights)
 
-    monkeypatch.setattr(qmm.readout, "_rotated_components", recording)
+    monkeypatch.setattr(qmm.matmul, name, recording)
     n, kappa, seed = PINNED["n"], case["kappa"], case["seed"]
     a = generate_matrix(n, kappa, seed)
     b = generate_matrix(n, kappa, seed + 10000)
@@ -178,6 +179,20 @@ def test_value_estimation_readout_matches_pinned_values(case, monkeypatch):
     assert np.max(np.abs(rep.c_tilde - np.array(case["c_tilde"]))) <= 1e-12
     assert rep.ledger.to_dict() == case["ledger"]
     assert sorted(widths) == case["phase_widths"]  # one evaluation per width
+
+
+def test_value_estimation_readouts_raise_at_the_width_cap(monkeypatch):
+    # with an 8-bit cap the sigma register these readouts need is too wide:
+    # they raise the error matmul_sve raises, where a clamped t1 once gave
+    # entries off by more than eps_abs (1.58e-3 and 1.76e-3)
+    monkeypatch.setattr(qmm.matmul, "MAX_PHASE_BITS", 8)
+    a, b = generate_matrix(4, 2, 1), generate_matrix(4, 2, 10001)
+    cap = r"would need a \d+-bit phase register \(cap 8\)"
+    with pytest.raises(ValueError, match=cap):
+        matmul_sve(a, b, eps=1e-3)
+    for fn in (readout_sve, readout_hhl):
+        with pytest.raises(ValueError, match=cap):
+            fn(a, b, 1e-3)
 
 
 def test_readout_support_violation_warns():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmm.harness import _prep_by_sign_base, generate_vector
+from qmm.harness import generate_vector
 from qmm.statevector import CostLedger, PreparedState, Statevector, fidelity, from_vector, postselect
 from qmm.stateprep import (
     VectorSpec,
     dyadic_bands,
+    _prep_by_sign_base,
     lcu_combine,
     prep_dyadic,
     prep_hamiltonian,
@@ -294,6 +295,26 @@ def test_lcu_rejects_cancellation():
         )
 
 
+def test_lcu_rejects_malformed_inputs_from_lists_and_generators():
+    s = PreparedState(from_vector("q", [1.0, 0.0]), 1.0, CostLedger())
+    wide = PreparedState(from_vector("q", [1.0, 0.0, 0.0, 0.0]), 1.0, CostLedger())
+    cases = [
+        ([], [], "nothing to combine"),
+        ([], [1.0], "nothing to combine"),
+        ([s], [], "one weight per state required"),
+        ([s, s], [1.0], "one weight per state required"),
+        ([s], [1.0, 1.0], "one weight per state required"),
+        ([s, s], [0.0, 0.0], "weights must not all vanish"),
+        ([s, wide], [1.0, 1.0], "all states must share one register layout"),
+    ]
+    for states, weights, message in cases:
+        for given_states in (states, (ps for ps in states)):
+            with pytest.raises(ValueError, match=message):
+                lcu_combine(given_states, weights)
+    out = lcu_combine((ps for ps in [s, s]), [1.0, 2.0])
+    assert out.ledger == lcu_combine([s, s], [1.0, 2.0]).ledger
+
+
 # ---------------------------------------------------------------------------
 # cross-method agreement
 
@@ -415,13 +436,13 @@ def test_prep_hamiltonian_rejects_a_vanishing_sine_branch():
         prep_hamiltonian([1.0, 1.0], base, eps=1e-12)
 
 
-@pytest.mark.parametrize("route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0), (prep_dyadic, 10.0)])
+@pytest.mark.parametrize("route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0), (prep_dyadic, 8.5)])
 def test_small_angle_routes_allocate_a_few_vectors_at_n_65536(route, multiple):
     # at the peak: the base, the produced and target states and their
     # difference (four complex vectors), plus float temporaries; f = |x| adds
-    # half a vector for the sign base. prep_dyadic peaks in its final
-    # distance, holding its three band states, their float band vectors and
-    # the combined state besides. A staged 2 dim flag state or one more
+    # half a vector for the sign base. prep_dyadic (8.07 vectors) combines its
+    # band states one at a time; holding all three at once, as a list passed
+    # to lcu_combine does, reaches 9.5. A staged 2 dim flag state or one more
     # amplitude copy held across the peak goes over the line.
     x = generate_vector(1 << 16, 4.0, seed=1)
     vector = 16 * x.size  # one complex amplitude vector, 1 MiB

@@ -161,6 +161,19 @@ def test_plane_overlap_estimate_matches_dense_register(case):
 def test_overlap_estimate_rejects_non_unit_inputs():
     with pytest.raises(ValueError, match="norm"):
         estimate_real_overlap(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 0.05)
+    # ||x||^2 + ||y||^2 = 2, so the pair state (|+>|x> + |->|y>)/sqrt(2) has
+    # unit norm; each input on its own does not
+    with pytest.raises(ValueError, match="x has norm"):
+        estimate_real_overlap(np.array([math.sqrt(1.5), 0.0]), np.array([math.sqrt(0.5), 0.0]), 0.05)
+    with pytest.raises(ValueError, match="y has norm"):
+        estimate_real_overlap(np.array([1.0, 0.0]), np.array([np.nan, 0.0]), 0.05)
+
+
+def test_overlap_estimate_rejects_mismatched_or_unpadded_sizes():
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 4"):
+        estimate_real_overlap(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]), 0.05)
+    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+        estimate_real_overlap(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 0.05)
 
 
 def test_overlap_estimate_respects_qubit_budget(monkeypatch):

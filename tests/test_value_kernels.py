@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qmm.linalg import compute_svd, pad_dim, pad_matrix
 from qmm.matmul import (
     _KERNEL_BLOCK,
+    _ROTATION_EIGENVECTORS,
     _TWO_PI_HI,
     _TWO_PI_LO,
     MAX_PHASE_BITS,
@@ -271,8 +272,9 @@ def block_sve_transform(a, x, t: int) -> np.ndarray:
     amps = np.zeros((d, T), dtype=complex)
     for k in range(d):
         sigma = bundle.sigmas[k] if k < bundle.sigmas.size else 0.0
-        u, init = _walk_plane(sigma, frob)
-        g = _phase0_after_undo(_qpe_rows(u, init, t) * _mu_phases(t)[:, None], u, t)
+        theta, init = _walk_plane(sigma, frob)
+        rows = _qpe_rows(_rotation(theta), init, t) * _mu_phases(t)[:, None]
+        g = _phase0_after_undo(rows, np.array([theta, -theta]), _ROTATION_EIGENVECTORS, t)
         prof = np.zeros(T, dtype=complex)
         np.add.at(prof, codes, g[:, 0])
         amps += alphas[k] * np.outer(bundle.left_vectors[:, k], prof)
