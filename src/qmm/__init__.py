@@ -23,7 +23,6 @@ from .matmul import (
     sve_transform,
 )
 from .qpe import (
-    PhaseConfig,
     grover_rotation,
     invert_phase_estimate,
     phase_estimate,

@@ -49,8 +49,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {known}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.phase_bits is not None and not 1 <= self.phase_bits <= matmul.MAX_PHASE_BITS:
-            raise ValueError(f"phase_bits must lie in [1, {matmul.MAX_PHASE_BITS}]")
+        if self.phase_bits is not None:
+            matmul._resolve_phase_bits(self.phase_bits, None)  # raises outside [2, MAX_PHASE_BITS]
         for name in ("phase_bits", "exact_phase", "strict_support"):  # unset: None or False
             if getattr(self, name) and name not in _METHOD_OPTIONS.get(self.method, ()):
                 raise ValueError(f"method {self.method!r} takes no {name} option")

@@ -489,18 +489,22 @@ def _check_real_pair(a, b):
 
 
 def _resolve_phase_bits(phase_bits, accuracy, scale: float = math.pi, guard: int = 2) -> int:
-    """Phase-register width of every pipeline and readout: phase_bits, or the
-    t reading a value to accuracy on a scale / 2^t grid plus guard bits
-    (value routes: route.scale, 0); at least 2, at most MAX_PHASE_BITS."""
+    """Width t of every phase register in qmm: the pipelines', the readouts'
+    singular-value and overlap registers, the swap-test estimators' and
+    coefficient_tag's. An explicit phase_bits must lie in [2, MAX_PHASE_BITS];
+    otherwise t reads a value to accuracy on a scale / 2^t grid plus guard
+    bits (overlaps: pi and 2; value routes: route.scale and 0), at least 2,
+    and a t above MAX_PHASE_BITS raises before any register is built."""
     if phase_bits is not None:
         t = int(phase_bits)
-    elif accuracy is None:
+        if not 2 <= t <= MAX_PHASE_BITS:
+            raise ValueError(f"phase_bits must lie in [2, {MAX_PHASE_BITS}], got {t}")
+        return t
+    if accuracy is None:
         raise ValueError("need either eps or phase_bits")
-    elif not accuracy > 0:
+    if not accuracy > 0:
         raise ValueError(f"accuracy must be positive, got {accuracy}")
-    else:
-        t = math.ceil(math.log2(scale / accuracy)) + guard
-    t = max(t, 2)
+    t = max(math.ceil(math.log2(scale / accuracy)) + guard, 2)
     if t > MAX_PHASE_BITS:
         raise ValueError(f"would need a {t}-bit phase register (cap {MAX_PHASE_BITS})")
     return t
@@ -526,8 +530,7 @@ def _pipeline_ledger(oracles: int, per_step: int, t: int, success: float) -> Cos
     and the amplification it needs."""
     ledger = CostLedger()
     ledger.charge_oracle(oracles)
-    ledger.charge_controlled(per_step * ((1 << t) - 1))
-    ledger.use_phase_bits(t)
+    ledger.charge_phase_estimation(t, per_step)
     ledger.record_postselect(success)
     charge_amplification(ledger, success)
     return ledger
@@ -731,8 +734,7 @@ def sve_transform(
     if total <= 0:
         raise ValueError("no surviving amplitude")
     if ledger is not None:
-        ledger.charge_controlled(2 * (T - 1))
-        ledger.use_phase_bits(t)
+        ledger.charge_phase_estimation(t, 2)
         ledger.record_postselect(total)
     layout = (("out", int(math.log2(d))), ("sigma", t))
     return _owned(layout, (amps / math.sqrt(total)).reshape(-1))

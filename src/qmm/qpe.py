@@ -11,7 +11,6 @@ phase grid resolution in the half-angle convention is pi/2^t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,36 +38,6 @@ def decode_fixed(code: int, frac_bits: int, width: int) -> float:
     half = 1 << (width - 1)
     signed = ((code + half) & ((1 << width) - 1)) - half
     return signed / (1 << frac_bits)
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Phase-register sizing. epsilon follows the pi/2^t grid convention.
-
-    from_epsilon adds two guard bits, pushing estimation tail mass well
-    under the requested accuracy; the realized epsilon is then the grid
-    step pi/2^phase_bits.
-    """
-
-    phase_bits: int
-
-    def __post_init__(self):
-        if self.phase_bits < 1:
-            raise ValueError("phase register needs at least one bit")
-
-    @property
-    def epsilon(self) -> float:
-        return math.pi / (1 << self.phase_bits)
-
-    @classmethod
-    def from_epsilon(cls, eps: float):
-        if not 0.0 < eps < 1.0:
-            raise ValueError("target accuracy must lie in (0, 1)")
-        t = math.ceil(math.log2(math.pi / eps)) + 2
-        return cls(phase_bits=t)
 
 
 def swap_value(y, t: int):
@@ -155,10 +124,10 @@ def _check_phase_budget(total: int) -> None:
 def phase_estimate(
     u: np.ndarray,
     s: Statevector,
-    cfg: PhaseConfig,
+    t: int,
     ledger: CostLedger | None = None,
 ) -> Statevector:
-    """Textbook phase estimation of u acting on the whole of s.
+    """Textbook phase estimation of u acting on the whole of s, t >= 1.
 
     Prepends a t-qubit register in |0..0>, Hadamards it, applies the
     controlled powers u^(2^k) (computed by repeated squaring), then the
@@ -170,6 +139,8 @@ def phase_estimate(
     fill the label rows by doubling: the same powers in the same order as
     one masked product per bit, 2^t - 1 row products, and s is not mutated.
     """
+    if t < 1:
+        raise ValueError("phase register needs at least one bit")
     u = np.asarray(u, dtype=complex)
     dim = s.amplitudes.size
     if u.shape != (dim, dim):
@@ -177,15 +148,13 @@ def phase_estimate(
     err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
     if err > 1e-10:
         raise ValueError(f"operator is not unitary (deviation {err:.2e})")
-    t = cfg.phase_bits
     T = 1 << t
     layout = ((PHASE_REGISTER, t),) + s.layout
     _check_phase_budget(t + s.total_qubits)
     rows = _controlled_powers(s.amplitudes[None, :] / math.sqrt(T), u, t)
     rows = np.fft.fft(rows, axis=0) / math.sqrt(T)
     if ledger is not None:
-        ledger.charge_controlled(T - 1)
-        ledger.use_phase_bits(t)
+        ledger.charge_phase_estimation(t)
     return _owned(layout, rows.reshape(-1))
 
 

@@ -23,7 +23,6 @@ from .matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
 # import-time binding along with matmul._sve_component
 from .matmul import _sve_component  # noqa: F401
-from .qpe import PhaseConfig
 from .statevector import CostLedger
 from .swaptest import _modal_overlap
 
@@ -63,9 +62,9 @@ def inner_product_classical(
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
         return 0.0
-    eps_q = min(eps_abs / (nx * ny), 0.5)
+    t = _resolve_phase_bits(None, min(eps_abs / (nx * ny), 0.5))
     s = float((x / nx) @ (y / ny))
-    return nx * ny * _modal_overlap(s, eps_q, int(math.log2(pad_dim(x.size))), ledger)
+    return nx * ny * _modal_overlap(s, t, int(math.log2(pad_dim(x.size))), ledger)
 
 
 def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
@@ -130,15 +129,13 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         c_rot, comp0 = by_width[t1]
         # rot = 0 block of the rotated column state: y0[i] = <i, rot=0|state>
         y0 = uvec @ (aj * np.where(np.abs(aj) > 1e-14, comp0, 0.0))
-        eps2_req = min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5)
-        t2 = PhaseConfig.from_epsilon(eps2_req).phase_bits
+        t2 = _resolve_phase_bits(None, min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5))
         for i in range(l):
-            est = _modal_overlap(float(y0[i].real), eps2_req, data_qubits, None)
-            c_tilde[i, j] = est * col_norms[j] / c_rot
-            # nested cost: each controlled step of the outer estimation
-            # reruns the inner singular-value pipeline
-            ledger.charge_controlled(((1 << t2) - 1) * ((1 << t1) - 1))
-            ledger.use_phase_bits(max(t1, t2))
+            c_tilde[i, j] = _modal_overlap(float(y0[i].real), t2, data_qubits, None) * col_norms[j] / c_rot
+        # nested cost: one t2-bit overlap estimation per entry of the column,
+        # each controlled step of which reruns the t1-bit inner pipeline
+        ledger.charge_phase_estimation(t2, l * ((1 << t1) - 1))
+        ledger.use_phase_bits(t1)
         ledger.charge_oracle(1)
     exact = exact_product(a0, b0)
     return ReadoutReport(

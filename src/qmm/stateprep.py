@@ -280,35 +280,35 @@ def prep_signshift(x, eps: float) -> PrepReport:
     """
     spec = _as_spec(x)
     m_val = spec.max_abs
-    signs = np.where(spec.values >= 0.0, 1.0, -1.0)
-    on = np.zeros_like(spec.values)
-    on[spec.support] = 1.0
-    y = m_val * signs * on
+    y = np.zeros_like(spec.values)
+    y[spec.support] = np.where(spec.values[spec.support] > 0.0, m_val, -m_val)
     z = spec.values + y
     spread = (m_val + spec.max_abs) / (m_val + spec.min_abs_nonzero)
     norm_x = float(np.linalg.norm(spec.values))
     norm_y = float(np.linalg.norm(y))
     norm_z = float(np.linalg.norm(z))
 
-    y_led = CostLedger()
-    y_led.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
-    y_state = PreparedState(from_vector("x", y), 1.0, y_led)
     eps_z = eps * norm_x / (2.0 * norm_z)
     z_prep = _sparse(VectorSpec.from_values(z), eps_z)[0].result
+    del z
 
     lam = norm_z / norm_x
     mu = norm_y / norm_x
     success = norm_x**2 / (2.0 * (norm_y**2 + norm_z**2))
-    combined_vals = lam * z_prep.state.amplitudes - mu * y_state.state.amplitudes
-    nrm = np.linalg.norm(combined_vals)
+    # lam |z> - mu |y>, the exact sign state built only once |z> is consumed
+    combined = lam * z_prep.state.amplitudes
+    layout, ledger = z_prep.state.layout, z_prep.ledger
+    del z_prep
+    combined -= mu * from_vector("x", y).amplitudes
+    del y
+    nrm = np.linalg.norm(combined)
     if nrm < 1e-14:
         raise ValueError("combination cancelled exactly")
-    ledger = CostLedger()
-    ledger.merge(z_prep.ledger)
-    ledger.merge(y_led)
+    ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))  # the sign state
     ledger.record_postselect(success)
     ledger.amplification_rounds += math.ceil(1.0 / math.sqrt(success))
-    state = _owned(z_prep.state.layout, combined_vals / nrm)
+    combined /= nrm
+    state = _owned(layout, combined)
     target = from_vector("x", spec.values)
     realized = aligned_distance(state, target)
     return PrepReport(

@@ -58,6 +58,12 @@ class CostLedger:
         # counters are monotone within a run; keep the widest register seen
         self.phase_bits_used = max(self.phase_bits_used, t)
 
+    def charge_phase_estimation(self, t: int, per_step: int = 1) -> None:
+        """A t-bit phase estimation: 2^t - 1 controlled steps of per_step
+        controlled calls each, on a t-bit register."""
+        self.charge_controlled(per_step * ((1 << t) - 1))
+        self.use_phase_bits(t)
+
     def record_postselect(self, p: float) -> None:
         if not 0.0 < p <= 1.0 + 1e-12:
             raise ValueError(f"postselect probability {p} outside (0, 1]")

@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from .matmul import _swap_plane_probabilities
+from .matmul import _resolve_phase_bits, _swap_plane_probabilities
 from .qpe import (
-    PhaseConfig,
     _check_phase_budget,
     decode_fixed,
     encode_fixed,
@@ -80,16 +79,22 @@ def _require_real(vec: np.ndarray, what: str) -> np.ndarray:
     return aligned.real.astype(complex)
 
 
-def _modal_overlap(s: float, eps: float, data_qubits: int, ledger: CostLedger | None) -> float:
-    """Modal label decode of the swap test of two data_qubits-qubit states
-    with overlap s = Re<x|y>, budgeted and charged for the full register.
-    Shared by estimate_real_overlap and the readouts."""
-    t = PhaseConfig.from_epsilon(eps).phase_bits
+def _check_accuracy(eps: float) -> None:
+    """Reject a swap-test accuracy outside (0, 1), NaN included: the public
+    estimators read an overlap in [-1, 1] to eps."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("target accuracy must lie in (0, 1)")
+
+
+def _modal_overlap(s: float, t: int, data_qubits: int, ledger: CostLedger | None) -> float:
+    """Modal label decode of the t-bit swap test of two data_qubits-qubit
+    states with overlap s = Re<x|y>, budgeted and charged for the full
+    register. Shared by estimate_real_overlap and the readouts, which size t
+    with matmul._resolve_phase_bits."""
     _check_phase_budget(t + 1 + data_qubits)
     if ledger is not None:
         ledger.charge_oracle(2)  # one controlled preparation of each input
-        ledger.charge_controlled((1 << t) - 1)
-        ledger.use_phase_bits(t)
+        ledger.charge_phase_estimation(t)
     return float(swap_value(int(np.argmax(_swap_plane_probabilities(s, t))), t))
 
 
@@ -97,7 +102,7 @@ def estimate_real_overlap(
     x: np.ndarray, y: np.ndarray, eps: float, ledger: CostLedger | None = None
 ) -> float:
     """Modal estimate of Re<x|y> from phase estimation of the Grover
-    rotation; |error| <= pi/2^t <= eps/4 with the default guard bits.
+    rotation; |error| <= pi/2^t <= eps/4 with the rule's two guard bits.
 
     phi = (|0>(x+y) + |1>(x-y))/2 has branch norms sin(theta) and
     cos(theta) with sin^2(theta) = (1 + Re<x|y>)/2, and the Grover rotation
@@ -116,7 +121,9 @@ def estimate_real_overlap(
         norm = float(np.linalg.norm(vec))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} has norm {norm}, not 1 within {NORM_TOL}")
-    return _modal_overlap(float(np.vdot(x, y).real), eps, x.size.bit_length() - 1, ledger)
+    _check_accuracy(eps)
+    t = _resolve_phase_bits(None, eps)
+    return _modal_overlap(float(np.vdot(x, y).real), t, x.size.bit_length() - 1, ledger)
 
 
 def _amplitude_pair(sx: Statevector, sy: Statevector) -> tuple[np.ndarray, np.ndarray]:
@@ -166,15 +173,16 @@ def generalized_swap_test(
     """
     x, y = _amplitude_pair(sx, sy)
     x, y = _require_real(x, "first state"), _require_real(y, "second state")
-    cfg = PhaseConfig.from_epsilon(eps)
+    _check_accuracy(eps)
+    t = _resolve_phase_bits(None, eps)
     phi = superposed_pair_state(x, y)
     g = grover_rotation(phi)
     if ledger is not None:
         ledger.charge_oracle(2)
-    est = phase_estimate(g, phi, cfg, ledger)
+    est = phase_estimate(g, phi, t, ledger)
 
     def composite(label: int) -> float:
-        return float(f(float(swap_value(label, cfg.phase_bits))))
+        return float(f(float(swap_value(label, t))))
 
     tagged = tag_even_function(est, composite, g, ledger=ledger)
     # rotate the control qubit back: H maps phi to (|0>|x> + |1>|y>)/sqrt(2)
@@ -206,8 +214,8 @@ def coefficient_tag(
     psi = _require_real(state.amplitudes, "input state")
     dim = psi.size
     index_qubits = int(math.log2(dim))
-    cfg = PhaseConfig.from_epsilon(eps)
-    t = cfg.phase_bits
+    _check_accuracy(eps)
+    t = _resolve_phase_bits(None, eps)
     frac = t
     width = frac + 2
     labels = np.arange(1 << t)
@@ -218,8 +226,7 @@ def coefficient_tag(
     # on the full register is charged for all j
     _check_phase_budget(t + 1 + index_qubits)
     if ledger is not None:
-        ledger.charge_controlled((1 << t) - 1)
-        ledger.use_phase_bits(t)
+        ledger.charge_phase_estimation(t)
     amps = np.zeros((dim, 1 << width), dtype=complex)
     for j in np.flatnonzero(np.abs(psi.real) >= 1e-14):
         # with an even tag the phase machinery uncomputes exactly per bin;

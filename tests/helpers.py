@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qmm.io import INSTANCE_FIELDS
 from qmm.linalg import pad_dim
 from qmm.matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_setup, dilation_route, walk_route
-from qmm.qpe import PhaseConfig, grover_rotation, phase_estimate, swap_value
+from qmm.qpe import grover_rotation, phase_estimate, swap_value
 from qmm.statevector import CostLedger, marginal_probabilities
 from qmm.swaptest import superposed_pair_state
 
@@ -30,13 +30,13 @@ def comparable_rows(rows: list[dict]) -> list[dict]:
 
 def dense_overlap_estimate(x, y, eps, ledger=None):
     """Reference estimator: the Grover rotation on the full register."""
-    cfg = PhaseConfig.from_epsilon(eps)
+    t = _resolve_phase_bits(None, eps)
     phi = superposed_pair_state(x, y)
     if ledger is not None:
         ledger.charge_oracle(2)
-    est = phase_estimate(grover_rotation(phi), phi, cfg, ledger)
+    est = phase_estimate(grover_rotation(phi), phi, t, ledger)
     label = int(np.argmax(marginal_probabilities(est, "phase")))
-    return float(swap_value(label, cfg.phase_bits))
+    return float(swap_value(label, t))
 
 
 def dense_readout(method, a, b, eps_abs):
@@ -82,7 +82,7 @@ def dense_readout(method, a, b, eps_abs):
         yfull[:d], yfull[d : 2 * d] = y0, y1
         yfull[2 * d] = math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(y0) ** 2) + np.sum(np.abs(y1) ** 2))))
         eps2_req = min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5)
-        t2 = PhaseConfig.from_epsilon(eps2_req).phase_bits
+        t2 = _resolve_phase_bits(None, eps2_req)
         for i in range(l):
             xfull = np.zeros(yfull.size)
             xfull[i] = 1.0

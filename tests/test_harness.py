@@ -70,8 +70,9 @@ def test_experiment_config_validation():
         ExperimentConfig(method="swap", eps=2.0)
     with pytest.raises(ValueError, match="phase_bits"):
         ExperimentConfig(method="swap", phase_bits=25)
-    with pytest.raises(ValueError, match=rf"\[1, {MAX_PHASE_BITS}\]"):
-        ExperimentConfig(method="swap", phase_bits=MAX_PHASE_BITS + 1)
+    for bad in (1, MAX_PHASE_BITS + 1):
+        with pytest.raises(ValueError, match=rf"\[2, {MAX_PHASE_BITS}\]"):
+            ExperimentConfig(method="swap", phase_bits=bad)
     assert ExperimentConfig(method="swap", phase_bits=MAX_PHASE_BITS).phase_bits == MAX_PHASE_BITS
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmm.matmul import _qpe_rows
+from qmm.matmul import MAX_PHASE_BITS, _qpe_rows, _resolve_phase_bits
 from qmm.qpe import (
-    PhaseConfig,
     _controlled_powers,
     decode_fixed,
     encode_fixed,
@@ -30,7 +29,14 @@ from qmm.statevector import (
     postselect,
     tensor,
 )
-from qmm.swaptest import superposed_pair_state
+from qmm.swaptest import (
+    coefficient_tag,
+    complex_inner_product,
+    estimate_real_overlap,
+    generalized_swap_test,
+    inner_product_estimate,
+    superposed_pair_state,
+)
 
 
 def qpe_kernel(phase: float, t: int) -> np.ndarray:
@@ -64,16 +70,34 @@ def test_fixed_point_rounds_half_to_even():
     assert decode_fixed(encode_fixed(0.125, 2, 4), 2, 4) == 0.0
 
 
-def test_phase_config():
-    cfg = PhaseConfig.from_epsilon(2**-6)
-    assert cfg.phase_bits == math.ceil(math.log2(math.pi * 2**6)) + 2
-    assert cfg.epsilon == math.pi / 2**cfg.phase_bits
-    # realized epsilon is consistent with the register width
-    assert math.ceil(math.log2(math.pi / cfg.epsilon)) == cfg.phase_bits
-    with pytest.raises(ValueError):
-        PhaseConfig(0)
-    with pytest.raises(ValueError):
-        PhaseConfig.from_epsilon(1.5)
+def test_phase_width_rule():
+    # an overlap register reads s on the pi/2^t grid with two guard bits
+    assert _resolve_phase_bits(None, 2**-6) == math.ceil(math.log2(math.pi * 2**6)) + 2
+    for eps in np.geomspace(0.999, 1.3e-5, 60):  # every width from 4 to MAX_PHASE_BITS
+        assert _resolve_phase_bits(None, eps) == math.ceil(math.log2(math.pi / eps)) + 2
+    with pytest.raises(ValueError, match=rf"would need a 21-bit phase register \(cap {MAX_PHASE_BITS}\)"):
+        _resolve_phase_bits(None, 1e-5)
+    # an explicit width lies in [2, MAX_PHASE_BITS]
+    assert _resolve_phase_bits(2, None) == 2
+    assert _resolve_phase_bits(MAX_PHASE_BITS, None) == MAX_PHASE_BITS
+    for bad in (0, 1, MAX_PHASE_BITS + 1):
+        with pytest.raises(ValueError, match=rf"phase_bits must lie in \[2, {MAX_PHASE_BITS}\]"):
+            _resolve_phase_bits(bad, None)
+    with pytest.raises(ValueError, match="at least one bit"):
+        phase_estimate(np.eye(2), from_vector("q", [1, 0]), 0)
+    # the public swap-test entry points take an accuracy in (0, 1)
+    x = from_vector("x", [1.0, 0.0])
+    calls = (
+        lambda eps: estimate_real_overlap(x.amplitudes, x.amplitudes, eps),
+        lambda eps: inner_product_estimate(x, x, eps),
+        lambda eps: complex_inner_product(x, x, eps),
+        lambda eps: generalized_swap_test(x, x, lambda s: s, eps),
+        lambda eps: coefficient_tag(x, lambda s: s, eps),
+    )
+    for call in calls:
+        for eps in (0.0, -0.5, math.nan, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+                call(eps)
 
 
 @pytest.mark.parametrize("t", range(1, 13))
@@ -161,9 +185,8 @@ def test_grover_rotation_rejects_denormalized():
 # phase estimation
 
 def test_phase_estimate_pauli_z_eigenphase_pi():
-    cfg = PhaseConfig(3)
     led = CostLedger()
-    out = phase_estimate(np.diag([1.0, -1.0]), from_vector("q", [0, 1]), cfg, led)
+    out = phase_estimate(np.diag([1.0, -1.0]), from_vector("q", [0, 1]), 3, led)
     probs = marginal_probabilities(out, "phase")
     assert np.argmax(probs) == 4
     assert abs(probs[4] - 1.0) < 1e-12
@@ -172,8 +195,7 @@ def test_phase_estimate_pauli_z_eigenphase_pi():
 
 
 def test_phase_estimate_identity_stays_zero():
-    cfg = PhaseConfig(3)
-    out = phase_estimate(np.eye(2), from_vector("q", [1, 1]), cfg)
+    out = phase_estimate(np.eye(2), from_vector("q", [1, 1]), 3)
     probs = marginal_probabilities(out, "phase")
     assert abs(probs[0] - 1.0) < 1e-12
 
@@ -182,10 +204,9 @@ def test_phase_estimate_matches_closed_form_kernel():
     # oracle: the closed-form estimation kernel, on one eigenvector of a
     # random phase and on the two-branch Grover state
     t = 8
-    cfg = PhaseConfig(t)
     phase = 2.35 / (2 * math.pi) * 2 * math.pi / 7.0  # irrational-ish
     u = np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
-    out = phase_estimate(u, from_vector("q", [1, 0]), cfg)
+    out = phase_estimate(u, from_vector("q", [1, 0]), t)
     probs = marginal_probabilities(out, "phase")
     assert np.allclose(probs, qpe_kernel(phase, t), atol=1e-12)
 
@@ -201,7 +222,7 @@ def test_phase_estimate_two_branch_mass_on_nearest_labels():
     assert abs(math.asin(math.sqrt((1 + s) / 2)) - (math.pi / 2 - theta)) < 1e-12
     g = grover_rotation(phi)
     t = 8
-    out = phase_estimate(g, phi, PhaseConfig(t))
+    out = phase_estimate(g, phi, t)
     probs = marginal_probabilities(out, "phase")
     T = 1 << t
     label = round((math.pi - 2 * theta) * T / (2 * math.pi))
@@ -215,7 +236,7 @@ def test_phase_estimate_exact_phase_recovered_with_certainty():
     t = 5
     for k in (1, 7, 16, 29):
         phase = 2 * math.pi * k / (1 << t)
-        out = phase_estimate(np.array([[np.exp(1j * phase)]]), from_vector("q", [1.0], pad=False), PhaseConfig(t))
+        out = phase_estimate(np.array([[np.exp(1j * phase)]]), from_vector("q", [1.0], pad=False), t)
         probs = marginal_probabilities(out, "phase")
         assert abs(probs[k] - 1.0) < 1e-12
 
@@ -263,7 +284,7 @@ def test_controlled_powers_doubling_matches_masked_loop(case):
     want_rows = np.fft.fft(want, axis=0) / math.sqrt(T)
     assert np.max(np.abs(_qpe_rows(u, psi, t) - want_rows)) <= 1e-15
     s = Statevector((("q", psi.size.bit_length() - 1),), psi)
-    out = phase_estimate(u, s, PhaseConfig(t))
+    out = phase_estimate(u, s, t)
     assert np.array_equal(s.amplitudes, psi)
     assert np.max(np.abs(out.amplitudes - want_rows.reshape(-1))) <= 1e-15
 
@@ -273,7 +294,7 @@ def test_invert_phase_estimate_roundtrip():
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     s = Statevector((("q", 2),), amps / np.linalg.norm(amps))
     z = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=4)))
-    est = phase_estimate(z, s, PhaseConfig(5))
+    est = phase_estimate(z, s, 5)
     back = invert_phase_estimate(est, z)
     ps = postselect(back, "phase", 0)
     assert ps.success_probability > 1 - 1e-12
@@ -288,13 +309,13 @@ def test_tag_constant_function_is_exact():
     amps = rng.normal(size=8)
     phi = Statevector((("ctrl", 1), ("data", 2)), amps / np.linalg.norm(amps))
     g = grover_rotation(phi)
-    cfg = PhaseConfig(6)
-    est = phase_estimate(g, phi, cfg)
+    t = 6
+    est = phase_estimate(g, phi, t)
     led = CostLedger()
     tagged = tag_even_function(est, lambda y: 1.0, g, ledger=led)
-    assert tagged.layout[0] == ("tag", cfg.phase_bits + 2)
+    assert tagged.layout[0] == ("tag", t + 2)
     # tag register exactly |enc(1)>, machinery restored exactly
-    code = encode_fixed(1.0, cfg.phase_bits, cfg.phase_bits + 2)
+    code = encode_fixed(1.0, t, t + 2)
     probs = marginal_probabilities(tagged, "tag")
     assert abs(probs[code] - 1.0) < 1e-12
     assert abs(led.postselect_probability - 1.0) < 1e-12
@@ -307,7 +328,7 @@ def test_tag_cosine_of_known_phase():
     t = 6
     phi = superposed_pair_state(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     g = grover_rotation(phi)
-    est = phase_estimate(g, phi, PhaseConfig(t))
+    est = phase_estimate(g, phi, t)
     tagged = tag_even_function(est, lambda y: math.cos(2 * math.pi * y / (1 << t)), g)
     probs = marginal_probabilities(tagged, "tag")
     code = encode_fixed(0.0, t, t + 2)
@@ -317,7 +338,7 @@ def test_tag_cosine_of_known_phase():
 def test_tag_rejects_odd_function():
     phi = superposed_pair_state(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     g = grover_rotation(phi)
-    est = phase_estimate(g, phi, PhaseConfig(4))
+    est = phase_estimate(g, phi, 4)
     with pytest.raises(ValueError, match="even"):
         tag_even_function(est, lambda y: float(y), g)
     assert wrap_even(lambda y: math.cos(2 * math.pi * y / 16), 4)
@@ -332,7 +353,7 @@ def test_tag_product_fidelity_high_on_random_state():
     phi = Statevector((("ctrl", 1), ("data", 2)), amps)
     g = grover_rotation(phi)
     t = 10
-    est = phase_estimate(g, phi, PhaseConfig(t))
+    est = phase_estimate(g, phi, t)
     f = lambda y: math.cos(2 * math.pi * y / (1 << t))
     tagged = tag_even_function(est, f, g, tag_frac_bits=6)
     theta = math.asin(np.linalg.norm(amps[:4]))
@@ -356,7 +377,7 @@ def test_tag_fidelity_monotone_in_phase_bits():
     g = grover_rotation(phi)
     fids = []
     for t in (6, 8, 10):
-        est = phase_estimate(g, phi, PhaseConfig(t))
+        est = phase_estimate(g, phi, t)
         f = lambda y: math.cos(2 * math.pi * y / (1 << t))
         tagged = tag_even_function(est, f, g, tag_frac_bits=5)
         code = encode_fixed(math.cos(2 * theta), 5, 7)

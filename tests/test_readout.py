@@ -17,7 +17,14 @@ from qmm.readout import (
     readout_swaptest,
 )
 from qmm.matmul import SupportViolationWarning, matmul_sve
-from qmm.statevector import CostLedger
+from qmm.statevector import CostLedger, from_vector
+from qmm.swaptest import (
+    coefficient_tag,
+    complex_inner_product,
+    estimate_real_overlap,
+    generalized_swap_test,
+    inner_product_estimate,
+)
 from helpers import dense_readout, zero_row_pairs
 
 
@@ -193,6 +200,22 @@ def test_value_estimation_readouts_raise_at_the_width_cap(monkeypatch):
     for fn in (readout_sve, readout_hhl):
         with pytest.raises(ValueError, match=cap):
             fn(a, b, 1e-3)
+    # the overlap registers obey the same cap: eps_abs = 1e-3 asks for 13
+    # bits on this row-column pair, eps = 0.03 for 9 bits on unit vectors
+    x, y = a[0] / np.linalg.norm(a[0]), b[:, 0] / np.linalg.norm(b[:, 0])
+    sx, sy = from_vector("x", x), from_vector("x", y)
+    overlap_calls = (
+        lambda: readout_swaptest(a, b, 1e-3),
+        lambda: inner_product_classical(a[0], b[:, 0], 1e-3),
+        lambda: estimate_real_overlap(x, y, 0.03),
+        lambda: inner_product_estimate(sx, sy, 0.03),
+        lambda: complex_inner_product(sx, sy, 0.03),
+        lambda: coefficient_tag(sx, lambda s: s, 0.03),
+        lambda: generalized_swap_test(sx, sy, lambda s: s, 0.03),
+    )
+    for call in overlap_calls:
+        with pytest.raises(ValueError, match=cap):
+            call()
 
 
 def test_readout_support_violation_warns():
@@ -220,7 +243,7 @@ READOUTS = {"readout-swap": readout_swaptest, "readout-sve": readout_sve, "reado
 
 
 @settings(max_examples=25, deadline=None)
-@given(zero_row_pairs(), st.sampled_from(sorted(READOUTS)), st.sampled_from([0.2, 0.05]))
+@given(zero_row_pairs(), st.sampled_from(sorted(READOUTS)), st.sampled_from([0.999, 0.2, 0.05]))
 def test_readouts_on_zero_rows_and_single_entries_match_dense_overlap_oracle(case, method, eps):
     a, b = case
     with warnings.catch_warnings():

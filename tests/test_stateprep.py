@@ -436,13 +436,17 @@ def test_prep_hamiltonian_rejects_a_vanishing_sine_branch():
         prep_hamiltonian([1.0, 1.0], base, eps=1e-12)
 
 
-@pytest.mark.parametrize("route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0), (prep_dyadic, 8.5)])
+@pytest.mark.parametrize(
+    "route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0), (prep_dyadic, 8.5), (prep_signshift, 6.0)]
+)
 def test_small_angle_routes_allocate_a_few_vectors_at_n_65536(route, multiple):
     # at the peak: the base, the produced and target states and their
     # difference (four complex vectors), plus float temporaries; f = |x| adds
     # half a vector for the sign base. prep_dyadic (8.07 vectors) combines its
     # band states one at a time; holding all three at once, as a list passed
-    # to lcu_combine does, reaches 9.5. A staged 2 dim flag state or one more
+    # to lcu_combine does, reaches 9.5. prep_signshift (5.57) builds its sign
+    # state only after z and the z state are consumed; holding both with the
+    # combination reaches 9.5. A staged 2 dim flag state or one more
     # amplitude copy held across the peak goes over the line.
     x = generate_vector(1 << 16, 4.0, seed=1)
     vector = 16 * x.size  # one complex amplitude vector, 1 MiB

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmm.qpe import PhaseConfig, decode_fixed, grover_rotation, phase_estimate, swap_value
+from qmm.matmul import _resolve_phase_bits
+from qmm.qpe import decode_fixed, grover_rotation, phase_estimate, swap_value
 from qmm.statevector import CostLedger, from_vector, marginal_probabilities
 from qmm.swaptest import (
     coefficient_tag,
@@ -78,7 +79,7 @@ def test_inner_product_estimator_bias_within_grid():
     # modal estimate stays within the pi/2^t grid resolution on all fixtures
     rng = np.random.default_rng(12)
     eps = 2**-6
-    t = PhaseConfig.from_epsilon(eps).phase_bits
+    t = _resolve_phase_bits(None, eps)
     for _ in range(10):
         x, y = unit(rng, 8), unit(rng, 8)
         est = inner_product_estimate(
@@ -112,8 +113,8 @@ def overlap_inputs(draw):
         # x = |a>, y = s|a> + sqrt(1 - s^2)|b>: s within a few ulp of a
         # modal tie, 2^t theta / pi = k + 1/2 with sin^2(theta) = (1 + s)/2,
         # or s in {-1, 0, 1}
-        eps = draw(st.floats(0.005, 0.5))
-        T = 1 << PhaseConfig.from_epsilon(eps).phase_bits
+        eps = draw(st.floats(0.005, 0.999))
+        T = 1 << _resolve_phase_bits(None, eps)
         if kind == "near-tie":
             theta = math.pi * (draw(st.integers(0, T // 2 - 1)) + 0.5) / T
             s = -math.cos(2.0 * (theta + draw(st.integers(-4, 4)) * math.ulp(theta)))
@@ -144,7 +145,7 @@ def overlap_inputs(draw):
     else:
         y = np.zeros(dim, dtype=complex)
         y[draw(st.integers(0, dim - 1))] = 1.0
-    return x, y, draw(st.floats(0.005, 0.5))
+    return x, y, draw(st.floats(0.005, 0.999))
 
 
 @settings(max_examples=200)
@@ -334,8 +335,7 @@ def test_coefficient_tag_index_marginal_matches_concentration_weights():
     out = coefficient_tag(from_vector("x", psi), lambda s: s, eps)
     index_probs = marginal_probabilities(out, "index")
 
-    cfg = PhaseConfig.from_epsilon(eps)
-    t = cfg.phase_bits
+    t = _resolve_phase_bits(None, eps)
     width = t + 2
     svals = swap_value(np.arange(1 << t), t)
     codes = np.array([encode_fixed(float(v), t, width) for v in svals])
@@ -344,7 +344,7 @@ def test_coefficient_tag_index_marginal_matches_concentration_weights():
         basis = np.zeros(8)
         basis[j] = 1.0
         phi = superposed_pair_state(basis, psi)
-        est = phase_estimate(grover_rotation(phi), phi, cfg)
+        est = phase_estimate(grover_rotation(phi), phi, t)
         label_probs = marginal_probabilities(est, "phase")
         prof = np.zeros(1 << width)
         np.add.at(prof, codes, label_probs)
@@ -367,13 +367,12 @@ def test_coefficient_tag_matches_dense_register(qubits, seed, sparse, eps):
     psi /= np.linalg.norm(psi)
     out = coefficient_tag(from_vector("x", psi), lambda s: s, eps)
 
-    cfg = PhaseConfig.from_epsilon(eps)
-    t = cfg.phase_bits
+    t = _resolve_phase_bits(None, eps)
     codes = np.array([encode_fixed(float(v), t, t + 2) for v in swap_value(np.arange(1 << t), t)])
     want = np.zeros((psi.size, 1 << (t + 2)))
     for j in np.flatnonzero(psi):
         phi = superposed_pair_state(np.eye(psi.size)[j], psi)
-        np.add.at(want[j], codes, marginal_probabilities(phase_estimate(grover_rotation(phi), phi, cfg), "phase"))
+        np.add.at(want[j], codes, marginal_probabilities(phase_estimate(grover_rotation(phi), phi, t), "phase"))
         want[j] *= psi[j]
     assert np.allclose(out.reshaped(), want / np.linalg.norm(want), rtol=0.0, atol=1e-12)
 
