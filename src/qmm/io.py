@@ -61,9 +61,13 @@ def load_vector_csv(path) -> np.ndarray:
     raise ValueError(f"{path}: expected a single row or column of values")
 
 
-def _pack(values) -> dict:
+def _packed_json(values) -> list[str]:
+    """The JSON text of {"shape": [...], "f8": base64}, in pieces, as
+    json.dumps with sorted keys writes it. The base64 alphabet needs no
+    escaping, so that text is not passed through the encoder."""
     arr = np.asarray(values, dtype="<f8")  # no copy for a float64 array
-    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+    f8 = base64.b64encode(arr.tobytes()).decode("ascii")
+    return ['{"f8": "', f8, '", "shape": ', json.dumps(list(arr.shape)), "}"]
 
 
 def _unpack(packed) -> np.ndarray:
@@ -73,14 +77,45 @@ def _unpack(packed) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(packed["shape"])
 
 
+def _separated(items: list) -> list[str]:
+    """The pieces of every item, with ", " between items."""
+    out = []
+    for i, pieces in enumerate(items):
+        if i:
+            out.append(", ")
+        out += pieces
+    return out
+
+
+def _json_object(obj: dict, texts: dict) -> list[str]:
+    """json.dumps(obj, sort_keys=True) in pieces, except that the value of
+    each key in texts is the list of pieces given there. The keys between
+    those are encoded a run at a time."""
+    members, run = [], {}
+    for k in sorted(obj):
+        if k in texts:
+            if run:
+                members.append([json.dumps(run, sort_keys=True)[1:-1]])
+                run = {}
+            members.append([json.dumps(k), ": ", *texts[k]])
+        else:
+            run[k] = obj[k]
+    if run:
+        members.append([json.dumps(run, sort_keys=True)[1:-1]])
+    return ["{", *_separated(members), "}"]
+
+
 def save_report_json(path, report: dict) -> None:
+    """Write the report as json.dumps(report, sort_keys=True) would, byte
+    for byte, with each row's instance fields packed. The text is written
+    in pieces, so the large packed strings are never copied into one."""
     report = dict(report, schema=REPORT_SCHEMA)
+    texts = {}
     if "rows" in report:
-        report["rows"] = [
-            {k: _pack(v) if k in INSTANCE_FIELDS else v for k, v in row.items()}
-            for row in report["rows"]
-        ]
-    Path(path).write_text(json.dumps(report, sort_keys=True), encoding="utf-8")
+        rows = [_json_object(row, {k: _packed_json(row[k]) for k in INSTANCE_FIELDS if k in row}) for row in report["rows"]]
+        texts["rows"] = ["[", *_separated(rows), "]"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_object(report, texts))
 
 
 def load_report_json(path) -> dict:

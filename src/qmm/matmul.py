@@ -144,21 +144,35 @@ def _qpe_rows(u: np.ndarray, psi: np.ndarray, t: int) -> np.ndarray:
     """Forward phase-estimation amplitudes restricted to an invariant
     subspace: rows[y] is the system amplitude attached to label y. Every
     label starts from psi/sqrt(2^t), so the controlled powers get that one
-    start row and fill the labels by doubling."""
+    start row and fill the labels by doubling. u (..., d, d) and psi (..., d)
+    may stack independent blocks on a leading axis; rows is then
+    (..., 2^t, d), a label-first view of the label-last powers."""
     T = 1 << t
-    start = np.asarray(psi, dtype=complex)[None, :] / math.sqrt(T)
-    rows = _controlled_powers(start, np.asarray(u, dtype=complex), t)
-    return np.fft.fft(rows, axis=0) / math.sqrt(T)
+    start = np.asarray(psi, dtype=complex)[..., None, :] / math.sqrt(T)
+    rows = np.fft.fft(_controlled_powers(start, np.asarray(u, dtype=complex), t), axis=-1)
+    rows /= math.sqrt(T)
+    return np.swapaxes(rows, -1, -2)
 
 
-def _swap_plane_probabilities(s: float, t: int) -> np.ndarray:
-    """Label distribution of a t-bit phase estimation of the swap test's
-    Grover rotation at overlap s = Re<x|y> (clipped to [-1, 1]): on the plane
-    of its branch states it turns (sin theta, cos theta) by 2*theta, with
-    sin^2(theta) = (1 + s)/2. Used by matmul_swaptest, readout and swaptest."""
-    theta = math.asin(math.sqrt((1.0 + min(max(s, -1.0), 1.0)) / 2.0))
-    rows = _qpe_rows(_rotation(2.0 * theta), np.array([math.sin(theta), math.cos(theta)]), t)
-    return np.sum(np.abs(rows) ** 2, axis=1)
+_PLANE_BLOCK = 1 << 13  # labels per block of swap planes: 256 KB of (k, 2, 2^t) complex powers
+
+
+def _swap_plane_probabilities(s: np.ndarray, t: int):
+    """Yield (rows, probs) over blocks of the overlaps s = Re<x|y>, each
+    clipped to [-1, 1]: probs[r] is the label distribution of a t-bit phase
+    estimation of the swap test's Grover rotation at overlap s[rows][r]. On
+    the plane of its branch states that rotation turns (sin theta, cos theta)
+    by 2*theta, with sin^2(theta) = (1 + s)/2. A block stacks the planes of
+    max(1, _PLANE_BLOCK / 2^t) overlaps in one controlled-powers call. Used
+    by matmul_swaptest, readout and swaptest."""
+    s = np.asarray(s, dtype=float)
+    step = max(1, _PLANE_BLOCK >> t)
+    for lo in range(0, s.size, step):
+        rows = slice(lo, lo + step)
+        thetas = [math.asin(math.sqrt((1.0 + min(max(v, -1.0), 1.0)) / 2.0)) for v in s[rows].tolist()]
+        u = np.array([_rotation(2.0 * theta) for theta in thetas])
+        psi = np.array([[math.sin(theta), math.cos(theta)] for theta in thetas])
+        yield rows, np.sum(np.abs(_qpe_rows(u, psi, t)) ** 2, axis=-1)
 
 
 def _phase0_after_undo(weighted_rows: np.ndarray, phases: np.ndarray, q: np.ndarray, t: int) -> np.ndarray:
@@ -566,20 +580,22 @@ def matmul_swaptest(
     eps_inner = math.pi / (1 << t)
     l, n = a.shape[0], b.shape[1]
 
-    svals = swap_value(np.arange(1 << t), t)
-    amps = np.zeros((l, n))
-    for i in range(l):
-        if row_norms[i] == 0:
-            continue
+    # the overlap of every entry whose row and column are nonzero, row-major
+    rows, cols = np.flatnonzero(row_norms), np.flatnonzero(col_norms)
+    s = []
+    for i in rows:
         arow = a[i] / row_norms[i]
-        for j in range(n):
-            if col_norms[j] == 0:
-                continue
-            s = float(np.clip(arow @ (b[:, j] / col_norms[j]), -1.0, 1.0))
-            # postselected-branch amplitude: the probability-weighted label
-            # decode (rotation value is even across the +- pair)
-            s_eff = s if exact_phase else float(_swap_plane_probabilities(s, t) @ svals)
-            amps[i, j] = row_norms[i] * col_norms[j] * s_eff
+        s += [float(np.clip(arow @ (b[:, j] / col_norms[j]), -1.0, 1.0)) for j in cols]
+    s = np.array(s)
+    s_eff = s.copy()
+    if not exact_phase:
+        # postselected-branch amplitude: the probability-weighted label
+        # decode (rotation value is even across the +- pair), one dot per entry
+        svals = swap_value(np.arange(1 << t), t)
+        for block, probs in _swap_plane_probabilities(s, t):
+            s_eff[block] = [p @ svals for p in probs]
+    amps = np.zeros((l, n))
+    amps[np.ix_(rows, cols)] = (row_norms[rows, None] * col_norms[cols]) * s_eff.reshape(rows.size, cols.size)
 
     state, z = _product_state(amps, l, n)
     success = z / (frob_a * frob_b) ** 2

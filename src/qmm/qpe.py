@@ -88,18 +88,22 @@ def _controlled_powers(rows: np.ndarray, u: np.ndarray, t: int, dagger: bool = F
 
     rows has shape (2^t, system_dim) and is updated in place, one masked
     product per bit. A forward estimation starts every label from the same
-    row, so rows may instead be that single (1, system_dim) start row: the
-    (2^t, system_dim) result is then filled by doubling, label y being label
-    y - 2^k times u^(2^k) for the top bit k of y. That applies the same
-    powers in the same order as the masked loop, with 2^t - 1 row products
-    in all, and leaves the start row unmodified."""
-    p = u.conj().T.copy() if dagger else u.copy()
-    if rows.shape[0] == 1:
-        out = np.empty((1 << t, rows.shape[1]), dtype=np.result_type(rows, p))
-        out[0] = rows[0]
+    row, so rows may instead be that start row, shape (..., 1, system_dim),
+    with u of shape (..., system_dim, system_dim): a leading stack axis runs
+    independent blocks side by side. The labels are then filled by doubling
+    into a new (..., system_dim, 2^t) array, label axis last so that each
+    step is one (dim, dim) @ (dim, 2^k) product per block and the Fourier
+    transform runs along contiguous memory: label y is u^(2^k) times label
+    y - 2^k for the top bit k of y. That applies the same powers in the same
+    order as the masked loop, with 2^t - 1 row products per block, and leaves
+    the start rows unmodified."""
+    p = np.swapaxes(u, -1, -2).conj().copy() if dagger else u.copy()
+    if rows.shape[-2] == 1:
+        out = np.empty(rows.shape[:-2] + (rows.shape[-1], 1 << t), dtype=np.result_type(rows, u))
+        out[..., 0] = rows[..., 0, :]
         for k in range(t):
             h = 1 << k
-            np.matmul(out[:h], p.T, out=out[h : 2 * h])
+            np.matmul(p, out[..., :h], out=out[..., h : 2 * h])
             if k + 1 < t:
                 p = p @ p
         return out
@@ -136,8 +140,8 @@ def phase_estimate(
 
     After the Hadamards every label holds the same row s/sqrt(2^t), so
     only that (1, dim) start row is passed to the controlled powers, which
-    fill the label rows by doubling: the same powers in the same order as
-    one masked product per bit, 2^t - 1 row products, and s is not mutated.
+    fill the labels by doubling: the same powers in the same order as one
+    masked product per bit, 2^t - 1 row products, and s is not mutated.
     """
     if t < 1:
         raise ValueError("phase register needs at least one bit")
@@ -151,8 +155,8 @@ def phase_estimate(
     T = 1 << t
     layout = ((PHASE_REGISTER, t),) + s.layout
     _check_phase_budget(t + s.total_qubits)
-    rows = _controlled_powers(s.amplitudes[None, :] / math.sqrt(T), u, t)
-    rows = np.fft.fft(rows, axis=0) / math.sqrt(T)
+    powers = _controlled_powers(s.amplitudes[None, :] / math.sqrt(T), u, t)
+    rows = np.fft.fft(powers, axis=-1).T / math.sqrt(T)
     if ledger is not None:
         ledger.charge_phase_estimation(t)
     return _owned(layout, rows.reshape(-1))

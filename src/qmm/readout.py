@@ -7,9 +7,10 @@ with the singular-value-rotated column state (sve/hhl routes). The quantum
 accuracy is budgeted per entry so that the absolute error never exceeds the
 requested eps_abs; the n^2 classical norm precomputation is tracked
 separately from oracle costs. A swap-test estimate depends only on the
-overlap s, so each entry hands its s (the normalized row-column product, or
-the rotated column state's amplitude on |i, rot=0>) to the swap-plane
-kernel; no pair state is built, but the qubit budget is the full register's.
+overlap s, so the entries hand their s (the normalized row-column product,
+or the rotated column state's amplitude on |i, rot=0>) to the swap-plane
+kernel, all entries of one register width in one stack; no pair state is
+built, but the qubit budget is the full register's.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
 # import-time binding along with matmul._sve_component
 from .matmul import _sve_component  # noqa: F401
+from .qpe import _check_phase_budget
 from .statevector import CostLedger
 from .swaptest import _modal_overlap
 
@@ -50,6 +52,12 @@ class ReadoutReport:
         }
 
 
+def _overlap_width(eps_abs: float, nx: float, ny: float) -> int:
+    """Width of the overlap register that reads x . y to eps_abs: the
+    normalized overlap is estimated to eps_abs / (||x|| ||y||)."""
+    return _resolve_phase_bits(None, min(eps_abs / (nx * ny), 0.5))
+
+
 def inner_product_classical(
     x, y, eps_abs: float, ledger: CostLedger | None = None
 ) -> float:
@@ -62,21 +70,49 @@ def inner_product_classical(
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
         return 0.0
-    t = _resolve_phase_bits(None, min(eps_abs / (nx * ny), 0.5))
-    s = float((x / nx) @ (y / ny))
-    return nx * ny * _modal_overlap(s, t, int(math.log2(pad_dim(x.size))), ledger)
+    t = _overlap_width(eps_abs, nx, ny)
+    s = np.array([(x / nx) @ (y / ny)])
+    return nx * ny * float(_modal_overlap(s, t, int(math.log2(pad_dim(x.size))), ledger)[0])
+
+
+def _normalized_nonzero(vectors) -> list:
+    """(index, norm, vector / norm) for each nonzero vector, its norm taken
+    on its own as inner_product_classical takes it."""
+    out = []
+    for k, v in enumerate(vectors):
+        norm = float(np.linalg.norm(v))
+        if norm != 0.0:
+            out.append((k, norm, v / norm))
+    return out
 
 
 def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     """Entrywise C = AB by one overlap estimation per entry; cost per entry
-    scales with ||A_i.|| ||B_.j|| / eps_abs, plus the classical norm pass."""
+    scales with ||A_i.|| ||B_.j|| / eps_abs, plus the classical norm pass.
+    The estimations are independent and run side by side: the entries whose
+    norms give one register width t share one stacked modal decode, charged
+    as one inner_product_classical call per entry."""
     a, b = _check_real_pair(a, b)
     ledger = CostLedger()
     ledger.classical_entries += a.size + b.size
-    c_tilde = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            c_tilde[i, j] = inner_product_classical(a[i], b[:, j], eps_abs, ledger)
+    l, n = a.shape[0], b.shape[1]
+    data_qubits = int(math.log2(pad_dim(a.shape[1])))
+    cols = _normalized_nonzero(b.T)
+    by_width = {}  # t -> (flat entry indices, norm products, overlaps)
+    for i, nx, x in _normalized_nonzero(a):
+        for j, ny, y in cols:
+            t = _overlap_width(eps_abs, nx, ny)
+            if t not in by_width:  # the qubit budget depends on t alone
+                _check_phase_budget(t + 1 + data_qubits)
+                by_width[t] = ([], [], [])
+            flat, scale, s = by_width[t]
+            flat.append(i * n + j)
+            scale.append(nx * ny)
+            s.append(x @ y)
+    c_tilde = np.zeros(l * n)
+    for t, (flat, scale, s) in by_width.items():
+        c_tilde[flat] = np.array(scale) * _modal_overlap(np.array(s), t, data_qubits, ledger)
+    c_tilde = c_tilde.reshape(l, n)
     exact = exact_product(a, b)
     return ReadoutReport(
         c_tilde=c_tilde,
@@ -114,6 +150,7 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
     # value, and undo; it depends on the column only through t1, so columns
     # of equal width share one evaluation
     by_width = {}
+    by_overlap_width = {}  # t2 -> (column, y0[:l].real, ||B_.j||, c_rot) per column
     for j in range(n):
         if col_norms[j] == 0.0:
             continue
@@ -130,13 +167,20 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         # rot = 0 block of the rotated column state: y0[i] = <i, rot=0|state>
         y0 = uvec @ (aj * np.where(np.abs(aj) > 1e-14, comp0, 0.0))
         t2 = _resolve_phase_bits(None, min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5))
-        for i in range(l):
-            c_tilde[i, j] = _modal_overlap(float(y0[i].real), t2, data_qubits, None) * col_norms[j] / c_rot
+        if t2 not in by_overlap_width:  # the qubit budget depends on t2 alone
+            _check_phase_budget(t2 + 1 + data_qubits)
+            by_overlap_width[t2] = []
+        by_overlap_width[t2].append((j, y0[:l].real, col_norms[j], c_rot))
         # nested cost: one t2-bit overlap estimation per entry of the column,
         # each controlled step of which reruns the t1-bit inner pipeline
         ledger.charge_phase_estimation(t2, l * ((1 << t1) - 1))
         ledger.use_phase_bits(t1)
         ledger.charge_oracle(1)
+    # the columns of one overlap width share one stacked decode
+    for t2, columns in by_overlap_width.items():
+        cols, s, norms, rots = zip(*columns)
+        est = _modal_overlap(np.concatenate(s), t2, data_qubits, None).reshape(len(cols), l)
+        c_tilde[:, cols] = (est * np.array(norms)[:, None] / np.array(rots)[:, None]).T
     exact = exact_product(a0, b0)
     return ReadoutReport(
         c_tilde=c_tilde,

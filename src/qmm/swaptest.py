@@ -86,16 +86,21 @@ def _check_accuracy(eps: float) -> None:
         raise ValueError("target accuracy must lie in (0, 1)")
 
 
-def _modal_overlap(s: float, t: int, data_qubits: int, ledger: CostLedger | None) -> float:
-    """Modal label decode of the t-bit swap test of two data_qubits-qubit
-    states with overlap s = Re<x|y>, budgeted and charged for the full
-    register. Shared by estimate_real_overlap and the readouts, which size t
-    with matmul._resolve_phase_bits."""
+def _modal_overlap(s: np.ndarray, t: int, data_qubits: int, ledger: CostLedger | None) -> np.ndarray:
+    """Modal label decodes of the t-bit swap tests of pairs of data_qubits-qubit
+    states with overlaps s = Re<x|y>, budgeted for the full register and
+    charged as one run per overlap. Shared by estimate_real_overlap and the
+    readouts, which size t with matmul._resolve_phase_bits."""
     _check_phase_budget(t + 1 + data_qubits)
     if ledger is not None:
-        ledger.charge_oracle(2)  # one controlled preparation of each input
-        ledger.charge_phase_estimation(t)
-    return float(swap_value(int(np.argmax(_swap_plane_probabilities(s, t))), t))
+        ledger.charge_oracle(2 * s.size)  # one controlled preparation of each input
+        ledger.charge_phase_estimation(t, s.size)
+    modal = np.empty(s.size, dtype=np.int64)
+    for rows, probs in _swap_plane_probabilities(s, t):
+        modal[rows] = np.argmax(probs, axis=-1)
+    # one label at a time: numpy's sine over an array can differ in the last
+    # bit from its value on one label, which the single-entry decode reads
+    return np.array([swap_value(y, t) for y in modal.tolist()])
 
 
 def estimate_real_overlap(
@@ -123,7 +128,7 @@ def estimate_real_overlap(
             raise ValueError(f"{name} has norm {norm}, not 1 within {NORM_TOL}")
     _check_accuracy(eps)
     t = _resolve_phase_bits(None, eps)
-    return _modal_overlap(float(np.vdot(x, y).real), t, x.size.bit_length() - 1, ledger)
+    return float(_modal_overlap(np.array([np.vdot(x, y).real]), t, x.size.bit_length() - 1, ledger)[0])
 
 
 def _amplitude_pair(sx: Statevector, sy: Statevector) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +233,12 @@ def coefficient_tag(
     if ledger is not None:
         ledger.charge_phase_estimation(t)
     amps = np.zeros((dim, 1 << width), dtype=complex)
-    for j in np.flatnonzero(np.abs(psi.real) >= 1e-14):
+    support = np.flatnonzero(np.abs(psi.real) >= 1e-14)
+    for rows, probs in _swap_plane_probabilities(psi.real[support], t):
         # with an even tag the phase machinery uncomputes exactly per bin;
         # the per-bin branch amplitude is the label mass landing in the bin
-        np.add.at(amps[j], codes, _swap_plane_probabilities(psi[j].real, t))
-        amps[j] *= psi[j].real
+        np.add.at(amps, (support[rows, None], codes), probs)
+    amps[support] *= psi.real[support, None]
     total = float(np.sum(np.abs(amps) ** 2))
     if total <= 0:
         raise ValueError("input state has no support")

@@ -1,3 +1,4 @@
+import base64
 import json
 import sys
 
@@ -52,6 +53,32 @@ def test_report_round_trip_keeps_rows_and_verifies(tmp_path, method):
         if "c_tilde" in row:
             assert isinstance(row["c_tilde"], list)
         assert isinstance(row["ledger"], dict)
+
+
+def _encoder_packed(report: dict) -> dict:
+    """The report as json.dumps sees it: schema set, instance fields packed."""
+    def pack(values):
+        arr = np.asarray(values, dtype="<f8")
+        return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+    rows = [{k: pack(v) if k in INSTANCE_FIELDS else v for k, v in row.items()} for row in report["rows"]]
+    return dict(report, schema=REPORT_SCHEMA, rows=rows)
+
+
+@pytest.mark.parametrize("method", ["swap", "readout-hhl", "prep-signshift"])
+def test_saved_report_is_the_encoder_text_byte_for_byte(tmp_path, method):
+    report = _report(method)
+    # strings that the encoder escapes: quotes, backslashes, control and non-ASCII characters
+    report["config"] = {"note": 'a "quoted" \\ path\n\tμ→∞', "ключ": ["é", "\u2028", None, float("nan")]}
+    report["method"] = "ünïcode \"method\""
+    report["rows"][0]["details"] = {"ké\"y": "\x00\x1f\u00ff\U0001f600", "empty": {}, "list": []}
+    report["rows"].append({"id": "no instance", "x": [], "a": np.zeros((2, 0))})
+    report["rows"].append({})
+    path = tmp_path / "r.json"
+    save_report_json(path, report)
+    assert path.read_bytes() == json.dumps(_encoder_packed(report), sort_keys=True).encode("utf-8")
+    save_report_json(path, {"method": "no rows", "config": {}})
+    assert path.read_text(encoding="utf-8") == json.dumps({"config": {}, "method": "no rows", "schema": REPORT_SCHEMA}, sort_keys=True)
 
 
 def _float_array_shapes():

@@ -258,31 +258,44 @@ def masked_powers(rows: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
 def kernel_cases(draw):
     t = draw(st.integers(1, 12))
     dim = draw(st.sampled_from([1, 2, 4, 8]))
+    k = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    u = np.linalg.qr(g)[0]
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return t, u, psi / np.linalg.norm(psi)
+    g = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
+    us = np.linalg.qr(g)[0]
+    psis = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+    return t, us, psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
 @settings(max_examples=80)
 @given(kernel_cases())
 def test_controlled_powers_doubling_matches_masked_loop(case):
-    t, u, psi = case
+    t, us, psis = case
+    u, psi = us[0], psis[0]
     T = 1 << t
     start = psi[None, :] / math.sqrt(T)
     kept = start.copy()
     want = masked_powers(np.repeat(start, T, axis=0), u, t)
     got = _controlled_powers(start, u, t)
-    assert got.shape == (T, psi.size)
+    assert got.shape == (psi.size, T)  # label axis last
     assert np.array_equal(start, kept)
-    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(got.T - want)) <= 1e-15
+    # a (k, 1, dim) stack of start rows: every block is its own single-row call
+    starts = psis[:, None, :] / math.sqrt(T)
+    kept = starts.copy()
+    stacked = _controlled_powers(starts, us, t)
+    assert stacked.shape == (len(us), psi.size, T)
+    assert np.array_equal(starts, kept)
+    for r in range(len(us)):
+        assert np.array_equal(stacked[r], _controlled_powers(starts[r], us[r], t))
     # arbitrary rows still take the masked loop
     rows = np.random.default_rng(t).normal(size=(T, psi.size)) + 0j
     assert np.array_equal(_controlled_powers(rows.copy(), u, t), masked_powers(rows, u, t))
     # both forward estimations start from the single row psi/sqrt(2^t)
     want_rows = np.fft.fft(want, axis=0) / math.sqrt(T)
     assert np.max(np.abs(_qpe_rows(u, psi, t) - want_rows)) <= 1e-15
+    stacked_rows = _qpe_rows(us, psis, t)
+    for r in range(len(us)):
+        assert np.array_equal(stacked_rows[r], _qpe_rows(us[r], psis[r], t))
     s = Statevector((("q", psi.size.bit_length() - 1),), psi)
     out = phase_estimate(u, s, t)
     assert np.array_equal(s.amplitudes, psi)

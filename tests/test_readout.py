@@ -16,7 +16,7 @@ from qmm.readout import (
     readout_sve,
     readout_swaptest,
 )
-from qmm.matmul import SupportViolationWarning, matmul_sve
+from qmm.matmul import SupportViolationWarning, _resolve_phase_bits, matmul_sve
 from qmm.statevector import CostLedger, from_vector
 from qmm.swaptest import (
     coefficient_tag,
@@ -109,6 +109,25 @@ def test_readout_swaptest_ledger_doubles_with_matrix_scale():
     r2 = readout_swaptest(2.0 * a, b, 0.05)
     ratio = r2.ledger.total_oracle_units() / r1.ledger.total_oracle_units()
     assert ratio == pytest.approx(2.0, rel=0.01)
+
+
+def test_readout_swaptest_charges_what_its_entries_would():
+    a, b = generate_matrix(4, 2.0, 5), generate_matrix(4, 2.0, 10_005)
+    a[0] *= 8.0  # row 0 needs wider registers than the others
+    a[2] = 0.0  # a zero row costs nothing
+    eps = 0.05
+    widths = {
+        _resolve_phase_bits(None, min(eps / (np.linalg.norm(a[i]) * np.linalg.norm(b[:, j])), 0.5))
+        for i in (0, 1, 3)
+        for j in range(4)
+    }
+    assert len(widths) >= 2
+    report = readout_swaptest(a, b, eps)
+    want = CostLedger()
+    want.classical_entries += a.size + b.size
+    c_tilde = np.array([[inner_product_classical(a[i], b[:, j], eps, want) for j in range(4)] for i in range(4)])
+    assert report.ledger.to_dict() == want.to_dict()
+    assert np.array_equal(report.c_tilde, c_tilde)
 
 
 def test_readout_classical_entry_count_separated():

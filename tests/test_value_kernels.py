@@ -1,5 +1,6 @@
 """The closed-form, k-batched value-estimation kernels (route.components and
-sve_transform) against the per-triple block simulations they replace."""
+sve_transform) against the per-triple block simulations they replace, and
+the stacked swap-plane kernel against its per-entry computation."""
 import math
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from qmm.linalg import compute_svd, pad_dim, pad_matrix
 from qmm.matmul import (
     _KERNEL_BLOCK,
+    _PLANE_BLOCK,
     _ROTATION_EIGENVECTORS,
     _TWO_PI_HI,
     _TWO_PI_LO,
@@ -24,6 +26,7 @@ from qmm.matmul import (
     _qpe_rows,
     _rotation,
     _sve_component,
+    _swap_plane_probabilities,
     _walk_plane,
     dilation_route,
     matmul_hhl,
@@ -32,6 +35,7 @@ from qmm.matmul import (
     walk_route,
 )
 from qmm.qpe import swap_value
+from qmm.swaptest import _modal_overlap
 
 ROUTES = {"sve": walk_route, "hhl": dilation_route}
 PIPELINES = {"sve": matmul_sve, "hhl": matmul_hhl}
@@ -257,6 +261,66 @@ def test_swap_plane_distribution_drift_stays_within_oracle_tolerance(t):
         want = sum(f.sum(axis=0) for _, f in _fejer_blocks(np.array([2.0 * theta, -2.0 * theta]), t)) / 2.0
         assert np.max(np.abs(probs - want)) <= oracle_tolerance(t)
         assert abs(probs @ svals - want @ svals) <= oracle_tolerance(t)
+
+
+def plane_oracle(s: float, t: int) -> np.ndarray:
+    """One overlap's swap-plane label distribution from its own _qpe_rows
+    call, as each entry computed it before the planes were stacked."""
+    theta = math.asin(math.sqrt((1.0 + min(max(s, -1.0), 1.0)) / 2.0))
+    rows = _qpe_rows(_rotation(2.0 * theta), np.array([math.sin(theta), math.cos(theta)]), t)
+    return np.sum(np.abs(rows) ** 2, axis=1)
+
+
+@st.composite
+def plane_stacks(draw):
+    """(t, overlaps): uniform draws from [-1, 1], the exact values -1, 0 and
+    1, and near-ties, 2^t theta / pi within a few ulp of a half-integer with
+    sin^2(theta) = (1 + s)/2; 1, 7 or one past a block's overlaps."""
+    t = draw(st.integers(2, 14))
+    T = 1 << t
+    k = draw(st.sampled_from([1, 7, max(1, _PLANE_BLOCK >> t) + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.uniform(-1.0, 1.0, k)
+    kinds = rng.integers(0, 3, k)
+    s[kinds == 1] = rng.choice([-1.0, 0.0, 1.0], int(np.sum(kinds == 1)))
+    for r in np.flatnonzero(kinds == 2):
+        theta = math.pi * (int(rng.integers(0, T // 2)) + 0.5) / T
+        s[r] = -math.cos(2.0 * (theta + int(rng.integers(-4, 5)) * math.ulp(theta)))
+    return t, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_stacks())
+def test_stacked_swap_plane_matches_per_entry_kernel(case):
+    t, s = case
+    svals = swap_value(np.arange(1 << t), t)
+    covered = []
+    for rows, probs in _swap_plane_probabilities(s, t):
+        covered += range(s.size)[rows]
+        assert probs.shape == (len(range(s.size)[rows]), 1 << t)
+        for p, v in zip(probs, s[rows]):
+            want = plane_oracle(v, t)
+            assert np.array_equal(p, want)
+            assert p @ svals == want @ svals  # the label mean, one dot per entry
+    assert covered == list(range(s.size))
+    modal = [swap_value(int(np.argmax(plane_oracle(v, t))), t) for v in s]
+    assert np.array_equal(_modal_overlap(s, t, 1, None), modal)
+
+
+@pytest.mark.parametrize("t", [8, 12])
+def test_stacked_swap_plane_peaks_at_a_few_blocks(t):
+    # one block holds _PLANE_BLOCK labels of two complex amplitudes
+    block = 32 * max(_PLANE_BLOCK, 1 << t)
+    s = np.linspace(-1.0, 1.0, 64)
+    for run in (lambda: [p.sum() for _, p in _swap_plane_probabilities(s, t)], lambda: _modal_overlap(s, t, 1, None)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 2.7 blocks (t = 8, iterating) and 2.3 (the modal decode)
+        assert peak < 3 * block
 
 
 def block_sve_transform(a, x, t: int) -> np.ndarray:
