@@ -9,8 +9,7 @@ pipelines consume.
 import numpy as np
 
 from qmm import matrix_profile, vectorize
-from qmm.linalg import col_marginal_state, pipeline_initial_state, row_marginal_state
-from qmm.statevector import marginal_probabilities
+from qmm.circuits import col_marginal_state, marginal_probabilities, pipeline_initial_state, row_marginal_state
 
 rng = np.random.default_rng(0)
 a = rng.normal(size=(3, 3))

@@ -8,9 +8,9 @@ more phase bit (denominator doubles).
 """
 import numpy as np
 
-from qmm import from_vector, generalized_swap_test, inner_product_estimate
+from qmm import from_vector, inner_product_estimate
+from qmm.circuits import generalized_swap_test, tag_modal_value
 from qmm.statevector import CostLedger
-from qmm.swaptest import tag_modal_value
 
 rng = np.random.default_rng(21)
 x = rng.normal(size=8)

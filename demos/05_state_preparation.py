@@ -8,14 +8,8 @@ the spread kappa(x).
 """
 import numpy as np
 
-from qmm import (
-    fidelity,
-    from_vector,
-    prep_dyadic,
-    prep_signshift,
-    prep_sparse,
-    synthesize_direct,
-)
+from qmm import from_vector, prep_dyadic, prep_signshift, prep_sparse, synthesize_direct
+from qmm.circuits import fidelity
 from qmm.harness import generate_vector
 from qmm.stateprep import VectorSpec, dyadic_bands
 

@@ -1,7 +1,11 @@
 """Exact statevector simulation of quantum matrix-multiplication pipelines,
 entrywise readout, and amplitude-encoding state preparation, with every run
 checked against closed-form error budgets and a cost ledger standing in for
-oracle-query run time."""
+oracle-query run time.
+
+The paper's circuits, simulated gate by gate (the generalized swap test,
+the generalized SVE, phase estimation and the dense register gates), are in
+qmm.circuits, which this package does not import."""
 
 from .linalg import (
     MatrixProfile,
@@ -14,19 +18,11 @@ from .linalg import (
 )
 from .matmul import (
     PipelineResult,
-    SVEOperators,
     matmul_hhl,
     matmul_lcu,
     matmul_swaptest,
     matmul_sve,
     rank_one_product,
-    sve_transform,
-)
-from .qpe import (
-    grover_rotation,
-    invert_phase_estimate,
-    phase_estimate,
-    tag_even_function,
 )
 from .readout import ReadoutReport, inner_product_classical, readout_hhl, readout_sve, readout_swaptest
 from .statevector import (
@@ -34,14 +30,8 @@ from .statevector import (
     PreparedState,
     Statevector,
     aligned_distance,
-    apply_unitary,
-    basis_state,
     charge_amplification,
-    fidelity,
     from_vector,
-    marginal_probabilities,
-    postselect,
-    tensor,
 )
 from .stateprep import (
     PrepReport,
@@ -53,11 +43,6 @@ from .stateprep import (
     prep_sparse,
     synthesize_direct,
 )
-from .swaptest import (
-    coefficient_tag,
-    complex_inner_product,
-    generalized_swap_test,
-    inner_product_estimate,
-)
+from .swaptest import complex_inner_product, inner_product_estimate
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import Statevector, _owned, from_vector, tensor
+from .statevector import Statevector, _owned
 
 SIGMA_ZERO_TOL = 1e-12
 
@@ -169,27 +169,3 @@ def vectorize(a) -> Statevector:
         ("col", int(math.log2(padded.shape[1]))),
     )
     return _owned(layout, padded.reshape(-1))
-
-
-def row_marginal_state(a, name: str = "row") -> Statevector:
-    """Unit state whose amplitudes are the row norms over ||A||_F."""
-    a = as_matrix(a)
-    norms = np.linalg.norm(a, axis=1)
-    if not norms.any():
-        raise ValueError("cannot encode marginals of the zero matrix")
-    return from_vector(name, norms)
-
-
-def col_marginal_state(a, name: str = "col") -> Statevector:
-    """Unit state whose amplitudes are the column norms over ||A||_F."""
-    a = as_matrix(a)
-    norms = np.linalg.norm(a, axis=0)
-    if not norms.any():
-        raise ValueError("cannot encode marginals of the zero matrix")
-    return from_vector(name, norms)
-
-
-def pipeline_initial_state(a, b) -> Statevector:
-    """Tensor of A's row-norm marginal and B's column-norm marginal, the
-    initial state of the swap-test multiplication pipeline; demo 01 shows it."""
-    return tensor(row_marginal_state(a, "row"), col_marginal_state(b, "col"))

@@ -5,9 +5,9 @@ Four routes are implemented:
 
   * matmul_swaptest: per-(i,j) branch-angle estimation of the row/column
     inner products, written into the amplitudes by a controlled rotation.
-  * matmul_sve / sve_transform: phase estimation of the row-column walk
-    operator W = (2MM^dag - I)(2NN^dag - I); on the invariant plane of the
-    k-th singular triple W rotates by theta_k with
+  * matmul_sve: phase estimation of the row-column walk operator
+    W = (2MM^dag - I)(2NN^dag - I) (circuits.SVEOperators); on the
+    invariant plane of the k-th singular triple W rotates by theta_k with
     cos(theta_k/2) = sigma_k/||A||_F, so labels decode singular values.
   * matmul_hhl: the same template on the Hermitian dilation
     [[0, A], [A^dag, 0]], whose eigenvalues are +-sigma_k; label accuracy is
@@ -28,9 +28,9 @@ cross-check this factorization against unfactored full-register simulations
 of each pipeline on small instances. The singular-triple blocks have a
 closed form: estimation and its undo weight each label by the Fejer kernel
 of the block's eigenphase, so the sve and hhl components (and
-sve_transform) are evaluated for all triples at once as Fejer-weighted
-label sums. The block simulations _sve_component and _hhl_component stay
-as the oracles the closed form is tested against.
+circuits.sve_transform) are evaluated for all triples at once as
+Fejer-weighted label sums. The block simulations _sve_component and
+_hhl_component stay as the oracles the closed form is tested against.
 """
 from __future__ import annotations
 
@@ -72,63 +72,6 @@ class SupportViolationWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# walk operator
-
-@dataclass(frozen=True)
-class SVEOperators:
-    """Row isometry M|i> = |i>|A_i.>, column isometry N|j> = |A_F.>|j>, and
-    the walk W = (2MM^dag - I)(2NN^dag - I). M^dag N = A/||A||_F."""
-
-    iso_m: np.ndarray
-    iso_n: np.ndarray
-    walk: np.ndarray
-    frobenius: float
-
-    @classmethod
-    def from_matrix(cls, a) -> "SVEOperators":
-        a = as_matrix(a)
-        ap = pad_matrix(a)
-        rows, cols = ap.shape
-        frob = float(np.linalg.norm(ap))
-        if frob == 0:
-            raise ValueError("zero matrix has no walk operator")
-        row_norms = np.linalg.norm(ap, axis=1)
-        m = np.zeros((rows * cols, rows), dtype=complex)
-        for i in range(rows):
-            if row_norms[i] > 0:
-                m[i * cols : (i + 1) * cols, i] = ap[i] / row_norms[i]
-            else:
-                m[i * cols, i] = 1.0  # zero row: conditional state pinned to |0>
-        marg = row_norms / frob
-        n = np.zeros((rows * cols, cols), dtype=complex)
-        for j in range(cols):
-            n[j::cols, j] = marg
-        eye = np.eye(rows * cols)
-        walk = (2.0 * m @ m.conj().T - eye) @ (2.0 * n @ n.conj().T - eye)
-        return cls(iso_m=m, iso_n=n, walk=walk, frobenius=frob)
-
-    def plane_basis(self, u_vec: np.ndarray, v_vec: np.ndarray) -> np.ndarray:
-        """Orthonormal basis of span{M u, N v} (one or two columns)."""
-        b1 = self.iso_m @ u_vec
-        b2 = self.iso_n @ v_vec
-        b2 = b2 - (b1.conj() @ b2) * b1
-        norm2 = np.linalg.norm(b2)
-        if norm2 < 1e-9:
-            return b1[:, None]
-        return np.stack([b1, b2 / norm2], axis=1)
-
-
-def walk_plane_eigenphases(ops: SVEOperators, u_vec, v_vec) -> np.ndarray:
-    """Eigenphase magnitudes of the walk restricted to one invariant plane.
-    Kept for acceptance criterion 1, the walk spectral identity
-    cos(theta/2) = sigma/||A||_F."""
-    basis = ops.plane_basis(np.asarray(u_vec, complex), np.asarray(v_vec, complex))
-    block = basis.conj().T @ ops.walk @ basis
-    vals = np.linalg.eigvals(block)
-    return np.sort(np.abs(np.angle(vals)))
-
-
-# ---------------------------------------------------------------------------
 # exact per-block simulation helpers
 
 def _rotation(angle: float) -> np.ndarray:
@@ -146,7 +89,8 @@ def _qpe_rows(u: np.ndarray, psi: np.ndarray, t: int) -> np.ndarray:
     label starts from psi/sqrt(2^t), so the controlled powers get that one
     start row and fill the labels by doubling. u (..., d, d) and psi (..., d)
     may stack independent blocks on a leading axis; rows is then
-    (..., 2^t, d), a label-first view of the label-last powers."""
+    (..., 2^t, d), a label-first view of the label-last powers.
+    circuits.phase_estimate lays these rows out on its dense register."""
     T = 1 << t
     start = np.asarray(psi, dtype=complex)[..., None, :] / math.sqrt(T)
     rows = np.fft.fft(_controlled_powers(start, np.asarray(u, dtype=complex), t), axis=-1)
@@ -164,7 +108,7 @@ def _swap_plane_probabilities(s: np.ndarray, t: int):
     the plane of its branch states that rotation turns (sin theta, cos theta)
     by 2*theta, with sin^2(theta) = (1 + s)/2. A block stacks the planes of
     max(1, _PLANE_BLOCK / 2^t) overlaps in one controlled-powers call. Used
-    by matmul_swaptest, readout and swaptest."""
+    by matmul_swaptest, readout, swaptest and circuits.coefficient_tag."""
     s = np.asarray(s, dtype=float)
     step = max(1, _PLANE_BLOCK >> t)
     for lo in range(0, s.size, step):
@@ -695,71 +639,6 @@ def _check_support(sigmas, alpha, col_norms, frob_b, strict: bool) -> float:
             raise SupportViolationError(msg)
         warnings.warn(msg, SupportViolationWarning)
     return bad
-
-
-def sve_transform(
-    a,
-    input_state,
-    eps: float | None = None,
-    phase_bits: int | None = None,
-    ledger: CostLedger | None = None,
-    exact_phase: bool = False,
-) -> Statevector:
-    """Rotate right-singular components into left-singular components while
-    writing the singular value into a register:
-    sum_k alpha_k |v_k> -> sum_k alpha_k |u_k> |sigma~_k>, with
-    |sigma~_k - sigma_k| <= eps * ||A||_F per component.
-
-    The register stores sigma~/||A||_F unsigned fixed point with phase_bits
-    fractional bits; output layout is ("out", "sigma").
-    """
-    a = as_matrix(a, allow_complex=False)
-    frob = float(np.linalg.norm(a))
-    if frob == 0:
-        raise ValueError("zero matrix has no singular-value transform")
-    d = pad_dim(max(a.shape))
-    ap = pad_matrix(a, d, d)
-    bundle = compute_svd(ap)  # square, so all d singular values
-    given = input_state.amplitudes if isinstance(input_state, Statevector) else np.asarray(input_state).reshape(-1)
-    vec = np.zeros(d, dtype=complex)
-    vec[: given.size] = given
-    vec /= np.linalg.norm(vec)
-    alphas = bundle.right_vectors.conj().T @ vec
-    t = _resolve_phase_bits(phase_bits, eps)
-    T = 1 << t
-    live = np.flatnonzero(np.abs(alphas) >= 1e-14)
-    sigmas = bundle.sigmas[live]
-    # each live triple k adds alpha_k |u_k> (x) profile_k, the register profile
-    # of its labels binned by the code they write
-    lifted = bundle.left_vectors[:, live] * alphas[live][None, :]
-    amps = np.zeros((d, T), dtype=complex)
-    if exact_phase:
-        np.add.at(amps, (slice(None), np.minimum(np.round(sigmas / frob * T).astype(int), T - 1)), lifted)
-    else:
-        codes = np.minimum(np.round(np.abs(np.cos(np.pi * np.arange(T) / T)) * T), T - 1).astype(int)
-        theta = _walk_angles(sigmas, frob)
-        mu = _mu_phases(t)
-        for rows, f in _fejer_blocks(theta, t):
-            # per-label amplitude on M|u_k>: _walk_components before the weights
-            turn = np.exp(0.5j * theta[rows])[:, None]
-            labels = 0.5 * mu * (turn * f + turn.conj() * _mirrored(f, axis=1))
-            prof = np.zeros(labels.shape, dtype=complex)
-            np.add.at(prof, (slice(None), codes), labels)
-            amps += lifted[:, rows] @ prof
-    total = float(np.sum(np.abs(amps) ** 2))
-    if total <= 0:
-        raise ValueError("no surviving amplitude")
-    if ledger is not None:
-        ledger.charge_phase_estimation(t, 2)
-        ledger.record_postselect(total)
-    layout = (("out", int(math.log2(d))), ("sigma", t))
-    return _owned(layout, (amps / math.sqrt(total)).reshape(-1))
-
-
-def sigma_register_decode(code: int, phase_bits: int, frob: float) -> float:
-    """Invert the singular-value register encoding of sve_transform; kept as
-    the inverse its tests read that register with."""
-    return code / (1 << phase_bits) * frob
 
 
 def _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n):

@@ -24,7 +24,6 @@ from .matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
 # import-time binding along with matmul._sve_component
 from .matmul import _sve_component  # noqa: F401
-from .qpe import _check_phase_budget
 from .statevector import CostLedger
 from .swaptest import _modal_overlap
 
@@ -101,11 +100,7 @@ def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     by_width = {}  # t -> (flat entry indices, norm products, overlaps)
     for i, nx, x in _normalized_nonzero(a):
         for j, ny, y in cols:
-            t = _overlap_width(eps_abs, nx, ny)
-            if t not in by_width:  # the qubit budget depends on t alone
-                _check_phase_budget(t + 1 + data_qubits)
-                by_width[t] = ([], [], [])
-            flat, scale, s = by_width[t]
+            flat, scale, s = by_width.setdefault(_overlap_width(eps_abs, nx, ny), ([], [], []))
             flat.append(i * n + j)
             scale.append(nx * ny)
             s.append(x @ y)
@@ -167,10 +162,7 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         # rot = 0 block of the rotated column state: y0[i] = <i, rot=0|state>
         y0 = uvec @ (aj * np.where(np.abs(aj) > 1e-14, comp0, 0.0))
         t2 = _resolve_phase_bits(None, min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5))
-        if t2 not in by_overlap_width:  # the qubit budget depends on t2 alone
-            _check_phase_budget(t2 + 1 + data_qubits)
-            by_overlap_width[t2] = []
-        by_overlap_width[t2].append((j, y0[:l].real, col_norms[j], c_rot))
+        by_overlap_width.setdefault(t2, []).append((j, y0[:l].real, col_norms[j], c_rot))
         # nested cost: one t2-bit overlap estimation per entry of the column,
         # each controlled step of which reruns the t1-bit inner pipeline
         ledger.charge_phase_estimation(t2, l * ((1 << t1) - 1))

@@ -1,9 +1,10 @@
-"""Multi-register statevectors with exact postselection and cost accounting.
+"""Multi-register statevectors, postselected states and cost accounting.
 
 States are dense complex amplitude vectors over a named register layout.
 Measurement is replaced by exact-probability postselection, so every
 downstream quantity is deterministic and nothing is sampled. Run costs (oracle calls, controlled powers,
 amplification rounds) are tracked in a CostLedger instead of being unrolled.
+The dense gates that act on these states are in circuits.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 DEFAULT_MAX_QUBITS = 24
 
 NORM_TOL = 1e-10
-UNITARY_TOL = 1e-10
 
 
 def max_qubits() -> int:
@@ -90,7 +90,7 @@ def charge_amplification(ledger: CostLedger, p: float) -> int:
 
     Cost model: ceil(1/sqrt(p)) repetitions of the underlying circuit.
     The pi/4 constant of a true Grover schedule is not asserted; see
-    grover_amplify for an unrolled cross-check.
+    circuits.grover_amplify for an unrolled cross-check.
     """
     if p <= 0:
         raise ValueError("success probability must be positive")
@@ -194,55 +194,6 @@ def from_vector(name: str, values, *, pad: bool = True) -> Statevector:
     return _owned(((name, qubits),), out)
 
 
-def basis_state(layout, indices) -> Statevector:
-    """Computational basis state; indices maps register name to basis index."""
-    layout = tuple((str(n), int(q)) for n, q in layout)
-    shape = tuple(1 << q for _, q in layout)
-    amps = np.zeros(shape, dtype=complex)
-    pos = tuple(int(indices.get(n, 0)) for n, _ in layout)
-    for (n, _), p, d in zip(layout, pos, shape):
-        if not 0 <= p < d:
-            raise ValueError(f"index {p} out of range for register {n!r}")
-    amps[pos] = 1.0
-    return _owned(layout, amps.reshape(-1))
-
-
-def apply_unitary(s: Statevector, u: np.ndarray, targets) -> Statevector:
-    """Apply a unitary to the named target registers, leaving others alone.
-
-    u must act on the combined target space, ordered as listed in targets.
-    """
-    if isinstance(targets, str):
-        targets = [targets]
-    targets = list(targets)
-    u = np.asarray(u, dtype=complex)
-    axes = [s.register_index(name) for name in targets]
-    dims = [1 << s.layout[a][1] for a in axes]
-    dt = int(np.prod(dims))
-    if u.shape != (dt, dt):
-        raise ValueError(f"operator is {u.shape}, targets span dimension {dt}")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(dt)))
-    if err > UNITARY_TOL:
-        raise ValueError(f"operator is not unitary (deviation {err:.2e})")
-    tens = s.reshaped()
-    moved = np.moveaxis(tens, axes, range(len(axes)))
-    kept = moved.shape[len(axes):]
-    mat = moved.reshape(dt, -1)
-    mat = u @ mat
-    moved = mat.reshape(tuple(dims) + kept)
-    tens = np.moveaxis(moved, range(len(axes)), axes)
-    return _owned(s.layout, tens.reshape(-1))
-
-
-def tensor(a: Statevector, b: Statevector) -> Statevector:
-    """Tensor product; register names must not collide."""
-    overlap = set(a.register_names()) & set(b.register_names())
-    if overlap:
-        raise ValueError(f"register name collision: {sorted(overlap)}")
-    amps = np.outer(a.amplitudes, b.amplitudes).reshape(-1)
-    return _owned(a.layout + b.layout, amps)
-
-
 @dataclass(frozen=True)
 class PreparedState:
     """A state together with the exact probability of the postselected
@@ -251,46 +202,6 @@ class PreparedState:
     state: Statevector
     success_probability: float
     ledger: CostLedger
-
-
-def postselect(
-    s: Statevector, register: str, outcome: int, ledger: CostLedger | None = None
-) -> PreparedState:
-    """Project onto a basis outcome of one register and renormalize.
-
-    The measured register is removed from the layout. The success
-    probability is the exact squared norm of the surviving branch.
-    """
-    axis = s.register_index(register)
-    dim = 1 << s.layout[axis][1]
-    if not 0 <= outcome < dim:
-        raise ValueError(f"outcome {outcome} out of range for {register!r}")
-    tens = s.reshaped()
-    branch = np.take(tens, outcome, axis=axis)
-    prob = float(np.sum(np.abs(branch) ** 2))
-    if prob <= NORM_TOL**2:
-        raise ValueError(f"outcome {outcome} of {register!r} has zero probability")
-    new_layout = s.layout[:axis] + s.layout[axis + 1 :]
-    state = _owned(new_layout, branch.reshape(-1) / math.sqrt(prob))
-    if ledger is None:
-        ledger = CostLedger()
-    ledger.record_postselect(prob)
-    return PreparedState(state, prob, ledger)
-
-
-def marginal_probabilities(s: Statevector, register: str) -> np.ndarray:
-    """Exact outcome distribution of one register (others traced out)."""
-    axis = s.register_index(register)
-    probs = np.abs(s.reshaped()) ** 2
-    other = tuple(i for i in range(len(s.layout)) if i != axis)
-    return probs.sum(axis=other) if other else probs
-
-
-def fidelity(a: Statevector, b: Statevector) -> float:
-    """|<a|b>| for states on identical layouts."""
-    if a.layout != b.layout:
-        raise ValueError(f"layout mismatch: {a.layout} vs {b.layout}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 
 def aligned_distance(a: Statevector, b: Statevector) -> float:
@@ -302,39 +213,3 @@ def aligned_distance(a: Statevector, b: Statevector) -> float:
     overlap = np.vdot(b.amplitudes, a.amplitudes)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
     return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
-
-
-def grover_amplify(s: Statevector, register: str, outcome: int) -> tuple[int, list[float]]:
-    """Unrolled Grover amplification of one branch, for validating the
-    ceil(1/sqrt(p)) charge model on small instances.
-
-    Iterates G = (2|s><s| - I) R_good until the branch probability stops
-    improving; returns the round count that first reaches the peak and the
-    probability trace (index 0 is the unamplified probability).
-    """
-    axis = s.register_index(register)
-
-    def good_prob(vec: np.ndarray) -> float:
-        branch = np.take(vec.reshape(s.tensor_shape()), outcome, axis=axis)
-        return float(np.sum(np.abs(branch) ** 2))
-
-    psi0 = s.amplitudes.copy()
-    vec = psi0.copy()
-    mask = np.zeros(s.tensor_shape(), dtype=bool)
-    idx = [slice(None)] * len(s.layout)
-    idx[axis] = outcome
-    mask[tuple(idx)] = True
-    mask = mask.reshape(-1)
-
-    trace = [good_prob(vec)]
-    best_round, best_p = 0, trace[0]
-    for k in range(1, 10001):  # the peak comes after about pi/(4 sqrt(p)) rounds
-        vec = np.where(mask, -vec, vec)           # reflect about the bad subspace
-        vec = 2.0 * np.vdot(psi0, vec) * psi0 - vec  # reflect about the start state
-        p = good_prob(vec)
-        trace.append(p)
-        if p > best_p + 1e-15:
-            best_round, best_p = k, p
-        else:
-            break
-    return best_round, trace

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from qmm.io import INSTANCE_FIELDS
 from qmm.linalg import pad_dim
 from qmm.matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_setup, dilation_route, walk_route
-from qmm.qpe import grover_rotation, phase_estimate, swap_value
-from qmm.statevector import CostLedger, marginal_probabilities
-from qmm.swaptest import superposed_pair_state
+from qmm.circuits import (
+    grover_rotation,
+    marginal_probabilities,
+    phase_estimate,
+    superposed_pair_state,
+)
+from qmm.qpe import swap_value
+from qmm.statevector import CostLedger
 
 
 def comparable(row: dict) -> dict:

@@ -7,18 +7,17 @@ import numpy as np
 
 from qmm.harness import generate_matrix, generate_vector
 from qmm.linalg import compute_svd, exact_product, pad_matrix, vectorize
+from qmm.circuits import SVEOperators, fidelity, walk_plane_eigenphases
 from qmm.matmul import (
-    SVEOperators,
     _sve_setup,
     matmul_hhl,
     matmul_lcu,
     matmul_swaptest,
     matmul_sve,
     sve_error_bound,
-    walk_plane_eigenphases,
 )
 from qmm.readout import readout_hhl, readout_sve, readout_swaptest
-from qmm.statevector import fidelity, from_vector
+from qmm.statevector import from_vector
 from qmm.stateprep import prep_dyadic, prep_hamiltonian, prep_signshift, synthesize_direct
 
 

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qmm.linalg import (
-    compute_svd,
-    exact_product,
-    hermitian_dilation,
-    matrix_profile,
-    pipeline_initial_state,
-    vectorize,
-)
-from qmm.statevector import marginal_probabilities
+from qmm.circuits import marginal_probabilities, pipeline_initial_state
+from qmm.linalg import compute_svd, exact_product, hermitian_dilation, matrix_profile, vectorize
 
 
 def jacobi_svd(a, sweeps=60, tol=1e-14):

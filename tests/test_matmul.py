@@ -9,12 +9,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmm.linalg import compute_svd, exact_product, vectorize
+from qmm.circuits import (
+    SVEOperators,
+    apply_unitary,
+    basis_state,
+    grover_rotation,
+    invert_phase_estimate,
+    marginal_probabilities,
+    phase_estimate,
+    postselect,
+    rotation_block_unitary,
+    sigma_register_decode,
+    superposed_pair_state,
+    sve_transform,
+    tensor,
+    walk_plane_eigenphases,
+)
 from qmm.matmul import (
     _ROTATION_EIGENVECTORS,
     MAX_PHASE_BITS,
     SupportViolationError,
     SupportViolationWarning,
-    SVEOperators,
     _phase0_after_undo,
     _rotation,
     matmul_hhl,
@@ -22,28 +37,9 @@ from qmm.matmul import (
     matmul_swaptest,
     matmul_sve,
     rank_one_product,
-    sigma_register_decode,
-    sve_transform,
-    walk_plane_eigenphases,
 )
-from qmm.qpe import (
-    grover_rotation,
-    invert_phase_estimate,
-    phase_estimate,
-    rotation_block_unitary,
-    swap_value,
-)
-from qmm.statevector import (
-    CostLedger,
-    Statevector,
-    apply_unitary,
-    basis_state,
-    charge_amplification,
-    marginal_probabilities,
-    postselect,
-    tensor,
-)
-from qmm.swaptest import superposed_pair_state
+from qmm.qpe import swap_value
+from qmm.statevector import CostLedger, Statevector, charge_amplification
 from helpers import zero_row_pairs
 
 
@@ -140,7 +136,7 @@ def test_phase0_closed_form_matches_gate_inversion():
         u = _rotation(angle)
         rows = (rng.normal(size=(T, 2)) + 1j * rng.normal(size=(T, 2))) / T
         # oracle: gate-by-gate inversion of the estimation circuit
-        from qmm.qpe import _unnormalized_invert
+        from qmm.circuits import _unnormalized_invert
 
         expect = _unnormalized_invert(rows.copy(), u, t)[0]
         got = _phase0_after_undo(rows, np.array([angle, -angle]), _ROTATION_EIGENVECTORS, t).sum(axis=0)

@@ -6,37 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmm.matmul import MAX_PHASE_BITS, _qpe_rows, _resolve_phase_bits
-from qmm.qpe import (
-    _controlled_powers,
-    decode_fixed,
-    encode_fixed,
-    grover_rotation,
-    invert_phase_estimate,
-    phase_estimate,
-    rotation_block_unitary,
-    swap_value,
-    tag_even_function,
-    wrap_even,
-)
-from qmm.statevector import (
-    CostLedger,
-    Statevector,
+from qmm.circuits import (
+    _inverse_powers,
     apply_unitary,
     basis_state,
-    fidelity,
-    from_vector,
-    marginal_probabilities,
-    postselect,
-    tensor,
-)
-from qmm.swaptest import (
     coefficient_tag,
-    complex_inner_product,
-    estimate_real_overlap,
+    decode_fixed,
+    encode_fixed,
+    fidelity,
     generalized_swap_test,
-    inner_product_estimate,
+    grover_rotation,
+    invert_phase_estimate,
+    marginal_probabilities,
+    phase_estimate,
+    postselect,
+    rotation_block_unitary,
     superposed_pair_state,
+    tag_even_function,
+    tensor,
+    wrap_even,
 )
+from qmm.qpe import _controlled_powers, swap_value
+from qmm.statevector import CostLedger, Statevector, from_vector
+from qmm.swaptest import complex_inner_product, estimate_real_overlap, inner_product_estimate
 
 
 def qpe_kernel(phase: float, t: int) -> np.ndarray:
@@ -287,9 +279,9 @@ def test_controlled_powers_doubling_matches_masked_loop(case):
     assert np.array_equal(starts, kept)
     for r in range(len(us)):
         assert np.array_equal(stacked[r], _controlled_powers(starts[r], us[r], t))
-    # arbitrary rows still take the masked loop
+    # the inverse estimation applies the masked loop's powers of u^dag
     rows = np.random.default_rng(t).normal(size=(T, psi.size)) + 0j
-    assert np.array_equal(_controlled_powers(rows.copy(), u, t), masked_powers(rows, u, t))
+    assert np.array_equal(_inverse_powers(rows.copy(), u, t), masked_powers(rows, u.conj().T, t))
     # both forward estimations start from the single row psi/sqrt(2^t)
     want_rows = np.fft.fft(want, axis=0) / math.sqrt(T)
     assert np.max(np.abs(_qpe_rows(u, psi, t) - want_rows)) <= 1e-15

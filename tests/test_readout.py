@@ -18,13 +18,8 @@ from qmm.readout import (
 )
 from qmm.matmul import SupportViolationWarning, _resolve_phase_bits, matmul_sve
 from qmm.statevector import CostLedger, from_vector
-from qmm.swaptest import (
-    coefficient_tag,
-    complex_inner_product,
-    estimate_real_overlap,
-    generalized_swap_test,
-    inner_product_estimate,
-)
+from qmm.circuits import coefficient_tag, generalized_swap_test
+from qmm.swaptest import complex_inner_product, estimate_real_overlap, inner_product_estimate
 from helpers import dense_readout, zero_row_pairs
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmm.harness import generate_vector
-from qmm.statevector import CostLedger, PreparedState, Statevector, fidelity, from_vector, postselect
+from qmm.circuits import fidelity, postselect
+from qmm.statevector import CostLedger, PreparedState, Statevector, from_vector
 from qmm.stateprep import (
     VectorSpec,
     dyadic_bands,

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from qmm.statevector import (
-    CostLedger,
-    Statevector,
-    aligned_distance,
+from qmm.circuits import (
     apply_unitary,
     basis_state,
-    charge_amplification,
     fidelity,
-    from_vector,
     grover_amplify,
     marginal_probabilities,
     postselect,
     tensor,
+)
+from qmm.statevector import (
+    CostLedger,
+    Statevector,
+    aligned_distance,
+    charge_amplification,
+    from_vector,
 )
 
 

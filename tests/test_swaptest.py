@@ -6,19 +6,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmm.matmul import _resolve_phase_bits
-from qmm.qpe import decode_fixed, grover_rotation, phase_estimate, swap_value
-from qmm.statevector import CostLedger, from_vector, marginal_probabilities
-from qmm.swaptest import (
+from qmm.circuits import (
     coefficient_tag,
-    complex_inner_product,
     control_pair_state,
+    decode_fixed,
     discard_tag_fidelity,
-    estimate_real_overlap,
     generalized_swap_test,
-    inner_product_estimate,
+    grover_rotation,
+    marginal_probabilities,
+    phase_estimate,
     superposed_pair_state,
     tag_modal_value,
 )
+from qmm.qpe import swap_value
+from qmm.statevector import CostLedger, from_vector
+from qmm.swaptest import complex_inner_product, estimate_real_overlap, inner_product_estimate
 from helpers import dense_overlap_estimate
 
 
@@ -326,8 +328,8 @@ def test_coefficient_tag_index_marginal_matches_concentration_weights():
     # the phase-0 postselection reweights branch j by the squared norm of
     # its binned label-mass profile; oracle: that profile computed from the
     # per-pair estimation run directly
-    from qmm.qpe import encode_fixed, grover_rotation, phase_estimate, swap_value
-    from qmm.swaptest import superposed_pair_state
+    from qmm.circuits import encode_fixed, grover_rotation, phase_estimate, superposed_pair_state
+    from qmm.qpe import swap_value
 
     rng = np.random.default_rng(30)
     psi = unit(rng, 8)
@@ -357,7 +359,7 @@ def test_coefficient_tag_index_marginal_matches_concentration_weights():
 def test_coefficient_tag_matches_dense_register(qubits, seed, sparse, eps):
     # oracle: branch j carries psi[j] times the dense swap test of |j>
     # against psi, its phase-label distribution binned by tag code
-    from qmm.qpe import encode_fixed
+    from qmm.circuits import encode_fixed
 
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=1 << qubits)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmm.linalg import compute_svd, pad_dim, pad_matrix
+from qmm.circuits import sve_transform
 from qmm.matmul import (
     _KERNEL_BLOCK,
     _PLANE_BLOCK,
@@ -31,7 +32,6 @@ from qmm.matmul import (
     dilation_route,
     matmul_hhl,
     matmul_sve,
-    sve_transform,
     walk_route,
 )
 from qmm.qpe import swap_value
