@@ -31,6 +31,11 @@ of the block's eigenphase, so the sve and hhl components (and
 circuits.sve_transform) are evaluated for all triples at once as
 Fejer-weighted label sums. The block simulations _sve_component and
 _hhl_component stay as the oracles the closed form is tested against.
+The swap route reads only each entry's label mean, which the Fourier
+transform turns into a lag-one sum over the controlled powers
+(_swap_label_means), so its blocks are simulated without the transform;
+the label distributions (_swap_plane_probabilities) serve the readouts and
+are the oracle that read is tested against.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ from .linalg import (
     pad_matrix,
     vectorize,
 )
-from .qpe import _controlled_powers, swap_value
+from .qpe import _controlled_powers
 from .statevector import (
     CostLedger,
     PreparedState,
@@ -83,32 +88,37 @@ def _rotation(angle: float) -> np.ndarray:
 _ROTATION_EIGENVECTORS = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
 
 
+def _qpe_powers(u: np.ndarray, psi: np.ndarray, t: int) -> np.ndarray:
+    """Controlled powers of a forward estimation before its Fourier
+    transform: every label starts from psi/sqrt(2^t), so
+    qpe._controlled_powers gets that one complex128 start row and fills the
+    labels by doubling. u (..., d, d) and psi (..., d) may stack independent
+    blocks on a leading axis; the powers are (..., d, 2^t), label last."""
+    start = np.asarray(psi, dtype=complex)[..., None, :] / math.sqrt(1 << t)
+    return _controlled_powers(start, np.asarray(u, dtype=complex), t)
+
+
 def _qpe_rows(u: np.ndarray, psi: np.ndarray, t: int) -> np.ndarray:
     """Forward phase-estimation amplitudes restricted to an invariant
-    subspace: rows[y] is the system amplitude attached to label y. Every
-    label starts from psi/sqrt(2^t), so the controlled powers get that one
-    start row and fill the labels by doubling. u (..., d, d) and psi (..., d)
-    may stack independent blocks on a leading axis; rows is then
-    (..., 2^t, d), a label-first view of the label-last powers.
-    circuits.phase_estimate lays these rows out on its dense register."""
-    T = 1 << t
-    start = np.asarray(psi, dtype=complex)[..., None, :] / math.sqrt(T)
-    rows = np.fft.fft(_controlled_powers(start, np.asarray(u, dtype=complex), t), axis=-1)
-    rows /= math.sqrt(T)
+    subspace: rows[y] is the system amplitude attached to label y, the
+    Fourier transform of _qpe_powers over the labels; rows is (..., 2^t, d),
+    a label-first view. circuits.phase_estimate lays these rows out on its
+    dense register."""
+    rows = np.fft.fft(_qpe_powers(u, psi, t), axis=-1)
+    rows /= math.sqrt(1 << t)
     return np.swapaxes(rows, -1, -2)
 
 
 _PLANE_BLOCK = 1 << 13  # labels per block of swap planes: 256 KB of (k, 2, 2^t) complex powers
 
 
-def _swap_plane_probabilities(s: np.ndarray, t: int):
-    """Yield (rows, probs) over blocks of the overlaps s = Re<x|y>, each
-    clipped to [-1, 1]: probs[r] is the label distribution of a t-bit phase
-    estimation of the swap test's Grover rotation at overlap s[rows][r]. On
-    the plane of its branch states that rotation turns (sin theta, cos theta)
-    by 2*theta, with sin^2(theta) = (1 + s)/2. A block stacks the planes of
-    max(1, _PLANE_BLOCK / 2^t) overlaps in one controlled-powers call. Used
-    by matmul_swaptest, readout, swaptest and circuits.coefficient_tag."""
+def _swap_planes(s: np.ndarray, t: int):
+    """Yield (rows, u, psi) over blocks of the overlaps s = Re<x|y>, each
+    clipped to [-1, 1]: on the plane of its branch states the swap test's
+    Grover rotation at overlap s[rows][r] is u[r], a turn by 2*theta with
+    sin^2(theta) = (1 + s)/2, and its start state is psi[r] = (sin theta,
+    cos theta). A block stacks the planes of max(1, _PLANE_BLOCK / 2^t)
+    overlaps for one controlled-powers call."""
     s = np.asarray(s, dtype=float)
     step = max(1, _PLANE_BLOCK >> t)
     for lo in range(0, s.size, step):
@@ -116,7 +126,34 @@ def _swap_plane_probabilities(s: np.ndarray, t: int):
         thetas = [math.asin(math.sqrt((1.0 + min(max(v, -1.0), 1.0)) / 2.0)) for v in s[rows].tolist()]
         u = np.array([_rotation(2.0 * theta) for theta in thetas])
         psi = np.array([[math.sin(theta), math.cos(theta)] for theta in thetas])
+        yield rows, u, psi
+
+
+def _swap_plane_probabilities(s: np.ndarray, t: int):
+    """Yield (rows, probs) over the blocks of _swap_planes: probs[r] is the
+    label distribution of a t-bit phase estimation of the swap test's
+    Grover rotation at overlap s[rows][r]. Used by readout, swaptest and
+    circuits.coefficient_tag, and the oracle _swap_label_means is tested
+    against."""
+    for rows, u, psi in _swap_planes(s, t):
         yield rows, np.sum(np.abs(_qpe_rows(u, psi, t)) ** 2, axis=-1)
+
+
+def _swap_label_means(s: np.ndarray, t: int):
+    """Yield (rows, means) over the blocks of _swap_planes: means[r] is the
+    label mean sum_y p(y) swap_value(y, t) of the overlap s[rows][r], read
+    off the controlled powers x_y without their Fourier transform.
+
+    swap_value(y, t) = -cos(2 pi y / 2^t), and the transform turns the
+    cyclic label shift into that phase, so the mean is the lag-one sum
+    -Re sum_y <x_y | x_{(y+1) mod 2^t}> (Brassard-Hoyer-Mosca-Tapp). Each
+    Re <a|b> is taken as the dot of the interleaved (re, im) floats, one
+    pairwise sum per plane coordinate. Used by matmul_swaptest."""
+    for rows, u, psi in _swap_planes(s, t):
+        x = _qpe_powers(u, psi, t).view(float)  # (k, 2, 2^(t+1)): re, im of each label
+        lag = np.sum(x[..., :-2] * x[..., 2:], axis=-1)
+        lag += np.sum(x[..., -2:] * x[..., :2], axis=-1)
+        yield rows, -(lag[:, 0] + lag[:, 1])
 
 
 def _phase0_after_undo(weighted_rows: np.ndarray, phases: np.ndarray, q: np.ndarray, t: int) -> np.ndarray:
@@ -508,7 +545,10 @@ def matmul_swaptest(
     The per-entry estimate is the exact postselected amplitude mean over the
     phase-label distribution, which stays within pi/2^t of the true inner
     product; the state error then obeys swaptest_error_bound at
-    eps_inner = pi/2^t. Success probability is Z/(||A||_F ||B||_F)^2.
+    eps_inner = pi/2^t. Success probability is Z/(||A||_F ||B||_F)^2. The
+    means come from _swap_label_means: the entries' swap planes stacked
+    into a few controlled-powers calls, each mean a lag-one sum over the
+    powers, with no Fourier transform and no label distribution.
     """
     a, b = _check_real_pair(a, b)
     c = exact_product(a, b)
@@ -534,10 +574,9 @@ def matmul_swaptest(
     s_eff = s.copy()
     if not exact_phase:
         # postselected-branch amplitude: the probability-weighted label
-        # decode (rotation value is even across the +- pair), one dot per entry
-        svals = swap_value(np.arange(1 << t), t)
-        for block, probs in _swap_plane_probabilities(s, t):
-            s_eff[block] = [p @ svals for p in probs]
+        # decode (rotation value is even across the +- pair)
+        for block, means in _swap_label_means(s, t):
+            s_eff[block] = means
     amps = np.zeros((l, n))
     amps[np.ix_(rows, cols)] = (row_norms[rows, None] * col_norms[cols]) * s_eff.reshape(rows.size, cols.size)
 

@@ -1,12 +1,14 @@
 """Helpers shared by the test modules: bit-exact row comparison, the
-dense-register overlap oracle, the readouts run on it, and degenerate matrix
-instances."""
+pinned-row runs, the dense-register overlap oracle, the readouts run on it,
+and degenerate matrix instances."""
+import json
 import math
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from qmm.harness import PREP_METHODS, ExperimentConfig, generate_matrix, generate_vector, run_experiment
 from qmm.io import INSTANCE_FIELDS
 from qmm.linalg import pad_dim
 from qmm.matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_setup, dilation_route, walk_route
@@ -31,6 +33,41 @@ def comparable(row: dict) -> dict:
 
 def comparable_rows(rows: list[dict]) -> list[dict]:
     return [comparable(row) for row in rows]
+
+
+def pinned_row(pinned: dict, case: dict) -> dict:
+    """Re-run one case of tests/data/harness_pinned.json: its method on the
+    case's seed, with n_matrix matrices or n_vector vectors. Returns the row
+    as JSON reads it back, without wall_time and the instance."""
+    seed, method = case["seed"], case["row"]["method"]
+    if method in PREP_METHODS:
+        inputs = {"x": generate_vector(pinned["n_vector"], pinned["kappa_vector"], seed)}
+    else:
+        n, kappa = pinned["n_matrix"], pinned["kappa_matrix"]
+        inputs = {"a": generate_matrix(n, kappa, seed), "b": generate_matrix(n, kappa, seed + 10_000)}
+    row = run_experiment(ExperimentConfig(method=method, eps=pinned["eps"], seed=seed, inputs=inputs)).rows[0]
+    return json.loads(json.dumps({k: v for k, v in row.items() if k != "wall_time" and k not in INSTANCE_FIELDS}))
+
+
+def swap_closed_form(s: float, t: int) -> float:
+    """The swap route's per-entry value, the label mean of the swap plane:
+    ((T - 1) s - cos(2 theta (T - 1))) / T with sin^2 theta = (1 + s) / 2."""
+    T = 1 << t
+    theta = math.asin(math.sqrt((1.0 + s) / 2.0))
+    return ((T - 1) * s - math.cos(2.0 * theta * (T - 1))) / T
+
+
+def swap_closed_form_entries(a, b, t: int) -> np.ndarray:
+    """The swap route's amplitude table of AB at width t, unnormalized: the
+    entry of a nonzero row A_i. and column B_.j is ||A_i.|| ||B_.j|| times
+    swap_closed_form of their clipped normalized overlap, every other entry 0."""
+    rows, cols = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=0)
+    want = np.zeros((a.shape[0], b.shape[1]))
+    for i, j in np.ndindex(*want.shape):
+        if rows[i] and cols[j]:
+            s = float(np.clip(a[i] / rows[i] @ (b[:, j] / cols[j]), -1.0, 1.0))
+            want[i, j] = rows[i] * cols[j] * swap_closed_form(s, t)
+    return want
 
 
 def dense_overlap_estimate(x, y, eps, ledger=None):

@@ -18,10 +18,10 @@ from qmm.harness import (
     scaling_study,
     verify_bounds,
 )
-from qmm.io import INSTANCE_FIELDS, load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
+from qmm.io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
 from qmm.linalg import compute_svd
 from qmm.matmul import MAX_PHASE_BITS
-from helpers import comparable, comparable_rows
+from helpers import comparable, comparable_rows, pinned_row
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +311,8 @@ def assert_matches_pinned(got, want, path="row"):
 
 @pytest.mark.parametrize("case", HARNESS_PINNED["cases"], ids=lambda c: c["row"]["id"])
 def test_every_method_matches_its_pinned_row(case):
-    # rows recorded with n = 4 matrices and n = 300 vectors, without wall_time
-    pinned, seed = HARNESS_PINNED, case["seed"]
-    method = case["row"]["method"]
-    if method in PREP_METHODS:
-        inputs = {"x": generate_vector(pinned["n_vector"], pinned["kappa_vector"], seed)}
-    else:
-        n, kappa = pinned["n_matrix"], pinned["kappa_matrix"]
-        inputs = {"a": generate_matrix(n, kappa, seed), "b": generate_matrix(n, kappa, seed + 10_000)}
-    row = run_experiment(ExperimentConfig(method=method, eps=pinned["eps"], seed=seed, inputs=inputs)).rows[0]
-    got = {k: v for k, v in row.items() if k != "wall_time" and k not in INSTANCE_FIELDS}
-    assert_matches_pinned(json.loads(json.dumps(got)), case["row"])
+    # tests/data/record_pinned.py prints what moved, and re-records with --write
+    assert_matches_pinned(pinned_row(HARNESS_PINNED, case), case["row"])
 
 
 def test_pinned_rows_cover_every_method():

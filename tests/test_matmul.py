@@ -40,7 +40,7 @@ from qmm.matmul import (
 )
 from qmm.qpe import swap_value
 from qmm.statevector import CostLedger, Statevector, charge_amplification
-from helpers import zero_row_pairs
+from helpers import swap_closed_form_entries, zero_row_pairs
 
 
 def rand_matrix(seed, shape=(4, 4), shift=0.0):
@@ -708,25 +708,13 @@ def test_hhl_pipeline_matches_full_circuit():
 # degenerate instances: zero rows of A, and l n = 1
 
 
-def swap_closed_form(s: float, t: int) -> float:
-    """The swap route's per-entry value, the label mean of the swap plane:
-    ((T - 1) s - cos(2 theta (T - 1))) / T with sin^2 theta = (1 + s) / 2."""
-    T = 1 << t
-    theta = math.asin(math.sqrt((1.0 + s) / 2.0))
-    return ((T - 1) * s - math.cos(2.0 * theta * (T - 1))) / T
-
-
 @settings(max_examples=60, deadline=None)
 @given(zero_row_pairs(), st.integers(2, 10))
 def test_swap_zero_rows_and_single_entries_match_closed_form(case, t):
     a, b = case
     res = matmul_swaptest(a, b, phase_bits=t)
-    rows, cols = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=0)
-    want = np.zeros((a.shape[0], b.shape[1]))
-    for i, j in np.ndindex(*want.shape):
-        if rows[i] and cols[j]:
-            s = float(np.clip(a[i] / rows[i] @ (b[:, j] / cols[j]), -1.0, 1.0))
-            want[i, j] = rows[i] * cols[j] * swap_closed_form(s, t)
+    rows = np.linalg.norm(a, axis=1)
+    want = swap_closed_form_entries(a, b, t)
     got = res.state.state.reshaped()[: want.shape[0], : want.shape[1]]
     assert np.all(got[rows == 0] == 0.0)
     assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-11
