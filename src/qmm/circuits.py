@@ -588,7 +588,6 @@ def sve_transform(
     eps: float | None = None,
     phase_bits: int | None = None,
     ledger: CostLedger | None = None,
-    exact_phase: bool = False,
 ) -> Statevector:
     """Rotate right-singular components into left-singular components while
     writing the singular value into a register:
@@ -618,19 +617,16 @@ def sve_transform(
     # of its labels binned by the code they write
     lifted = bundle.left_vectors[:, live] * alphas[live][None, :]
     amps = np.zeros((d, T), dtype=complex)
-    if exact_phase:
-        np.add.at(amps, (slice(None), np.minimum(np.round(sigmas / frob * T).astype(int), T - 1)), lifted)
-    else:
-        codes = np.minimum(np.round(np.abs(np.cos(np.pi * np.arange(T) / T)) * T), T - 1).astype(int)
-        theta = _walk_angles(sigmas, frob)
-        mu = _mu_phases(t)
-        for rows, f in _fejer_blocks(theta, t):
-            # per-label amplitude on M|u_k>: matmul._walk_components before the weights
-            turn = np.exp(0.5j * theta[rows])[:, None]
-            labels = 0.5 * mu * (turn * f + turn.conj() * _mirrored(f, axis=1))
-            prof = np.zeros(labels.shape, dtype=complex)
-            np.add.at(prof, (slice(None), codes), labels)
-            amps += lifted[:, rows] @ prof
+    codes = np.minimum(np.round(np.abs(np.cos(np.pi * np.arange(T) / T)) * T), T - 1).astype(int)
+    theta = _walk_angles(sigmas, frob)
+    mu = _mu_phases(t)
+    for rows, f in _fejer_blocks(theta, t):
+        # per-label amplitude on M|u_k>: matmul._walk_components before the weights
+        turn = np.exp(0.5j * theta[rows])[:, None]
+        labels = 0.5 * mu * (turn * f + turn.conj() * _mirrored(f, axis=1))
+        prof = np.zeros(labels.shape, dtype=complex)
+        np.add.at(prof, (slice(None), codes), labels)
+        amps += lifted[:, rows] @ prof
     total = float(np.sum(np.abs(amps) ** 2))
     if total <= 0:
         raise ValueError("no surviving amplitude")

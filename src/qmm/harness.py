@@ -60,6 +60,13 @@ class ExperimentConfig:
         return {name: getattr(self, name) for name in _METHOD_OPTIONS.get(self.method, ())}
 
 
+def exceeds_bound(realized: float | None, bound: float | None) -> bool:
+    """The one bound-violation rule, of ReportTable.violations (which the
+    CLI prints per row) and of verify_bounds: a realized error more than
+    1e-15 above its bound. A missing number violates nothing here."""
+    return realized is not None and bound is not None and realized > bound + 1e-15
+
+
 @dataclass
 class ReportTable:
     method: str
@@ -68,12 +75,7 @@ class ReportTable:
 
     @property
     def violations(self) -> list[str]:
-        out = []
-        for row in self.rows:
-            if row.get("realized_error") is not None and row.get("bound") is not None:
-                if row["realized_error"] > row["bound"] + 1e-15:
-                    out.append(row["id"])
-        return out
+        return [row["id"] for row in self.rows if exceeds_bound(row.get("realized_error"), row.get("bound"))]
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +112,10 @@ def generate_matrix(n: int, kappa_target: float, seed: int, sigma_max: float = 1
 def generate_vector(n: int, kappa_target: float, seed: int) -> np.ndarray:
     """Random signed vector whose nonzero-magnitude spread is exactly
     kappa_target."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if kappa_target < 1.0:
+        raise ValueError("condition number is at least 1")
     rng = np.random.default_rng(seed)
     mags = np.geomspace(1.0, 1.0 / kappa_target, n)
     rng.shuffle(mags)
@@ -335,8 +341,7 @@ def _recompute_bound(row: dict) -> float | None:
         return PREP_DIRECT_BOUND
     if method in ("prep-hamiltonian", "prep-sparse"):
         x = np.abs(row["x"])
-        kappa_f = float(x.max() / x[x > 0].min())
-        return math.sqrt(kappa_f / 3.0) * (float(row["eps"]) / math.sqrt(kappa_f))
+        return stateprep.small_angle_bound(float(row["eps"]), float(x.max() / x[x > 0].min()))
     if method in ("prep-dyadic", "prep-signshift"):
         return float(row["eps"])
     return None
@@ -369,7 +374,7 @@ def verify_bounds(report: dict) -> tuple[bool, list[dict]]:
         realized = row.get("realized_error")
         if entry_error is not None and (realized is None or abs(realized - entry_error) > 1e-9 * max(1.0, entry_error)):
             findings.append({"id": ident, "problem": f"realized error {realized} != {entry_error} recomputed from c_tilde"})
-        elif realized is None or realized > bound + 1e-15:
+        elif realized is None or exceeds_bound(realized, bound):
             findings.append(
                 {"id": ident, "problem": f"realized error {realized} exceeds bound {bound}"}
             )

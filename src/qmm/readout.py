@@ -6,11 +6,10 @@ a direct overlap estimate (swap route) or from the overlap of a basis state
 with the singular-value-rotated column state (sve/hhl routes). The quantum
 accuracy is budgeted per entry so that the absolute error never exceeds the
 requested eps_abs; the n^2 classical norm precomputation is tracked
-separately from oracle costs. A swap-test estimate depends only on the
-overlap s, so the entries hand their s (the normalized row-column product,
-or the rotated column state's amplitude on |i, rot=0>) to the swap-plane
-kernel, all entries of one register width in one stack; no pair state is
-built, but the qubit budget is the full register's.
+separately from oracle costs. Both readouts form their overlaps s as array
+products and hand them to one stacked decode: a swap-test estimate depends
+only on s, so no pair state is built, but the qubit budget is the full
+register's.
 """
 from __future__ import annotations
 
@@ -57,9 +56,7 @@ def _overlap_width(eps_abs: float, nx: float, ny: float) -> int:
     return _resolve_phase_bits(None, min(eps_abs / (nx * ny), 0.5))
 
 
-def inner_product_classical(
-    x, y, eps_abs: float, ledger: CostLedger | None = None
-) -> float:
+def inner_product_classical(x, y, eps_abs: float, ledger: CostLedger | None = None) -> float:
     """x . y to absolute accuracy eps_abs via the normalized overlap
     estimate run at accuracy eps_abs / (||x|| ||y||)."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -74,15 +71,20 @@ def inner_product_classical(
     return nx * ny * float(_modal_overlap(s, t, int(math.log2(pad_dim(x.size))), ledger)[0])
 
 
-def _normalized_nonzero(vectors) -> list:
-    """(index, norm, vector / norm) for each nonzero vector, its norm taken
-    on its own as inner_product_classical takes it."""
-    out = []
-    for k, v in enumerate(vectors):
-        norm = float(np.linalg.norm(v))
-        if norm != 0.0:
-            out.append((k, norm, v / norm))
-    return out
+def _stacked_estimates(shape, flat, widths, s, scale, data_qubits: int, ledger: CostLedger | None) -> np.ndarray:
+    """Zeros of shape with scale * (the modal estimate of overlap s) at each
+    flat index: the entries of one register width share one stacked decode.
+    The one grouping by width of both readouts."""
+    c_tilde = np.zeros(shape)
+    for t in dict.fromkeys(widths.tolist()):  # in order of first use
+        at = widths == t
+        c_tilde.flat[flat[at]] = scale[at] * _modal_overlap(s[at], t, data_qubits, ledger)
+    return c_tilde
+
+
+def _report(c_tilde, a, b, eps_abs: float, ledger: CostLedger, method: str) -> ReadoutReport:
+    error = float(np.max(np.abs(c_tilde - exact_product(a, b))))
+    return ReadoutReport(c_tilde, eps_abs, error, ledger, method)
 
 
 def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
@@ -92,30 +94,18 @@ def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     norms give one register width t share one stacked modal decode, charged
     as one inner_product_classical call per entry."""
     a, b = _check_real_pair(a, b)
-    ledger = CostLedger()
-    ledger.classical_entries += a.size + b.size
-    l, n = a.shape[0], b.shape[1]
+    ledger = CostLedger(classical_entries=a.size + b.size)
+    # each vector's norm taken on its own, as inner_product_classical takes it
+    row_norms = np.array([np.linalg.norm(v) for v in a])
+    col_norms = np.array([np.linalg.norm(v) for v in b.T])
+    rows, cols = np.flatnonzero(row_norms), np.flatnonzero(col_norms)
+    nx, ny = row_norms[rows], col_norms[cols]
+    s = (a[rows] / nx[:, None]) @ (b[:, cols] / ny)
+    widths = np.array([_overlap_width(eps_abs, x, y) for x in nx.tolist() for y in ny.tolist()], dtype=int)
+    flat, scale = (b.shape[1] * rows[:, None] + cols).ravel(), (nx[:, None] * ny).ravel()
     data_qubits = int(math.log2(pad_dim(a.shape[1])))
-    cols = _normalized_nonzero(b.T)
-    by_width = {}  # t -> (flat entry indices, norm products, overlaps)
-    for i, nx, x in _normalized_nonzero(a):
-        for j, ny, y in cols:
-            flat, scale, s = by_width.setdefault(_overlap_width(eps_abs, nx, ny), ([], [], []))
-            flat.append(i * n + j)
-            scale.append(nx * ny)
-            s.append(x @ y)
-    c_tilde = np.zeros(l * n)
-    for t, (flat, scale, s) in by_width.items():
-        c_tilde[flat] = np.array(scale) * _modal_overlap(np.array(s), t, data_qubits, ledger)
-    c_tilde = c_tilde.reshape(l, n)
-    exact = exact_product(a, b)
-    return ReadoutReport(
-        c_tilde=c_tilde,
-        entrywise_error_bound=eps_abs,
-        max_observed_error=float(np.max(np.abs(c_tilde - exact))),
-        ledger=ledger,
-        method="readout-swap",
-    )
+    c_tilde = _stacked_estimates((a.shape[0], b.shape[1]), flat, widths, s.ravel(), scale, data_qubits, ledger)
+    return _report(c_tilde, a, b, eps_abs, ledger, "readout-swap")
 
 
 def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> ReadoutReport:
@@ -132,55 +122,39 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         raise ValueError("B is zero")
     _check_support(sigmas, alpha, col_norms, frob_b, strict_support)
     route = route_of(float(np.linalg.norm(a0)), float(sigmas[0]))
-
-    ledger = CostLedger()
-    ledger.classical_entries += a0.size + b0.size
+    ledger = CostLedger(classical_entries=a0.size + b0.size)
     l, n = a0.shape[0], b0.shape[1]
-    c_tilde = np.zeros((l, n))
-    uvec = bundle.left_vectors
-    # the rotated column state: d (component, rot) pairs and a junk amplitude
-    data_qubits = int(math.log2(pad_dim(2 * sigmas.size + 1)))
-    # for every singular component k, the amplitude left on the rot = 0
-    # block after a t1-bit estimation, rotation by c_rot times the decoded
-    # value, and undo; it depends on the column only through t1, so columns
-    # of equal width share one evaluation
-    by_width = {}
-    by_overlap_width = {}  # t2 -> (column, y0[:l].real, ||B_.j||, c_rot) per column
-    for j in range(n):
-        if col_norms[j] == 0.0:
-            continue
-        aj = alpha[:, j]
-        # sigma-accuracy budget for this column, tightest over target rows
-        colsum = np.abs(aj) @ np.abs(uvec[:l].T)  # sum_k |alpha_jk u_k[i]| per i
-        eps1_req = eps_abs / (2.0 * col_norms[j] * max(float(np.max(colsum)), 1e-14))
-        # sigma is read to route.scale / 2^t1 <= eps1_req / 2
-        t1 = _resolve_phase_bits(None, eps1_req / 2.0, route.scale, 0)
-        if t1 not in by_width:
-            c_rot, weights0 = route.rotation(t1)
-            by_width[t1] = c_rot, route.components(sigmas, t1, weights0[:, None])[:, 0]
-        c_rot, comp0 = by_width[t1]
-        # rot = 0 block of the rotated column state: y0[i] = <i, rot=0|state>
-        y0 = uvec @ (aj * np.where(np.abs(aj) > 1e-14, comp0, 0.0))
-        t2 = _resolve_phase_bits(None, min(eps_abs / (2.0 * col_norms[j] / c_rot), 0.5))
-        by_overlap_width.setdefault(t2, []).append((j, y0[:l].real, col_norms[j], c_rot))
+    uvec = bundle.left_vectors[:l]
+    live = np.flatnonzero(col_norms)  # a zero column of B reads zero
+    aj = alpha[:, live]
+    # sigma-accuracy budget per column, tightest over the rows i of
+    # sum_k |alpha_jk u_k[i]|; sigma is read to route.scale / 2^t1 <= eps1_req / 2
+    eps1_req = eps_abs / (2.0 * col_norms[live] * np.maximum(np.max(np.abs(aj.T) @ np.abs(uvec.T), axis=1), 1e-14))
+    t1 = np.array([_resolve_phase_bits(None, e / 2.0, route.scale, 0) for e in eps1_req.tolist()], dtype=int)
+    c_rot, y0 = np.ones(n), np.empty((l, live.size))  # c_rot 1 on zero columns
+    for t in dict.fromkeys(t1.tolist()):
+        # every component's amplitude left on the rot = 0 block after a t-bit
+        # estimation, rotation by c_rot times the decoded value, and undo
+        at = t1 == t
+        rot, weights0 = route.rotation(t)
+        c_rot[live[at]] = rot
+        comp0 = route.components(sigmas, t, weights0[:, None])[:, 0]
+        # rot = 0 block of the rotated column states: y0[i] = <i, rot=0|state>
+        y0[:, at] = (uvec @ (aj[:, at] * np.where(np.abs(aj[:, at]) > 1e-14, comp0[:, None], 0.0))).real
+    t2 = [_resolve_phase_bits(None, min(eps_abs / (2.0 * col_norms[j] / c_rot[j]), 0.5)) for j in live.tolist()]
+    for outer, inner in zip(t2, t1.tolist()):
         # nested cost: one t2-bit overlap estimation per entry of the column,
         # each controlled step of which reruns the t1-bit inner pipeline
-        ledger.charge_phase_estimation(t2, l * ((1 << t1) - 1))
-        ledger.use_phase_bits(t1)
+        ledger.charge_phase_estimation(outer, l * ((1 << inner) - 1))
+        ledger.use_phase_bits(inner)
         ledger.charge_oracle(1)
-    # the columns of one overlap width share one stacked decode
-    for t2, columns in by_overlap_width.items():
-        cols, s, norms, rots = zip(*columns)
-        est = _modal_overlap(np.concatenate(s), t2, data_qubits, None).reshape(len(cols), l)
-        c_tilde[:, cols] = (est * np.array(norms)[:, None] / np.array(rots)[:, None]).T
-    exact = exact_product(a0, b0)
-    return ReadoutReport(
-        c_tilde=c_tilde,
-        entrywise_error_bound=eps_abs,
-        max_observed_error=float(np.max(np.abs(c_tilde - exact))),
-        ledger=ledger,
-        method="readout-" + route.method,
-    )
+    # entry (i, j) at flat index n i + j, column by column; the rotated
+    # column state has d (component, rot) pairs and a junk amplitude
+    flat = (live[:, None] + n * np.arange(l)).ravel()
+    data_qubits = int(math.log2(pad_dim(2 * sigmas.size + 1)))
+    scale = np.repeat(col_norms[live], l)
+    c_tilde = _stacked_estimates((l, n), flat, np.repeat(t2, l), y0.T.ravel(), scale, data_qubits, None) / c_rot
+    return _report(c_tilde, a0, b0, eps_abs, ledger, "readout-" + route.method)
 
 
 def readout_sve(a, b, eps_abs: float, *, strict_support: bool = False) -> ReadoutReport:

@@ -120,6 +120,12 @@ def _measured(report: PrepReport, target: np.ndarray) -> PrepReport:
     return replace(report, realized_distance=float(np.linalg.norm(produced.amplitudes - want.amplitudes)))
 
 
+def small_angle_bound(eps: float, kappa_f: float) -> float:
+    """The sine-branch distance bound sqrt(kappa_f / 3) eps / sqrt(kappa_f) that
+    _sine_branch reports and harness.verify_bounds recomputes from the instance."""
+    return math.sqrt(kappa_f / 3.0) * (eps / math.sqrt(kappa_f))
+
+
 def _sine_branch(f, base: Statevector, eps: float) -> tuple[PrepReport, np.ndarray]:
     """prep_hamiltonian's report with realized_distance left at nan, and the
     unnormalized target f b (zero off the base's support) that _measured
@@ -171,7 +177,7 @@ def _sine_branch(f, base: Statevector, eps: float) -> tuple[PrepReport, np.ndarr
 
     report = PrepReport(
         result=PreparedState(produced, prob, ledger),
-        target_fidelity_bound=math.sqrt(kappa_f / 3.0) * eps1,
+        target_fidelity_bound=small_angle_bound(eps, kappa_f),
         realized_distance=math.nan,
         method="hamiltonian",
         epsilon0=eps0,

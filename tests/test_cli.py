@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from qmm.cli import main
-from qmm.io import load_matrix_csv, save_matrix_csv
+from qmm.cli import _emit_report, main
+from qmm.harness import ReportTable
+from qmm.io import load_matrix_csv, save_matrix_csv, save_report_json
 
 
 @pytest.fixture
@@ -87,6 +89,24 @@ def test_malformed_csv_exit_code(tmp_path, capsys):
     code = main(["multiply", "--method", "swap", "--a", str(bad), "--b", str(bad)])
     assert code == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("excess, violated", [(1e-16, False), (1e-14, True)])
+def test_report_verify_and_exit_code_share_one_violation_rule(tmp_path, excess, violated, capsys):
+    # an lcu row's bound is its eps and verify keeps its stored realized
+    # error, so the excess over the bound is all that the three judge
+    row = {"id": "lcu-row", "method": "lcu", "eps": 0.05, "bound": 0.05, "realized_error": 0.05 + excess}
+    table = ReportTable(method="lcu", config={}, rows=[row])
+    assert table.violations == (["lcu-row"] if violated else [])
+    assert _emit_report(table, argparse.Namespace(out=None)) == int(violated)
+    assert capsys.readouterr().out.split()[-1] == ("VIOLATION" if violated else "ok")
+    save_report_json(tmp_path / "r.json", table.to_dict())
+    assert main(["verify", str(tmp_path / "r.json")]) == int(violated)
+
+
+def test_scaling_rejects_kappa_below_one(capsys):
+    assert main(["scaling", "--method", "prep-sparse", "--kappa", "0.5"]) == 1
+    assert "condition number is at least 1" in capsys.readouterr().err
 
 
 def test_scaling_prints_slopes(capsys):

@@ -60,6 +60,17 @@ def test_generate_vector_spread():
     assert mags.max() / mags.min() == pytest.approx(16.0, rel=1e-12)
 
 
+def test_generate_vector_rejects_an_empty_vector():
+    with pytest.raises(ValueError, match="n must be positive"):
+        generate_vector(0, 1.0, seed=1)
+
+
+def test_generate_vector_rejects_kappa_below_one():
+    # kappa 0.5 once gave a vector whose magnitude spread was 2
+    with pytest.raises(ValueError, match="condition number is at least 1"):
+        generate_vector(4, 0.5, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 

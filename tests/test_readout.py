@@ -179,10 +179,23 @@ def test_readout_hhl_vs_sve_ledger_direction():
 PINNED = json.loads((Path(__file__).parent / "data" / "readout_pinned.json").read_text())
 
 
-@pytest.mark.parametrize("case", PINNED["cases"], ids=lambda c: f"{c['method']}-k{c['kappa']}-s{c['seed']}")
+def _pinned_id(case) -> str:
+    ident = f"{case['method']}-k{case['kappa']}-s{case['seed']}"
+    return f"{ident}-n{case['n']}" if "n" in case else ident
+
+
+def _pinned_instance(case):
+    """A case's (A, B); a case without its own n has the file's n."""
+    n, kappa, seed = case.get("n", PINNED["n"]), case["kappa"], case["seed"]
+    return generate_matrix(n, kappa, seed), generate_matrix(n, kappa, seed + 10000)
+
+
+@pytest.mark.parametrize("case", [c for c in PINNED["cases"] if c["method"] != "readout-swap"], ids=_pinned_id)
 def test_value_estimation_readout_matches_pinned_values(case, monkeypatch):
-    # c_tilde and ledger recorded from the per-column dense-register
-    # implementation; phase_widths lists the distinct t1 of the columns
+    # c_tilde and ledger of the n = 8 cases recorded from the per-column
+    # dense-register implementation, those at n = 16 and 32 from the
+    # per-column matrix-vector loop, sizes at which a stacked product can
+    # round differently; phase_widths lists the distinct t1 of the columns
     widths = []
     name = "_walk_components" if case["method"] == "readout-sve" else "_dilation_components"
     kernel = getattr(qmm.matmul, name)
@@ -192,14 +205,20 @@ def test_value_estimation_readout_matches_pinned_values(case, monkeypatch):
         return kernel(sigmas, scale, t1, weights)
 
     monkeypatch.setattr(qmm.matmul, name, recording)
-    n, kappa, seed = PINNED["n"], case["kappa"], case["seed"]
-    a = generate_matrix(n, kappa, seed)
-    b = generate_matrix(n, kappa, seed + 10000)
     fn = readout_sve if case["method"] == "readout-sve" else readout_hhl
-    rep = fn(a, b, PINNED["eps_abs"])
+    rep = fn(*_pinned_instance(case), PINNED["eps_abs"])
     assert np.max(np.abs(rep.c_tilde - np.array(case["c_tilde"]))) <= 1e-12
     assert rep.ledger.to_dict() == case["ledger"]
     assert sorted(widths) == case["phase_widths"]  # one evaluation per width
+
+
+@pytest.mark.parametrize("case", [c for c in PINNED["cases"] if c["method"] == "readout-swap"], ids=_pinned_id)
+def test_readout_swaptest_matches_pinned_values(case):
+    # recorded from per-entry overlap dots, at sizes where one
+    # row-by-column product can round differently
+    rep = readout_swaptest(*_pinned_instance(case), PINNED["eps_abs"])
+    assert np.max(np.abs(rep.c_tilde - np.array(case["c_tilde"]))) <= 1e-12
+    assert rep.ledger.to_dict() == case["ledger"]
 
 
 def test_value_estimation_readouts_raise_at_the_width_cap(monkeypatch):
