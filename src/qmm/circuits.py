@@ -174,28 +174,28 @@ def grover_amplify(s: Statevector, register: str, outcome: int) -> tuple[int, li
 # ---------------------------------------------------------------------------
 # amplitude-encoded norm marginals
 
-def row_marginal_state(a, name: str = "row") -> Statevector:
+def row_marginal_state(a) -> Statevector:
     """Unit state whose amplitudes are the row norms over ||A||_F."""
     a = as_matrix(a)
     norms = np.linalg.norm(a, axis=1)
     if not norms.any():
         raise ValueError("cannot encode marginals of the zero matrix")
-    return from_vector(name, norms)
+    return from_vector("row", norms)
 
 
-def col_marginal_state(a, name: str = "col") -> Statevector:
+def col_marginal_state(a) -> Statevector:
     """Unit state whose amplitudes are the column norms over ||A||_F."""
     a = as_matrix(a)
     norms = np.linalg.norm(a, axis=0)
     if not norms.any():
         raise ValueError("cannot encode marginals of the zero matrix")
-    return from_vector(name, norms)
+    return from_vector("col", norms)
 
 
 def pipeline_initial_state(a, b) -> Statevector:
     """Tensor of A's row-norm marginal and B's column-norm marginal, the
     initial state of the swap-test multiplication pipeline; demo 01 shows it."""
-    return tensor(row_marginal_state(a, "row"), col_marginal_state(b, "col"))
+    return tensor(row_marginal_state(a), col_marginal_state(b))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +587,6 @@ def sve_transform(
     input_state,
     eps: float | None = None,
     phase_bits: int | None = None,
-    ledger: CostLedger | None = None,
 ) -> Statevector:
     """Rotate right-singular components into left-singular components while
     writing the singular value into a register:
@@ -630,9 +629,6 @@ def sve_transform(
     total = float(np.sum(np.abs(amps) ** 2))
     if total <= 0:
         raise ValueError("no surviving amplitude")
-    if ledger is not None:
-        ledger.charge_phase_estimation(t, 2)
-        ledger.record_postselect(total)
     layout = (("out", int(math.log2(d))), ("sigma", t))
     return _owned(layout, (amps / math.sqrt(total)).reshape(-1))
 

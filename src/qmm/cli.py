@@ -46,41 +46,19 @@ def _emit_report(table, args) -> int:
     return 0
 
 
-def _cmd_multiply(args) -> int:
-    cfg = ExperimentConfig(
-        method=args.method,
-        eps=args.eps,
-        phase_bits=args.phase_bits,
-        seed=args.seed,
-        strict_support=args.strict_support,
-        exact_phase=args.exact_phase,
-        inputs={"a": load_matrix_csv(args.a), "b": load_matrix_csv(args.b)},
-    )
-    return _emit_report(run_experiment(cfg), args)
-
-
-def _cmd_readout(args) -> int:
-    cfg = ExperimentConfig(
-        method=f"readout-{args.method}",
-        eps=args.eps,
-        seed=args.seed,
-        strict_support=args.strict_support,
-        inputs={"a": load_matrix_csv(args.a), "b": load_matrix_csv(args.b)},
-    )
+def _cmd_run(args) -> int:
+    """multiply, readout and prepare: the verb's method on the CSV instance,
+    with the option flags the verb defines."""
+    if args.prefix == "prep-":
+        inputs = {"x": load_vector_csv(args.x)}
+    else:
+        inputs = {"a": load_matrix_csv(args.a), "b": load_matrix_csv(args.b)}
+    options = {k: v for k, v in vars(args).items() if k in ("phase_bits", "exact_phase", "strict_support")}
+    cfg = ExperimentConfig(method=args.prefix + args.method, eps=args.eps, seed=args.seed, inputs=inputs, **options)
     table = run_experiment(cfg)
-    if args.entries_out:
+    if getattr(args, "entries_out", None):
         save_matrix_csv(args.entries_out, np.asarray(table.rows[0]["c_tilde"]))
     return _emit_report(table, args)
-
-
-def _cmd_prepare(args) -> int:
-    cfg = ExperimentConfig(
-        method=f"prep-{args.method}",
-        eps=args.eps,
-        seed=args.seed,
-        inputs={"x": load_vector_csv(args.x)},
-    )
-    return _emit_report(run_experiment(cfg), args)
 
 
 def _cmd_scaling(args) -> int:
@@ -130,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-phase", action="store_true", help="replace phase labels by exact angles (swap, sve, hhl)")
     p.add_argument("--strict-support", action="store_true", help="error out on support violations (sve, hhl)")
     _add_common(p)
-    p.set_defaults(func=_cmd_multiply)
+    p.set_defaults(func=_cmd_run, prefix="")
 
     p = sub.add_parser("readout", help="entrywise product with absolute accuracy")
     p.add_argument("--method", choices=[m.split("-", 1)[1] for m in READOUT_METHODS], required=True)
@@ -139,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entries-out", default=None, help="CSV path for the estimated entries")
     p.add_argument("--strict-support", action="store_true", help="error out on support violations (sve, hhl)")
     _add_common(p)
-    p.set_defaults(func=_cmd_readout)
+    p.set_defaults(func=_cmd_run, prefix="readout-")
 
     p = sub.add_parser("prepare", help="amplitude-encode a vector")
     p.add_argument("--method", choices=[m.split("-", 1)[1] for m in PREP_METHODS], required=True)
     p.add_argument("--x", required=True, help="CSV of the vector")
     _add_common(p)
-    p.set_defaults(func=_cmd_prepare)
+    p.set_defaults(func=_cmd_run, prefix="prep-")
 
     p = sub.add_parser("scaling", help="cost table and fitted slopes over grids")
     p.add_argument("--method", required=True)

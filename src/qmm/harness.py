@@ -87,17 +87,25 @@ class ReportTable:
         }
 
 
+def _check_generator(n: int, kappa_target: float, single: str) -> None:
+    """The sizes and condition numbers a generator can honour; single names
+    the one-entry case, whose spread is 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not math.isfinite(kappa_target):
+        raise ValueError("condition number must be finite")
+    if kappa_target < 1.0:
+        raise ValueError("condition number is at least 1")
+    if n == 1 and kappa_target != 1.0:
+        raise ValueError(f"a {single} cannot have kappa > 1")
+
+
 def generate_matrix(n: int, kappa_target: float, seed: int, sigma_max: float = 1.0) -> np.ndarray:
     """Random n x n matrix with condition number kappa_target (exact by
     construction): orthogonal factors from seeded Gaussians around
     log-spaced singular values. Deterministic per seed."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if kappa_target < 1.0:
-        raise ValueError("condition number is at least 1")
+    _check_generator(n, kappa_target, "1x1 matrix")
     if n == 1:
-        if kappa_target != 1.0:
-            raise ValueError("a 1x1 matrix cannot have kappa > 1")
         return np.array([[sigma_max]])
     rng = np.random.default_rng(seed)
     sigmas = np.geomspace(sigma_max, sigma_max / kappa_target, n)
@@ -112,129 +120,85 @@ def generate_matrix(n: int, kappa_target: float, seed: int, sigma_max: float = 1
 def generate_vector(n: int, kappa_target: float, seed: int) -> np.ndarray:
     """Random signed vector whose nonzero-magnitude spread is exactly
     kappa_target."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if kappa_target < 1.0:
-        raise ValueError("condition number is at least 1")
+    _check_generator(n, kappa_target, "1-entry vector")
     rng = np.random.default_rng(seed)
     mags = np.geomspace(1.0, 1.0 / kappa_target, n)
     rng.shuffle(mags)
     return mags * rng.choice([-1.0, 1.0], size=n)
 
 
-def _multiply_row(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray, ident: str) -> dict:
+def _row(cfg: ExperimentConfig, inputs: dict, ident: str) -> dict:
+    """Run cfg's method on its instance and report one row: the fields of
+    the method's family, then those every row has. Each method function is
+    looked up as a module attribute at call time, so a wrapper patched onto
+    its module (bench/tracer.py) is the one that runs."""
     started = time.perf_counter()
-    fn = {
-        "swap": matmul.matmul_swaptest,
-        "sve": matmul.matmul_sve,
-        "hhl": matmul.matmul_hhl,
-        "lcu": matmul.matmul_lcu,
-    }[cfg.method]
-    res = fn(a, b, eps=cfg.eps, **cfg.options())
-    return {
-        "id": ident,
-        "method": cfg.method,
-        "a": a,
-        "b": b,
-        "eps": cfg.eps,
-        "phase_bits": res.phase_bits,
-        "realized_error": res.realized_error,
-        "bound": res.predicted_bound,
-        "success_probability": res.success_probability,
-        "expected_success_probability": res.expected_success_probability,
-        "details": res.details,
-        "ledger": res.ledger.to_dict(),
-        "wall_time": time.perf_counter() - started,
-    }
-
-
-def _readout_row(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray, ident: str) -> dict:
-    started = time.perf_counter()
-    fn = {
-        "readout-swap": readout.readout_swaptest,
-        "readout-sve": readout.readout_sve,
-        "readout-hhl": readout.readout_hhl,
-    }[cfg.method]
-    rep = fn(a, b, cfg.eps, **cfg.options())
-    return {
-        "id": ident,
-        "method": cfg.method,
-        "a": a,
-        "b": b,
-        "eps": cfg.eps,
-        "c_tilde": rep.c_tilde.tolist(),
-        "realized_error": rep.max_observed_error,
-        "bound": rep.entrywise_error_bound,
-        "ledger": rep.ledger.to_dict(),
-        "wall_time": time.perf_counter() - started,
-    }
-
-
-def _prep_row(cfg: ExperimentConfig, x: np.ndarray, ident: str) -> dict:
-    started = time.perf_counter()
-    if cfg.method == "prep-direct":
-        ps = stateprep.synthesize_direct(x)
-        target = from_vector("x", x)
+    method = cfg.method
+    if method in MULTIPLY_METHODS:
+        res = {
+            "swap": matmul.matmul_swaptest,
+            "sve": matmul.matmul_sve,
+            "hhl": matmul.matmul_hhl,
+            "lcu": matmul.matmul_lcu,
+        }[method](inputs["a"], inputs["b"], eps=cfg.eps, **cfg.options())
+        ledger = res.ledger
+        row = {
+            "phase_bits": res.phase_bits,
+            "realized_error": res.realized_error,
+            "bound": res.predicted_bound,
+            "success_probability": res.success_probability,
+            "expected_success_probability": res.expected_success_probability,
+            "details": res.details,
+        }
+    elif method in READOUT_METHODS:
+        rep = {
+            "readout-swap": readout.readout_swaptest,
+            "readout-sve": readout.readout_sve,
+            "readout-hhl": readout.readout_hhl,
+        }[method](inputs["a"], inputs["b"], cfg.eps, **cfg.options())
+        ledger = rep.ledger
+        row = {"c_tilde": rep.c_tilde.tolist(), "realized_error": rep.max_observed_error, "bound": rep.entrywise_error_bound}
+    elif method == "prep-direct":
+        ps = stateprep.synthesize_direct(inputs["x"])
+        ledger = ps.ledger
         row = {
             # the route is exact, so the distance is at rounding level; the
             # fixed bound is what reports record for it
-            "realized_error": aligned_distance(ps.state, target),
+            "realized_error": aligned_distance(ps.state, from_vector("x", inputs["x"])),
             "bound": PREP_DIRECT_BOUND,
             "success_probability": ps.success_probability,
-            "ledger": ps.ledger.to_dict(),
         }
     else:
-        fn = {
+        rep = {
             "prep-hamiltonian": stateprep._prep_by_sign_base,
             "prep-sparse": stateprep.prep_sparse,
             "prep-dyadic": stateprep.prep_dyadic,
             "prep-signshift": stateprep.prep_signshift,
-        }[cfg.method]
-        rep = fn(x, cfg.eps)
+        }[method](inputs["x"], cfg.eps)
+        ledger = rep.result.ledger
         row = {
             "realized_error": rep.realized_distance,
             "bound": rep.target_fidelity_bound,
             "success_probability": rep.result.success_probability,
             "epsilon0": rep.epsilon0,
             "epsilon1": rep.epsilon1,
-            "ledger": rep.result.ledger.to_dict(),
         }
-    row.update(
-        {
-            "id": ident,
-            "method": cfg.method,
-            "x": x,
-            "eps": cfg.eps,
-            "wall_time": time.perf_counter() - started,
-        }
-    )
+    row.update(inputs, id=ident, method=method, eps=cfg.eps, ledger=ledger.to_dict())
+    row["wall_time"] = time.perf_counter() - started
     return row
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReportTable:
     """Run the configured method on its inputs and report one row per
-    instance; rows carry the instance itself, as read-only float64 arrays
-    copied from cfg.inputs, for later verification."""
-    rows = []
-    inputs = {name: np.array(values, dtype=float) for name, values in cfg.inputs.items()}
+    instance; rows carry the instance itself (a and b, or x), as read-only
+    float64 arrays copied from cfg.inputs, for later verification."""
+    names = ("x",) if cfg.method in PREP_METHODS else ("a", "b")
+    inputs = {name: np.array(cfg.inputs[name], dtype=float) for name in names}
     for arr in inputs.values():
         arr.setflags(write=False)
-    if cfg.method in MULTIPLY_METHODS or cfg.method in READOUT_METHODS:
-        a, b = inputs["a"], inputs["b"]
-        ident = f"{cfg.method}-n{a.shape[0]}-seed{cfg.seed}"
-        maker = _multiply_row if cfg.method in MULTIPLY_METHODS else _readout_row
-        rows.append(maker(cfg, a, b, ident))
-    else:
-        x = inputs["x"]
-        rows.append(_prep_row(cfg, x, f"{cfg.method}-n{x.size}-seed{cfg.seed}"))
-    config = {
-        "method": cfg.method,
-        "eps": cfg.eps,
-        "phase_bits": cfg.phase_bits,
-        "seed": cfg.seed,
-        "strict_support": cfg.strict_support,
-        "exact_phase": cfg.exact_phase,
-    }
+    n = inputs["x"].size if "x" in inputs else inputs["a"].shape[0]
+    rows = [_row(cfg, inputs, f"{cfg.method}-n{n}-seed{cfg.seed}")]
+    config = {name: value for name, value in vars(cfg).items() if name != "inputs"}
     return ReportTable(method=cfg.method, config=config, rows=rows)
 
 

@@ -41,14 +41,6 @@ class ReadoutReport:
     ledger: CostLedger
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "eps_abs": self.entrywise_error_bound,
-            "max_observed_error": self.max_observed_error,
-            "ledger": self.ledger.to_dict(),
-        }
-
 
 def _overlap_width(eps_abs: float, nx: float, ny: float) -> int:
     """Width of the overlap register that reads x . y to eps_abs: the
@@ -120,6 +112,8 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
     a0, b0, bundle, sigmas, col_norms, frob_b, alpha = _sve_setup(a, b)
     if frob_b == 0:
         raise ValueError("B is zero")
+    if not a0.any():  # no singular direction for the route to scale by
+        raise ValueError("A is zero")
     _check_support(sigmas, alpha, col_norms, frob_b, strict_support)
     route = route_of(float(np.linalg.norm(a0)), float(sigmas[0]))
     ledger = CostLedger(classical_entries=a0.size + b0.size)

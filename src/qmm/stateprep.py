@@ -209,10 +209,10 @@ def _on_support(spec: VectorSpec, shape, reweight):
     shape(x_k)/sqrt(z) on the z-point support of x, with the base's
     ceil(log2 n) gate units charged: the uniform base of _sparse, the sign
     base of _prep_by_sign_base."""
-    dim = pad_dim(spec.values.size)
+    dim = max(pad_dim(spec.values.size), 2)  # from_vector's register: one qubit at least
     base = np.zeros(dim, dtype=complex)
     base[spec.support] = shape(spec.values[spec.support]) / math.sqrt(spec.support.size)
-    out = reweight(_owned((("x", max(1, int(math.log2(dim)))),), base))
+    out = reweight(_owned((("x", int(math.log2(dim))),), base))
     out[0].result.ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
     return out
 

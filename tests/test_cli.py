@@ -83,6 +83,29 @@ def test_prepare_methods(tmp_path, capsys):
         assert main(["prepare", "--method", method, "--x", str(x)]) == 0
 
 
+@pytest.mark.parametrize("method", ["direct", "hamiltonian", "sparse", "dyadic", "signshift"])
+def test_prepare_a_one_entry_vector_then_verify(tmp_path, method, capsys):
+    x, out = tmp_path / "x.csv", tmp_path / "r.json"
+    x.write_text("3.0\n")
+    assert main(["prepare", "--method", method, "--x", str(x), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("method", ["sve", "hhl"])
+def test_readout_of_a_zero_a_is_one_error_line(tmp_path, matrices, method, capsys):
+    zero = tmp_path / "zero.csv"
+    save_matrix_csv(zero, np.zeros((3, 3)))
+    assert main(["readout", "--method", method, "--a", str(zero), "--b", matrices[1]]) == 1
+    assert capsys.readouterr().err == "error: A is zero\n"
+
+
+def test_gen_rejects_a_nan_kappa(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["gen", "--n", "3", "--kappa", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: condition number must be finite\n"
+    assert not out.exists()
+
+
 def test_malformed_csv_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,nope\n")

@@ -71,6 +71,22 @@ def test_generate_vector_rejects_kappa_below_one():
         generate_vector(4, 0.5, seed=1)
 
 
+@pytest.mark.parametrize("generate", [generate_matrix, generate_vector])
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+def test_generators_reject_a_kappa_that_is_not_finite(generate, kappa):
+    # nan once gave an all-nan matrix and nan entries, inf numpy's
+    # "Geometric sequence cannot include zero"
+    with pytest.raises(ValueError, match="condition number must be finite"):
+        generate(3, kappa, 0)
+
+
+def test_generate_vector_rejects_a_spread_one_entry_cannot_have():
+    # one entry once came back as [1.], a spread of 1 for any kappa
+    with pytest.raises(ValueError, match="a 1-entry vector cannot have kappa > 1"):
+        generate_vector(1, 4.0, 0)
+    assert np.abs(generate_vector(1, 1.0, 0)).tolist() == [1.0]
+
+
 # ---------------------------------------------------------------------------
 # experiments
 

@@ -260,13 +260,12 @@ def test_readout_support_violation_warns():
     assert rep.max_observed_error <= 0.1
 
 
-def test_readout_report_serialization_fields():
-    rep = readout_swaptest(np.eye(2), np.eye(2), 0.05)
-    data = rep.to_dict()
-    assert data["method"] == "readout-swap"
-    assert data["eps_abs"] == 0.05
-    assert "max_observed_error" in data
-    assert "ledger" in data
+@pytest.mark.parametrize("fn", [readout_sve, readout_hhl])
+def test_value_estimation_readouts_reject_a_zero_a(fn):
+    # a zero A once divided by its zero norm (ZeroDivisionError) after a
+    # support warning; warnings are errors here, so the ValueError comes first
+    with pytest.raises(ValueError, match="A is zero"):
+        fn(np.zeros((2, 2)), np.eye(2), 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,17 @@ def test_all_methods_agree_pairwise():
         assert fidelity(dyadic, shift) >= 1 - 2 * eps
 
 
+@pytest.mark.parametrize("route", [prep_sparse, prep_dyadic, prep_signshift, _prep_by_sign_base])
+@pytest.mark.parametrize("x", [[3.0], [-2.0]])
+def test_small_angle_routes_prepare_a_one_entry_vector(route, x):
+    # the base state once had pad_dim(1) = 1 amplitude on a one-qubit
+    # register; it is now from_vector's two-amplitude register
+    rep = route(np.array(x), 0.05)
+    assert rep.result.state.layout == (("x", 1),)
+    assert np.array_equal(rep.result.state.amplitudes, [math.copysign(1.0, x[0]), 0.0])
+    assert rep.realized_distance == 0.0 <= rep.target_fidelity_bound
+
+
 # ---------------------------------------------------------------------------
 # the direct sine branch against the staged flag state
 
