@@ -2,11 +2,14 @@
 
 Matrices are one row per line, comma-separated decimal reals; any other
 token, a complex one included, is an error naming its line. Reports are
-versioned JSON (schema 2). A row's instance fields (INSTANCE_FIELDS) are
-float64 arrays, written packed as {"shape": [...], "f8": base64 of the
-little-endian float64 bytes} and loaded back as arrays, bit for bit; outputs
-stay readable lists. The loader also reads schema 1, whose instance fields
-are plain lists, converting them to float64 arrays once.
+versioned JSON (schema 3). The rows' instance fields (INSTANCE_FIELDS) are
+float64 arrays, stored once per distinct array in the report's "instances"
+list, packed as {"shape": [...], "f8": base64 of the little-endian float64
+bytes}, in order of first use; a row's field is the index of its entry.
+Loading gives every row that refers to an entry the same read-only array,
+bit for bit, and drops the list; outputs stay readable lists. The loader
+also reads schema 2, whose rows pack their own instance fields, and schema
+1, whose instance fields are plain lists.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-REPORT_SCHEMA = 2
-READABLE_SCHEMAS = (1, 2)
+REPORT_SCHEMA = 3
+READABLE_SCHEMAS = (1, 2, 3)
 INSTANCE_FIELDS = ("a", "b", "x")  # the inputs verify_bounds recomputes from
 
 
@@ -61,20 +64,22 @@ def load_vector_csv(path) -> np.ndarray:
     raise ValueError(f"{path}: expected a single row or column of values")
 
 
-def _packed_json(values) -> list[str]:
-    """The JSON text of {"shape": [...], "f8": base64}, in pieces, as
+def _packed_json(shape: tuple, raw: bytes) -> list[str]:
+    """The JSON text of {"shape": [...], "f8": base64 of raw}, in pieces, as
     json.dumps with sorted keys writes it. The base64 alphabet needs no
     escaping, so that text is not passed through the encoder."""
-    arr = np.asarray(values, dtype="<f8")  # no copy for a float64 array
-    f8 = base64.b64encode(arr.tobytes()).decode("ascii")
-    return ['{"f8": "', f8, '", "shape": ', json.dumps(list(arr.shape)), "}"]
+    return ['{"f8": "', base64.b64encode(raw).decode("ascii"), '", "shape": ', json.dumps(list(shape)), "}"]
 
 
 def _unpack(packed) -> np.ndarray:
-    if not isinstance(packed, dict):  # schema 1: a (nested) list
-        return np.array(packed, dtype=float)
+    """The read-only array of a packed {"shape": [...], "f8": base64}."""
+    if not isinstance(packed, dict):
+        raise ValueError(f"a packed array is a JSON object, not {type(packed).__name__}")
+    shape = packed["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"a shape is a list of non-negative integers, not {shape!r}")
     raw = base64.b64decode(packed["f8"], validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(packed["shape"])
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _separated(items: list) -> list[str]:
@@ -107,34 +112,68 @@ def _json_object(obj: dict, texts: dict) -> list[str]:
 
 def save_report_json(path, report: dict) -> None:
     """Write the report as json.dumps(report, sort_keys=True) would, byte
-    for byte, with each row's instance fields packed. The text is written
-    in pieces, so the large packed strings are never copied into one."""
+    for byte, with the rows' instance fields replaced by indices into an
+    "instances" list that packs each distinct array once. Arrays are
+    distinct when their shapes or little-endian bytes differ. The text is
+    written in pieces, so the large packed strings are never copied into one."""
     report = dict(report, schema=REPORT_SCHEMA)
     texts = {}
     if "rows" in report:
-        rows = [_json_object(row, {k: _packed_json(row[k]) for k in INSTANCE_FIELDS if k in row}) for row in report["rows"]]
+        table = {}  # (shape, bytes) -> index, in order of first use
+        rows = []
+        for row in report["rows"]:
+            refs = {}
+            for k in INSTANCE_FIELDS:
+                if k in row:
+                    arr = np.asarray(row[k], dtype="<f8")  # no copy for a float64 array
+                    refs[k] = [str(table.setdefault((arr.shape, arr.tobytes()), len(table)))]
+            rows.append(_json_object(row, refs))
+        report["instances"] = None  # its text is in texts
         texts["rows"] = ["[", *_separated(rows), "]"]
+        texts["instances"] = ["[", *_separated([_packed_json(*key) for key in table]), "]"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_json_object(report, texts))
 
 
 def load_report_json(path) -> dict:
-    """Read a schema 1 or 2 report; instance fields come back as float64 arrays."""
+    """Read a schema 1, 2 or 3 report; instance fields come back as float64
+    arrays. A schema 3 report's "instances" list is dropped; each entry a
+    row refers to is decoded once, and every row that refers to it gets the
+    same read-only array."""
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(report, dict):
         raise ValueError(f"{path}: a report is a JSON object, not {type(report).__name__}")
-    if report.get("schema") not in READABLE_SCHEMAS:
-        raise ValueError(f"{path}: unsupported report schema {report.get('schema')!r}")
+    schema = report.get("schema")
+    if schema not in READABLE_SCHEMAS:
+        raise ValueError(f"{path}: unsupported report schema {schema!r}")
     rows = report.get("rows", [])
     if not isinstance(rows, list):
         raise ValueError(f"{path}: the rows are a JSON list, not {type(rows).__name__}")
+    table = report.pop("instances", []) if schema == 3 else []
+    if not isinstance(table, list):
+        raise ValueError(f"{path}: the instances are a JSON list, not {type(table).__name__}")
+    decoded = {}
+
+    def instance(value) -> np.ndarray:
+        if schema == 1:  # a (nested) list
+            return np.array(value, dtype=float)
+        if schema == 2:
+            return _unpack(value)
+        if type(value) is not int:
+            raise ValueError(f"an instance field is an index into the instances, not {type(value).__name__}")
+        if not 0 <= value < len(table):
+            raise ValueError(f"index {value} is outside the {len(table)} instances")
+        if value not in decoded:
+            decoded[value] = _unpack(table[value])
+        return decoded[value]
+
     for index, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"{path}: row {index}: a row is a JSON object, not {type(row).__name__}")
         for name in INSTANCE_FIELDS:
             if name in row:
                 try:
-                    row[name] = _unpack(row[name])
+                    row[name] = instance(row[name])
                 except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
                     raise ValueError(
                         f"{path}: row {row.get('id', '?')!r}: field {name!r} cannot be decoded: {exc}"

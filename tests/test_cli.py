@@ -31,7 +31,8 @@ def test_gen_then_multiply_then_verify(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == 2
+    assert report["schema"] == 3
+    assert len(report["instances"]) == 1  # a and b are one matrix
     assert report["violations"] == []
     assert main(["verify", str(out)]) == 0
     assert "pass" in capsys.readouterr().out
@@ -54,6 +55,15 @@ def test_verify_fails_on_tampered_report(tmp_path, matrices, capsys):
         ("[]", "a report is a JSON object, not list"),
         ('{"schema": 2, "rows": 5}', "the rows are a JSON list, not int"),
         ('{"schema": 2, "rows": [1]}', "row 0: a row is a JSON object, not int"),
+        ('{"schema": 3, "instances": {}, "rows": []}', "the instances are a JSON list, not dict"),
+        (
+            '{"schema": 3, "instances": [], "rows": [{"id": "r", "x": 0}]}',
+            "row 'r': field 'x' cannot be decoded: index 0 is outside the 0 instances",
+        ),
+        (
+            '{"schema": 3, "instances": [], "rows": [{"id": "r", "a": {"shape": [1], "f8": "AAAAAAAA8D8="}}]}',
+            "row 'r': field 'a' cannot be decoded: an instance field is an index into the instances, not dict",
+        ),
     ],
 )
 def test_verify_reports_a_malformed_report_without_a_traceback(tmp_path, capsys, text, message):

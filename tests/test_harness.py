@@ -422,7 +422,7 @@ def test_report_json_schema_roundtrip(tmp_path):
     path = tmp_path / "r.json"
     save_report_json(path, {"rows": []})
     report = load_report_json(path)
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     path.write_text(json.dumps({"schema": 99}))
     with pytest.raises(ValueError, match="schema"):
         load_report_json(path)

@@ -43,26 +43,41 @@ def test_report_round_trip_keeps_rows_and_verifies(tmp_path, method):
     loaded = load_report_json(path)
     assert comparable_rows(loaded["rows"]) == comparable_rows(report["rows"])
     assert verify_bounds(loaded) == (True, [])
-    # instance fields are packed on disk; outputs stay readable lists
+    # instance fields are indices into the packed instance table on disk;
+    # outputs stay readable lists
     raw = json.loads(path.read_text())
-    assert raw["schema"] == REPORT_SCHEMA == 2
+    assert raw["schema"] == REPORT_SCHEMA == 3
+    for entry in raw["instances"]:
+        assert sorted(entry) == ["f8", "shape"]
     for row in raw["rows"]:
         for name in INSTANCE_FIELDS:
             if name in row:
-                assert sorted(row[name]) == ["f8", "shape"]
+                assert type(row[name]) is int and 0 <= row[name] < len(raw["instances"])
         if "c_tilde" in row:
             assert isinstance(row["c_tilde"], list)
         assert isinstance(row["ledger"], dict)
 
 
-def _encoder_packed(report: dict) -> dict:
-    """The report as json.dumps sees it: schema set, instance fields packed."""
-    def pack(values):
-        arr = np.asarray(values, dtype="<f8")
-        return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+def _pack(values) -> dict:
+    arr = np.asarray(values, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
 
-    rows = [{k: pack(v) if k in INSTANCE_FIELDS else v for k, v in row.items()} for row in report["rows"]]
-    return dict(report, schema=REPORT_SCHEMA, rows=rows)
+
+def _encoder_packed(report: dict) -> dict:
+    """The report as json.dumps sees it: schema set, each distinct instance
+    array packed once in "instances", in order of first use, and each
+    instance field the index of its entry."""
+    instances, rows = [], []
+    for row in report["rows"]:
+        row = dict(row)
+        for k in INSTANCE_FIELDS:
+            if k in row:
+                packed = _pack(row[k])
+                if packed not in instances:
+                    instances.append(packed)
+                row[k] = instances.index(packed)
+        rows.append(row)
+    return dict(report, schema=REPORT_SCHEMA, instances=instances, rows=rows)
 
 
 @pytest.mark.parametrize("method", ["swap", "readout-hhl", "prep-signshift"])
@@ -74,6 +89,8 @@ def test_saved_report_is_the_encoder_text_byte_for_byte(tmp_path, method):
     report["rows"][0]["details"] = {"ké\"y": "\x00\x1f\u00ff\U0001f600", "empty": {}, "list": []}
     report["rows"].append({"id": "no instance", "x": [], "a": np.zeros((2, 0))})
     report["rows"].append({})
+    report["rows"].append(dict(report["rows"][0], id="repeat"))
+    report["rows"].append({"id": "signed zeros", "a": [0.0], "b": [-0.0], "x": np.zeros(1)})
     path = tmp_path / "r.json"
     save_report_json(path, report)
     assert path.read_bytes() == json.dumps(_encoder_packed(report), sort_keys=True).encode("utf-8")
@@ -134,15 +151,80 @@ def test_schema_1_report_loads_and_verifies(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
-def test_resaved_schema_1_report_is_labelled_schema_2(tmp_path):
+def test_resaved_schema_1_report_is_labelled_schema_3(tmp_path):
     report = _report("prep-dyadic")
     path = tmp_path / "r.json"
     path.write_text(json.dumps(_schema_1(report)))
     save_report_json(path, load_report_json(path))
     raw = json.loads(path.read_text())
-    assert raw["schema"] == 2
-    assert sorted(raw["rows"][0]["x"]) == ["f8", "shape"]
+    assert raw["schema"] == 3
+    assert raw["rows"][0]["x"] == 0
+    assert sorted(raw["instances"][0]) == ["f8", "shape"]
     assert comparable_rows(load_report_json(path)["rows"]) == comparable_rows(report["rows"])
+
+
+def _schema_2(report: dict) -> dict:
+    """The report as schema 2 wrote it: each row packs its own instance fields."""
+    rows = [{k: _pack(v) if k in INSTANCE_FIELDS else v for k, v in row.items()} for row in report["rows"]]
+    return dict(report, schema=2, rows=rows)
+
+
+def test_schema_2_report_loads_verifies_and_resaves_deduplicated(tmp_path, capsys):
+    # the prep routes of _report share one x, so schema 2 packs it twice
+    report = _report("prep-sparse")
+    report["rows"] += _report("prep-dyadic")["rows"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_schema_2(report), sort_keys=True))
+    loaded = load_report_json(path)
+    assert comparable_rows(loaded["rows"]) == comparable_rows(report["rows"])
+    assert main(["verify", str(path)]) == 0
+    assert "pass" in capsys.readouterr().out
+    save_report_json(path, loaded)
+    raw = json.loads(path.read_text())
+    assert raw["schema"] == 3
+    assert raw["instances"] == [_pack(report["rows"][0]["x"])]
+    assert [row["x"] for row in raw["rows"]] == [0, 0]
+    assert comparable_rows(load_report_json(path)["rows"]) == comparable_rows(report["rows"])
+    assert main(["verify", str(path)]) == 0
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    report = _report("readout-sve")
+    report["rows"] += _report("swap")["rows"] + _report("prep-signshift")["rows"] + report["rows"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_report_json(first, report)
+    save_report_json(second, load_report_json(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+ROW_REFS = st.lists(st.dictionaries(st.sampled_from(INSTANCE_FIELDS), st.integers(0, 3)), min_size=1, max_size=5)
+
+
+@given(st.lists(INSTANCE_ARRAYS, min_size=1, max_size=4), ROW_REFS)
+@example(
+    [np.array([0.0]), np.array([-0.0]), np.zeros(0), np.zeros((2, 0))],
+    [{"a": 0, "b": 1}, {"x": 2}, {"a": 3, "x": 0}, {"b": 1, "x": 3}],
+)
+def test_instance_table_packs_each_distinct_array_once(tmp_path_factory, pool, refs):
+    # each row holds its own copy, so rows share an entry by value, not identity
+    rows = [{"id": str(i), **{k: pool[j % len(pool)].copy() for k, j in r.items()}} for i, r in enumerate(refs)]
+    path = tmp_path_factory.mktemp("table") / "r.json"
+    save_report_json(path, {"rows": rows})
+    raw = json.loads(path.read_text())
+    table = [(tuple(e["shape"]), base64.b64decode(e["f8"])) for e in raw["instances"]]
+    distinct = {(row[k].shape, row[k].tobytes()) for row in rows for k in INSTANCE_FIELDS if k in row}
+    assert len(table) == len(set(table)) and set(table) == distinct
+    loaded = load_report_json(path)
+    assert "instances" not in loaded
+    shared = {}
+    for row, saved, got in zip(rows, raw["rows"], loaded["rows"]):
+        assert sorted(got) == sorted(row)
+        for k in INSTANCE_FIELDS:
+            if k in row:
+                assert_bit_exact_array(got[k], row[k])
+                assert not got[k].flags.writeable
+                assert shared.setdefault(saved[k], got[k]) is got[k]
+    assert len(shared) == len(table)
 
 
 @pytest.mark.parametrize(
@@ -152,6 +234,12 @@ def test_resaved_schema_1_report_is_labelled_schema_2(tmp_path):
         ({"shape": [3], "f8": "AAAAAAAA8D8AAAAAAAAAQA=="}, "shape"),  # 2 floats, shape says 3
         ({"shape": [1], "f8": "AAAA"}, "byte count"),  # 3 bytes
         ({"f8": "AAAAAAAA8D8="}, "no shape"),
+        (dict(_pack(np.arange(4.0)), shape=[-1]), "negative size"),
+        (dict(_pack(np.arange(4.0)), shape=[2, -1]), "negative second size"),
+        (dict(_pack([1.0]), shape=[True]), "a bool size"),
+        (dict(_pack([1.0, 2.0]), shape=[2.0]), "a float size"),
+        (dict(_pack([1.0]), shape=1), "a shape that is not a list"),
+        ([1.0, 2.0], "a list in a schema 2 report"),
     ],
 )
 def test_undecodable_packed_field_names_file_row_and_field(tmp_path, packed, why):
@@ -161,3 +249,35 @@ def test_undecodable_packed_field_names_file_row_and_field(tmp_path, packed, why
         load_report_json(path)
     message = str(exc.value)
     assert str(path) in message and "'row-7'" in message and "'b'" in message, why
+
+
+@pytest.mark.parametrize(
+    "ref, why",
+    [
+        (True, "a bool"),
+        (0.0, "a float"),
+        ("0", "a string"),
+        (None, "null"),
+        (-1, "negative"),
+        (2, "past the table"),
+        ([0], "a list"),
+        (_pack([1.0, 2.0]), "an inline packed field"),
+    ],
+)
+def test_bad_instance_reference_names_file_row_and_field(tmp_path, ref, why):
+    path = tmp_path / "bad.json"
+    # True and 0.0 equal valid indices in Python, so the table has two entries
+    report = {"schema": 3, "instances": [_pack([1.0]), _pack([2.0])], "rows": [{"id": "row-3", "a": 0, "b": ref}]}
+    path.write_text(json.dumps(report))
+    with pytest.raises(ValueError) as exc:
+        load_report_json(path)
+    message = str(exc.value)
+    assert str(path) in message and "'row-3'" in message and "'b'" in message, why
+
+
+def test_undecodable_table_entry_names_the_row_that_refers_to_it(tmp_path):
+    path = tmp_path / "bad.json"
+    report = {"schema": 3, "instances": [_pack([1.0]), dict(_pack(np.arange(4.0)), shape=[-1])], "rows": [{"id": "row-5", "x": 1}]}
+    path.write_text(json.dumps(report))
+    with pytest.raises(ValueError, match=r"row 'row-5': field 'x' cannot be decoded: a shape is a list of non-negative"):
+        load_report_json(path)
