@@ -1,8 +1,9 @@
 """The three product-state pipelines side by side on one instance.
 
-Each run reports the realized distance to the exact |AB>, the instance
-evaluation of its error budget (the realized value must stay under it), the
-postselection probability against its closed form, and the charged costs.
+Each run returns a qmm.Result: the realized distance to the exact |AB>
+(realized_error), the instance evaluation of its error budget (bound; the
+realized value must stay under it), the postselection probability against
+its closed form, the charged costs (ledger) and the product state (state).
 """
 import numpy as np
 
@@ -26,7 +27,7 @@ for name, runner in (
     res = runner()
     led = res.ledger
     print(
-        f"{name:>8} {res.realized_error:>10.2e} {res.predicted_bound:>10.2e} "
+        f"{name:>8} {res.realized_error:>10.2e} {res.bound:>10.2e} "
         f"{res.success_probability:>11.4f} {res.expected_success_probability:>10.4f} "
         f"{led.amplification_rounds:>7} {led.controlled_oracle_calls:>11}"
     )
@@ -35,4 +36,4 @@ print("\nexact-phase mode (phase labels replaced by exact angles) collapses")
 print("every pipeline onto the exact product state:")
 for name, fn in (("swap", matmul_swaptest), ("sve", matmul_sve), ("hhl", matmul_hhl)):
     res = fn(a, b, phase_bits=6, exact_phase=True)
-    print(f"  {name}: distance to |AB> = {aligned_distance(res.state.state, vectorize(c)):.2e}")
+    print(f"  {name}: distance to |AB> = {aligned_distance(res.state, vectorize(c)):.2e}")

@@ -22,7 +22,7 @@ for fn in (readout_swaptest, readout_sve, readout_hhl):
     rep = fn(a, b, eps)
     led = rep.ledger
     print(
-        f"{rep.method:>14} {rep.max_observed_error:>16.4e} "
+        f"{rep.method:>14} {rep.realized_error:>16.4e} "
         f"{led.total_oracle_units():>14.3e} {led.classical_entries:>18}"
     )
 

@@ -23,19 +23,20 @@ print(f"dyadic split: {len(bands)} bands, per-band magnitude spread "
       f"{max(band.kappa_x for band in bands):.3f} (<= 2)")
 print(f"bands sum back to x exactly: {np.array_equal(sum(band.values for band in bands), x)}\n")
 
+# every route returns a qmm.Result: the state, its realized distance to |x>
+# and the bound that distance must stay under, and the costs charged
 rows = [
-    ("direct", synthesize_direct(x), None),
-    ("sparse", *(lambda r: (r.result, r))(prep_sparse(x, 0.05))),
-    ("dyadic", *(lambda r: (r.result, r))(prep_dyadic(x, 0.05))),
-    ("signshift", *(lambda r: (r.result, r))(prep_signshift(x, 0.05))),
+    ("direct", synthesize_direct(x)),
+    ("sparse", prep_sparse(x, 0.05)),
+    ("dyadic", prep_dyadic(x, 0.05)),
+    ("signshift", prep_signshift(x, 0.05)),
 ]
-print(f"{'method':>10} {'fidelity':>10} {'P(success)':>11} {'amp rounds':>11} {'gate units':>12}")
-for name, prepared, report in rows:
-    led = prepared.ledger
+print(f"{'method':>10} {'fidelity':>10} {'distance':>10} {'bound':>9} {'P(success)':>11} {'amp rounds':>11} {'gate units':>12}")
+for name, res in rows:
+    led = res.ledger
     print(
-        f"{name:>10} {fidelity(prepared.state, target):>10.6f} "
-        f"{prepared.success_probability:>11.4f} {led.amplification_rounds:>11} "
-        f"{led.gate_units:>12.3e}"
+        f"{name:>10} {fidelity(res.state, target):>10.6f} {res.realized_error:>10.2e} {res.bound:>9.2e} "
+        f"{res.success_probability:>11.4f} {led.amplification_rounds:>11} {led.gate_units:>12.3e}"
     )
 
 print("\namplification cost of the small-angle route grows like kappa^(3/2):")
@@ -45,5 +46,5 @@ from qmm import prep_hamiltonian
 for kappa in (2.0, 8.0, 32.0):
     f = np.geomspace(kappa, 1.0, 16)
     rep = prep_hamiltonian(f, base, eps=0.05)
-    print(f"  kappa(f) = {kappa:>4.0f}: rounds = {rep.result.ledger.amplification_rounds:>6} "
-          f"(distance {rep.realized_distance:.2e} <= bound {rep.target_fidelity_bound:.2e})")
+    print(f"  kappa(f) = {kappa:>4.0f}: rounds = {rep.ledger.amplification_rounds:>6} "
+          f"(distance {rep.realized_error:.2e} <= bound {rep.bound:.2e})")

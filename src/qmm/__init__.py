@@ -17,24 +17,23 @@ from .linalg import (
     vectorize,
 )
 from .matmul import (
-    PipelineResult,
     matmul_hhl,
     matmul_lcu,
     matmul_swaptest,
     matmul_sve,
     rank_one_product,
 )
-from .readout import ReadoutReport, inner_product_classical, readout_hhl, readout_sve, readout_swaptest
+from .readout import inner_product_classical, readout_hhl, readout_sve, readout_swaptest
 from .statevector import (
     CostLedger,
     PreparedState,
+    Result,
     Statevector,
     aligned_distance,
     charge_amplification,
     from_vector,
 )
 from .stateprep import (
-    PrepReport,
     VectorSpec,
     lcu_combine,
     prep_dyadic,

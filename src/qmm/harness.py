@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import matmul, readout, stateprep
 from .io import REPORT_SCHEMA
 from .linalg import exact_product
-from .statevector import aligned_distance, from_vector
 
 MULTIPLY_METHODS = ("swap", "sve", "hhl", "lcu")
 READOUT_METHODS = ("readout-swap", "readout-sve", "readout-hhl")
 PREP_METHODS = ("prep-direct", "prep-hamiltonian", "prep-sparse", "prep-dyadic", "prep-signshift")
-PREP_DIRECT_BOUND = 1e-7  # the bound prep-direct rows report; the route is exact
 # the options each method takes besides eps; setting any other one is an error
 _METHOD_OPTIONS = {
     "swap": ("phase_bits", "exact_phase"),
@@ -127,63 +125,37 @@ def generate_vector(n: int, kappa_target: float, seed: int) -> np.ndarray:
     return mags * rng.choice([-1.0, 1.0], size=n)
 
 
+# each method's call on an instance and eps. The function is looked up on
+# its module when the call runs, so a wrapper patched onto the module
+# (bench/tracer.py) is the one that runs.
+_CALLS = {
+    "swap": lambda x, eps, **o: matmul.matmul_swaptest(x["a"], x["b"], eps, **o),
+    "sve": lambda x, eps, **o: matmul.matmul_sve(x["a"], x["b"], eps, **o),
+    "hhl": lambda x, eps, **o: matmul.matmul_hhl(x["a"], x["b"], eps, **o),
+    "lcu": lambda x, eps: matmul.matmul_lcu(x["a"], x["b"], eps),
+    "readout-swap": lambda x, eps: readout.readout_swaptest(x["a"], x["b"], eps),
+    "readout-sve": lambda x, eps, **o: readout.readout_sve(x["a"], x["b"], eps, **o),
+    "readout-hhl": lambda x, eps, **o: readout.readout_hhl(x["a"], x["b"], eps, **o),
+    "prep-direct": lambda x, eps: stateprep.synthesize_direct(x["x"]),  # exact: eps unused
+    "prep-hamiltonian": lambda x, eps: stateprep._prep_by_sign_base(x["x"], eps),
+    "prep-sparse": lambda x, eps: stateprep.prep_sparse(x["x"], eps),
+    "prep-dyadic": lambda x, eps: stateprep.prep_dyadic(x["x"], eps),
+    "prep-signshift": lambda x, eps: stateprep.prep_signshift(x["x"], eps),
+}
+
+
 def _row(cfg: ExperimentConfig, inputs: dict, ident: str) -> dict:
-    """Run cfg's method on its instance and report one row: the fields of
-    the method's family, then those every row has. Each method function is
-    looked up as a module attribute at call time, so a wrapper patched onto
-    its module (bench/tracer.py) is the one that runs."""
+    """Run cfg's method on its instance and report one row: every set field
+    of its Result but state and method (c_tilde as a list, the ledger as a
+    dict), then the fields every row has."""
     started = time.perf_counter()
-    method = cfg.method
-    if method in MULTIPLY_METHODS:
-        res = {
-            "swap": matmul.matmul_swaptest,
-            "sve": matmul.matmul_sve,
-            "hhl": matmul.matmul_hhl,
-            "lcu": matmul.matmul_lcu,
-        }[method](inputs["a"], inputs["b"], eps=cfg.eps, **cfg.options())
-        ledger = res.ledger
-        row = {
-            "phase_bits": res.phase_bits,
-            "realized_error": res.realized_error,
-            "bound": res.predicted_bound,
-            "success_probability": res.success_probability,
-            "expected_success_probability": res.expected_success_probability,
-            "details": res.details,
-        }
-    elif method in READOUT_METHODS:
-        rep = {
-            "readout-swap": readout.readout_swaptest,
-            "readout-sve": readout.readout_sve,
-            "readout-hhl": readout.readout_hhl,
-        }[method](inputs["a"], inputs["b"], cfg.eps, **cfg.options())
-        ledger = rep.ledger
-        row = {"c_tilde": rep.c_tilde.tolist(), "realized_error": rep.max_observed_error, "bound": rep.entrywise_error_bound}
-    elif method == "prep-direct":
-        ps = stateprep.synthesize_direct(inputs["x"])
-        ledger = ps.ledger
-        row = {
-            # the route is exact, so the distance is at rounding level; the
-            # fixed bound is what reports record for it
-            "realized_error": aligned_distance(ps.state, from_vector("x", inputs["x"])),
-            "bound": PREP_DIRECT_BOUND,
-            "success_probability": ps.success_probability,
-        }
-    else:
-        rep = {
-            "prep-hamiltonian": stateprep._prep_by_sign_base,
-            "prep-sparse": stateprep.prep_sparse,
-            "prep-dyadic": stateprep.prep_dyadic,
-            "prep-signshift": stateprep.prep_signshift,
-        }[method](inputs["x"], cfg.eps)
-        ledger = rep.result.ledger
-        row = {
-            "realized_error": rep.realized_distance,
-            "bound": rep.target_fidelity_bound,
-            "success_probability": rep.result.success_probability,
-            "epsilon0": rep.epsilon0,
-            "epsilon1": rep.epsilon1,
-        }
-    row.update(inputs, id=ident, method=method, eps=cfg.eps, ledger=ledger.to_dict())
+    res = _CALLS[cfg.method](inputs, cfg.eps, **cfg.options())
+    row = {}
+    for f in fields(res):
+        value = getattr(res, f.name)
+        if value is not None and f.name not in ("state", "method"):
+            row[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    row.update(inputs, id=ident, method=cfg.method, eps=cfg.eps, ledger=res.ledger.to_dict())
     row["wall_time"] = time.perf_counter() - started
     return row
 
@@ -262,24 +234,14 @@ def scaling_study(
     table.sort(key=lambda r: (r["n"], -r["eps"], r["seed"]))
 
     slopes = {}
-    n_big = max(n_grid)
-    sub = [r for r in table if r["n"] == n_big]
-    if len(eps_grid) >= 2:
-        xs, ys = [], []
-        for eps in eps_grid:
-            costs = [r["cost"] for r in sub if r["eps"] == eps]
-            xs.append(1.0 / eps)
-            ys.append(float(np.mean(costs)))
-        slopes["cost_vs_inv_eps"] = fit_loglog_slope(xs, ys)
-    eps_small = min(eps_grid)
-    sub = [r for r in table if r["eps"] == eps_small]
-    if len(n_grid) >= 2:
-        xs, ys = [], []
-        for n in n_grid:
-            costs = [r["cost"] for r in sub if r["n"] == n]
-            xs.append(n)
-            ys.append(float(np.mean(costs)))
-        slopes["cost_vs_n"] = fit_loglog_slope(xs, ys)
+    # (slope, varied axis, its grid, held axis, held value, x of a grid value)
+    for name, axis, grid, held, at, x_of in (
+        ("cost_vs_inv_eps", "eps", eps_grid, "n", max(n_grid), lambda eps: 1.0 / eps),
+        ("cost_vs_n", "n", n_grid, "eps", min(eps_grid), lambda n: n),
+    ):
+        if len(grid) >= 2:
+            ys = [float(np.mean([r["cost"] for r in table if r[held] == at and r[axis] == v])) for v in grid]
+            slopes[name] = fit_loglog_slope([x_of(v) for v in grid], ys)
     return {"method": method, "table": table, "slopes": slopes}
 
 
@@ -302,7 +264,7 @@ def _recompute_bound(row: dict) -> float | None:
         sigma_eff = np.asarray(row["details"]["sigma_eff"], dtype=float)
         return matmul.sve_error_bound(route.scale / (1 << int(row["phase_bits"])), col_norms, alpha, sigma_eff, sigmas)
     if method == "prep-direct":
-        return PREP_DIRECT_BOUND
+        return stateprep.PREP_DIRECT_BOUND
     if method in ("prep-hamiltonian", "prep-sparse"):
         x = np.abs(row["x"])
         return stateprep.small_angle_bound(float(row["eps"]), float(x.max() / x[x > 0].min()))

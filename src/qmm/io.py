@@ -144,7 +144,7 @@ def load_report_json(path) -> dict:
     if not isinstance(report, dict):
         raise ValueError(f"{path}: a report is a JSON object, not {type(report).__name__}")
     schema = report.get("schema")
-    if schema not in READABLE_SCHEMAS:
+    if type(schema) is not int or schema not in READABLE_SCHEMAS:  # true == 1 and 3.0 == 3, but neither is a schema
         raise ValueError(f"{path}: unsupported report schema {schema!r}")
     rows = report.get("rows", [])
     if not isinstance(rows, list):

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .linalg import (
 from .qpe import _controlled_powers
 from .statevector import (
     CostLedger,
-    PreparedState,
+    Result,
     Statevector,
     _owned,
     aligned_distance,
@@ -414,29 +414,7 @@ def dilation_route(frob_a: float, sigma_max: float) -> _ValueRoute:
 
 
 # ---------------------------------------------------------------------------
-# results
-
-@dataclass(frozen=True)
-class PipelineResult:
-    """Pipeline output state plus the realized error against the exact
-    product state and the instance-evaluated bound it must stay under."""
-
-    state: PreparedState
-    realized_error: float
-    predicted_bound: float
-    method: str
-    phase_bits: int
-    expected_success_probability: float
-    details: dict = field(default_factory=dict)
-
-    @property
-    def ledger(self) -> CostLedger:
-        return self.state.ledger
-
-    @property
-    def success_probability(self) -> float:
-        return self.state.success_probability
-
+# error budgets
 
 def swaptest_error_bound(frob_a: float, frob_b: float, frob_c: float, eps_inner: float) -> float:
     """State-error budget of the swap-test pipeline for per-entry inner
@@ -486,11 +464,14 @@ def _check_real_pair(a, b):
 def _resolve_phase_bits(phase_bits, accuracy, scale: float = math.pi, guard: int = 2) -> int:
     """Width t of every phase register in qmm: the pipelines', the readouts'
     singular-value and overlap registers, the swap-test estimators' and
-    coefficient_tag's. An explicit phase_bits must lie in [2, MAX_PHASE_BITS];
-    otherwise t reads a value to accuracy on a scale / 2^t grid plus guard
-    bits (overlaps: pi and 2; value routes: route.scale and 0), at least 2,
-    and a t above MAX_PHASE_BITS raises before any register is built."""
+    coefficient_tag's. An explicit phase_bits must be an integer (Python or
+    numpy, not a float or a bool) in [2, MAX_PHASE_BITS]; otherwise t reads
+    a value to accuracy on a scale / 2^t grid plus guard bits (overlaps: pi
+    and 2; value routes: route.scale and 0), at least 2, and a t above
+    MAX_PHASE_BITS raises before any register is built."""
     if phase_bits is not None:
+        if isinstance(phase_bits, bool) or not isinstance(phase_bits, (int, np.integer)):
+            raise ValueError(f"phase_bits must be an integer, got {phase_bits!r}")
         t = int(phase_bits)
         if not 2 <= t <= MAX_PHASE_BITS:
             raise ValueError(f"phase_bits must lie in [2, {MAX_PHASE_BITS}], got {t}")
@@ -538,7 +519,7 @@ def matmul_swaptest(
     phase_bits: int | None = None,
     *,
     exact_phase: bool = False,
-) -> PipelineResult:
+) -> Result:
     """Produce the state of AB by estimating every row-column inner product
     in superposition and rotating it into an amplitude.
 
@@ -584,18 +565,20 @@ def matmul_swaptest(
     success = z / (frob_a * frob_b) ** 2
     realized = aligned_distance(state, vectorize(c))
     bound = swaptest_error_bound(frob_a, frob_b, frob_c, eps_inner)
-    return PipelineResult(
-        state=PreparedState(state, success, _pipeline_ledger(2, 4, t, success)),
-        realized_error=realized,
-        predicted_bound=bound,
+    return Result(
         method="swap",
+        realized_error=realized,
+        bound=bound,
+        ledger=_pipeline_ledger(2, 4, t, success),
+        state=state,
+        success_probability=success,
         phase_bits=t,
         expected_success_probability=frob_c**2 / (frob_a * frob_b) ** 2,
         details={"eps_inner": eps_inner},
     )
 
 
-def rank_one_product(a_vec, b_vec, eps: float = 0.05) -> PipelineResult:
+def rank_one_product(a_vec, b_vec, eps: float = 0.05) -> Result:
     """State of the rank-one product |a><b|: the swap-test pipeline on a
     column times a row. Branch angles sit exactly on the phase grid, so the
     result is exact and the cost is independent of any norm ratio; the
@@ -605,10 +588,10 @@ def rank_one_product(a_vec, b_vec, eps: float = 0.05) -> PipelineResult:
     if not np.linalg.norm(a_vec) or not np.linalg.norm(b_vec):
         raise ValueError("rank-one factors must be nonzero")
     res = matmul_swaptest(a_vec.reshape(-1, 1), b_vec.reshape(1, -1), eps=eps)
-    return replace(res, predicted_bound=min(res.predicted_bound, eps), method="rank-one")
+    return replace(res, bound=min(res.bound, eps), method="rank-one")
 
 
-def matmul_lcu(a, b, eps: float = 0.05) -> PipelineResult:
+def matmul_lcu(a, b, eps: float = 0.05) -> Result:
     """State of AB as the weighted combination of rank-one column-row
     products AB = sum_j A_.j B_j. , combined with weights ||A_.j|| ||B_j.||.
     Each term is the product state of a normalized column and row, so it is
@@ -637,11 +620,13 @@ def matmul_lcu(a, b, eps: float = 0.05) -> PipelineResult:
     combined = (a[:, live] / col_a[live] * lam[live]) @ (b[live] / row_b[live][:, None])
     state, _ = _product_state(combined, l, n)
     success = frob_c**2 / float(np.sum(lam)) ** 2
-    return PipelineResult(
-        state=PreparedState(state, success, _pipeline_ledger(2, 4, t, success)),
-        realized_error=aligned_distance(state, vectorize(c)),
-        predicted_bound=eps,
+    return Result(
         method="lcu",
+        realized_error=aligned_distance(state, vectorize(c)),
+        bound=eps,
+        ledger=_pipeline_ledger(2, 4, t, success),
+        state=state,
+        success_probability=success,
         phase_bits=t,
         expected_success_probability=success,
         details={"weight_sum": float(np.sum(lam))},
@@ -685,7 +670,7 @@ def _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n):
     return _product_state(psi, l, n)
 
 
-def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_support, exact_phase) -> PipelineResult:
+def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_support, exact_phase) -> Result:
     """State of AB from the column-encoded state of B: estimate every
     singular value of A on the route's phase register, rotate by c_rot times
     the decoded value, undo the estimation and postselect.
@@ -720,11 +705,13 @@ def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_suppo
 
     state, success = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, a0.shape[0], b0.shape[1])
     sigma_eff = np.abs(a_vec) / c_rot
-    return PipelineResult(
-        state=PreparedState(state, success, _pipeline_ledger(1, 2, t, success)),
-        realized_error=aligned_distance(state, vectorize(c)),
-        predicted_bound=sve_error_bound(eps1_eff, col_norms, alpha, sigma_eff, sigmas),
+    return Result(
         method=route.method,
+        realized_error=aligned_distance(state, vectorize(c)),
+        bound=sve_error_bound(eps1_eff, col_norms, alpha, sigma_eff, sigmas),
+        ledger=_pipeline_ledger(1, 2, t, success),
+        state=state,
+        success_probability=success,
         phase_bits=t,
         expected_success_probability=frob_c**2 / (frob_b**2 * sigma_max**2),
         details={
@@ -745,7 +732,7 @@ def matmul_sve(
     *,
     strict_support: bool = False,
     exact_phase: bool = False,
-) -> PipelineResult:
+) -> Result:
     """State of AB via singular-value estimation on the walk operator of A,
     starting from the column-encoded state of B; singular values are read
     to eps1 = 2 pi ||A||_F / 2^t (walk_route)."""
@@ -762,7 +749,7 @@ def matmul_hhl(
     *,
     strict_support: bool = False,
     exact_phase: bool = False,
-) -> PipelineResult:
+) -> Result:
     """State of AB via phase estimation of exp(i Adilated t0) on the
     Hermitian dilation of A; the matmul_sve template with label accuracy
     eps1 = 8 sigma_max / 2^t instead of 2 pi ||A||_F / 2^t (dilation_route)."""

@@ -14,7 +14,6 @@ register's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +22,8 @@ from .matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
 # import-time binding along with matmul._sve_component
 from .matmul import _sve_component  # noqa: F401
-from .statevector import CostLedger
+from .statevector import CostLedger, Result
 from .swaptest import _modal_overlap
-
-
-@dataclass(frozen=True)
-class ReadoutReport:
-    """Entrywise product estimate with its absolute-error contract.
-
-    max_observed_error compares against the exact product and must not
-    exceed entrywise_error_bound (= the requested eps_abs) on any run.
-    """
-
-    c_tilde: np.ndarray
-    entrywise_error_bound: float
-    max_observed_error: float
-    ledger: CostLedger
-    method: str
 
 
 def _overlap_width(eps_abs: float, nx: float, ny: float) -> int:
@@ -74,12 +58,14 @@ def _stacked_estimates(shape, flat, widths, s, scale, data_qubits: int, ledger: 
     return c_tilde
 
 
-def _report(c_tilde, a, b, eps_abs: float, ledger: CostLedger, method: str) -> ReadoutReport:
+def _report(c_tilde, a, b, eps_abs: float, ledger: CostLedger, method: str) -> Result:
+    """The readout's result: its realized error max |c_tilde - AB| must not
+    exceed its bound, the requested eps_abs, on any run."""
     error = float(np.max(np.abs(c_tilde - exact_product(a, b))))
-    return ReadoutReport(c_tilde, eps_abs, error, ledger, method)
+    return Result(method, error, eps_abs, ledger, c_tilde=c_tilde)
 
 
-def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
+def readout_swaptest(a, b, eps_abs: float) -> Result:
     """Entrywise C = AB by one overlap estimation per entry; cost per entry
     scales with ||A_i.|| ||B_.j|| / eps_abs, plus the classical norm pass.
     The estimations are independent and run side by side: the entries whose
@@ -100,7 +86,7 @@ def readout_swaptest(a, b, eps_abs: float) -> ReadoutReport:
     return _report(c_tilde, a, b, eps_abs, ledger, "readout-swap")
 
 
-def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> ReadoutReport:
+def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> Result:
     """Shared sve/hhl readout: per column j build the rotated state
     (1/sigma_ceiling) sum_k alpha_jk sigma~_k |u_k>|0> + junk, then estimate
     its overlap with each |i>|0> and rescale by ||B_.j|| sigma_ceiling.
@@ -151,13 +137,13 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
     return _report(c_tilde, a0, b0, eps_abs, ledger, "readout-" + route.method)
 
 
-def readout_sve(a, b, eps_abs: float, *, strict_support: bool = False) -> ReadoutReport:
+def readout_sve(a, b, eps_abs: float, *, strict_support: bool = False) -> Result:
     """Entrywise C = AB from overlaps with the singular-value-rotated column
     states of B, singular values estimated on the walk operator of A."""
     return _readout_by_value_estimation(a, b, eps_abs, walk_route, strict_support=strict_support)
 
 
-def readout_hhl(a, b, eps_abs: float, *, strict_support: bool = False) -> ReadoutReport:
+def readout_hhl(a, b, eps_abs: float, *, strict_support: bool = False) -> Result:
     """Entrywise C = AB with singular values estimated on the Hermitian
     dilation of A (accuracy relative to sigma_max instead of ||A||_F)."""
     return _readout_by_value_estimation(a, b, eps_abs, dilation_route, strict_support=strict_support)

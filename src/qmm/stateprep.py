@@ -15,7 +15,7 @@ pieces the primitive handles well, then recombine them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .statevector import (
     NORM_TOL,
     CostLedger,
     PreparedState,
+    Result,
     Statevector,
     _owned,
     aligned_distance,
@@ -32,6 +33,7 @@ from .statevector import (
 )
 
 SYNTH_LOG_CONST = 2  # exponent in the generic gate-count model
+PREP_DIRECT_BOUND = 1e-7  # the bound synthesize_direct reports; the route is exact
 
 
 @dataclass(frozen=True)
@@ -67,21 +69,7 @@ def _as_spec(x) -> VectorSpec:
     return x if isinstance(x, VectorSpec) else VectorSpec.from_values(x)
 
 
-@dataclass(frozen=True)
-class PrepReport:
-    """Prepared state plus the distance bound it was produced under and the
-    distance actually realized against the exact target."""
-
-    result: PreparedState
-    target_fidelity_bound: float
-    realized_distance: float
-    method: str
-    epsilon0: float = 0.0
-    epsilon1: float = 0.0
-    details: dict = field(default_factory=dict)
-
-
-def synthesize_direct(x) -> PreparedState:
+def synthesize_direct(x) -> Result:
     """Exact preparation through a synthesized unitary with U|0> = |x>.
 
     Always available. The unitary is charged, not built: the gate count
@@ -96,10 +84,13 @@ def synthesize_direct(x) -> PreparedState:
     gates = n**2 * logn**2
     ledger.gate_units += gates * max(math.log2(gates / 1e-12), 1.0) ** SYNTH_LOG_CONST
     ledger.charge_oracle(1)
-    return PreparedState(state, 1.0, ledger)
+    # the route is exact: the distance to the target is 0, and the fixed
+    # bound is what reports record for it
+    realized = aligned_distance(state, from_vector("x", spec.values))
+    return Result("direct", realized, PREP_DIRECT_BOUND, ledger, state=state, success_probability=1.0)
 
 
-def prep_hamiltonian(f, base: Statevector, eps: float) -> PrepReport:
+def prep_hamiltonian(f, base: Statevector, eps: float) -> Result:
     """Reweight a base state by f: produce ~ (1/sqrt(Z)) sum f(k) b_k |k>.
 
     f must be nonzero wherever the base has weight. The evolution time is
@@ -113,11 +104,11 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> PrepReport:
     return _measured(*_sine_branch(f, base, eps))
 
 
-def _measured(report: PrepReport, target: np.ndarray) -> PrepReport:
-    """The report with its realized distance to the normalized target."""
-    produced = report.result.state
+def _measured(result: Result, target: np.ndarray) -> Result:
+    """The result with its realized distance to the normalized target."""
+    produced = result.state
     want = from_vector(produced.layout[0][0], target, pad=False)
-    return replace(report, realized_distance=float(np.linalg.norm(produced.amplitudes - want.amplitudes)))
+    return replace(result, realized_error=float(np.linalg.norm(produced.amplitudes - want.amplitudes)))
 
 
 def small_angle_bound(eps: float, kappa_f: float) -> float:
@@ -126,8 +117,8 @@ def small_angle_bound(eps: float, kappa_f: float) -> float:
     return math.sqrt(kappa_f / 3.0) * (eps / math.sqrt(kappa_f))
 
 
-def _sine_branch(f, base: Statevector, eps: float) -> tuple[PrepReport, np.ndarray]:
-    """prep_hamiltonian's report with realized_distance left at nan, and the
+def _sine_branch(f, base: Statevector, eps: float) -> tuple[Result, np.ndarray]:
+    """prep_hamiltonian's result with realized_error left at nan, and the
     unnormalized target f b (zero off the base's support) that _measured
     compares it with. The composite routes read only the prepared state."""
     if len(base.layout) != 1:
@@ -175,19 +166,21 @@ def _sine_branch(f, base: Statevector, eps: float) -> tuple[PrepReport, np.ndarr
     ledger.charge_oracle(rounds)  # each round reruns base prep + evolution
     ledger.gate_units += rounds  # one diagonal-evolution unit per pass
 
-    report = PrepReport(
-        result=PreparedState(produced, prob, ledger),
-        target_fidelity_bound=small_angle_bound(eps, kappa_f),
-        realized_distance=math.nan,
+    result = Result(
         method="hamiltonian",
+        realized_error=math.nan,
+        bound=small_angle_bound(eps, kappa_f),
+        ledger=ledger,
+        state=produced,
+        success_probability=prob,
         epsilon0=eps0,
         epsilon1=eps1,
         details={"kappa_f": kappa_f, "evolution_time": t_evo, "rounds": rounds},
     )
-    return report, np.where(populated, fvals * b, 0.0)
+    return result, np.where(populated, fvals * b, 0.0)
 
 
-def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
+def prep_sparse(x, eps: float, support_known: bool = True) -> Result:
     """Prepare |x> by reweighting the uniform state on the support of x.
 
     With the support known the base is uniform on the support alone; when it
@@ -195,17 +188,17 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> PrepReport:
     and amplification pays an extra sqrt(n/z) factor.
     """
     spec = _as_spec(x)
-    report, target = _sparse(spec, eps)
+    result, target = _sparse(spec, eps)
     if not support_known:
         penalty = math.ceil(math.sqrt(spec.values.size / spec.support.size))
-        report.result.ledger.amplification_rounds *= penalty
-        report.result.ledger.oracle_calls *= penalty
-        report = replace(report, method="sparse-unknown")
-    return _measured(report, target)
+        result.ledger.amplification_rounds *= penalty
+        result.ledger.oracle_calls *= penalty
+        result = replace(result, method="sparse-unknown")
+    return _measured(result, target)
 
 
 def _on_support(spec: VectorSpec, shape, reweight):
-    """reweight(base), a (PrepReport, ...) tuple, for the base state
+    """reweight(base), a (Result, ...) tuple, for the base state
     shape(x_k)/sqrt(z) on the z-point support of x, with the base's
     ceil(log2 n) gate units charged: the uniform base of _sparse, the sign
     base of _prep_by_sign_base."""
@@ -213,18 +206,18 @@ def _on_support(spec: VectorSpec, shape, reweight):
     base = np.zeros(dim, dtype=complex)
     base[spec.support] = shape(spec.values[spec.support]) / math.sqrt(spec.support.size)
     out = reweight(_owned((("x", int(math.log2(dim))),), base))
-    out[0].result.ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
+    out[0].ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
     return out
 
 
-def _sparse(spec: VectorSpec, eps: float) -> tuple[PrepReport, np.ndarray]:
+def _sparse(spec: VectorSpec, eps: float) -> tuple[Result, np.ndarray]:
     """prep_sparse with the support known, as _sine_branch returns it;
     prep_dyadic and prep_signshift prepare their pieces with it."""
-    report, target = _on_support(spec, lambda values: 1.0, lambda base: _sine_branch(spec.values, base, eps))
-    return replace(report, method="sparse-known"), target
+    result, target = _on_support(spec, lambda values: 1.0, lambda base: _sine_branch(spec.values, base, eps))
+    return replace(result, method="sparse-known"), target
 
 
-def _prep_by_sign_base(x, eps: float) -> PrepReport:
+def _prep_by_sign_base(x, eps: float) -> Result:
     """prep_hamiltonian with f = |x| over the sign state sum_k sign(x_k)|k>/sqrt(z)
     on the support of x: the harness's prep-hamiltonian method."""
     spec = _as_spec(x)
@@ -248,7 +241,7 @@ def dyadic_bands(spec: VectorSpec) -> list[VectorSpec]:
     return bands
 
 
-def prep_dyadic(x, eps: float) -> PrepReport:
+def prep_dyadic(x, eps: float) -> Result:
     """Prepare |x> by splitting it into magnitude-doubling bands, preparing
     each nearly-uniform band, and recombining with weights ||y_j||/||x||."""
     spec = _as_spec(x)
@@ -258,7 +251,7 @@ def prep_dyadic(x, eps: float) -> PrepReport:
     eps_band = eps / (2.0 * math.sqrt(q))
     weights = [float(np.linalg.norm(band.values)) / norm_x for band in bands]
     # one band state alive at a time
-    combined = lcu_combine((_sparse(band, eps_band)[0].result for band in bands), weights)
+    combined = lcu_combine((_sparse(band, eps_band)[0] for band in bands), weights)
     ledger = combined.ledger
     # selection-unitary synthesis for the q combination weights
     logq = max(math.log2(max(q, 2)), 1.0)
@@ -266,16 +259,20 @@ def prep_dyadic(x, eps: float) -> PrepReport:
     ledger.gate_units += cq * max(math.log2(max(cq, 2.0) / eps), 1.0) ** SYNTH_LOG_CONST
     target = from_vector("x", spec.values)
     realized = aligned_distance(combined.state, target)
-    return PrepReport(
-        result=combined,
-        target_fidelity_bound=eps,
-        realized_distance=realized,
+    return Result(
         method="dyadic",
+        realized_error=realized,
+        bound=eps,
+        ledger=ledger,
+        state=combined.state,
+        success_probability=combined.success_probability,
+        epsilon0=0.0,  # the bands have windows of their own; the composite reports 0
+        epsilon1=0.0,
         details={"bands": q, "weights": weights},
     )
 
 
-def prep_signshift(x, eps: float) -> PrepReport:
+def prep_signshift(x, eps: float) -> Result:
     """Prepare |x> as the combination (||z||/||x||)|z> - (||y||/||x||)|y>
     with y = M sign(x) on the support and z = x + y.
 
@@ -295,7 +292,7 @@ def prep_signshift(x, eps: float) -> PrepReport:
     norm_z = float(np.linalg.norm(z))
 
     eps_z = eps * norm_x / (2.0 * norm_z)
-    z_prep = _sparse(VectorSpec.from_values(z), eps_z)[0].result
+    z_prep = _sparse(VectorSpec.from_values(z), eps_z)[0]
     del z
 
     lam = norm_z / norm_x
@@ -317,11 +314,15 @@ def prep_signshift(x, eps: float) -> PrepReport:
     state = _owned(layout, combined)
     target = from_vector("x", spec.values)
     realized = aligned_distance(state, target)
-    return PrepReport(
-        result=PreparedState(state, success, ledger),
-        target_fidelity_bound=eps,
-        realized_distance=realized,
+    return Result(
         method="signshift",
+        realized_error=realized,
+        bound=eps,
+        ledger=ledger,
+        state=state,
+        success_probability=success,
+        epsilon0=0.0,
+        epsilon1=0.0,
         details={
             "shift": m_val,
             "spread": spread,
@@ -333,11 +334,12 @@ def prep_signshift(x, eps: float) -> PrepReport:
 def lcu_combine(states, weights) -> PreparedState:
     """Combine prepared states into one proportional to sum_i w_i |s_i>.
 
-    states may be any iterable, a generator included: it is walked once, so
-    only the combination and the current state need be alive. Success
-    probability ||sum w_i s_i||^2 / (sum |w_i|)^2 (the select-based
-    combination; the two-state interference case divides by 2(w1^2+w2^2)
-    instead and is what prep_signshift records)."""
+    Each state is a PreparedState or a Result, of which only state and
+    ledger are read. states may be any iterable, a generator included: it
+    is walked once, so only the combination and the current state need be
+    alive. Success probability ||sum w_i s_i||^2 / (sum |w_i|)^2 (the
+    select-based combination; the two-state interference case divides by
+    2(w1^2+w2^2) instead and is what prep_signshift records)."""
     weights = np.asarray(weights, dtype=float).reshape(-1)
     states = iter(states)
     combined, layout, ledger, count = None, None, CostLedger(), 0

@@ -1,4 +1,5 @@
-"""Multi-register statevectors, postselected states and cost accounting.
+"""Multi-register statevectors, postselected states, cost accounting and
+the result type every method returns.
 
 States are dense complex amplitude vectors over a named register layout.
 Measurement is replaced by exact-probability postselection, so every
@@ -202,6 +203,31 @@ class PreparedState:
     state: Statevector
     success_probability: float
     ledger: CostLedger
+
+
+@dataclass(frozen=True)
+class Result:
+    """What every method returns: the realized error against the exact
+    answer, the instance-evaluated bound it must stay under, and the costs
+    charged. The other fields are set (not None) only by the families that
+    have them: state, success_probability and details by the product and
+    prep routes, c_tilde by the readouts, phase_bits and
+    expected_success_probability by the products, and epsilon0 and
+    epsilon1 by the prep routes but synthesize_direct (0.0 on the dyadic
+    and sign-shift routes, which have no small-angle window of their own)."""
+
+    method: str
+    realized_error: float
+    bound: float
+    ledger: CostLedger
+    state: Statevector | None = None
+    success_probability: float | None = None
+    c_tilde: np.ndarray | None = None
+    phase_bits: int | None = None
+    expected_success_probability: float | None = None
+    epsilon0: float | None = None
+    epsilon1: float | None = None
+    details: dict | None = None
 
 
 def aligned_distance(a: Statevector, b: Statevector) -> float:

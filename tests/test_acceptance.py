@@ -83,7 +83,7 @@ def test_criterion_3_sve_pipeline_error_budget():
             res.details["eps1_eff"], col_norms, alpha,
             np.asarray(res.details["sigma_eff"]), sigmas,
         )
-        if res.realized_error > budget or abs(budget - res.predicted_bound) > 1e-12:
+        if res.realized_error > budget or abs(budget - res.bound) > 1e-12:
             violations += 1
     elapsed = time.perf_counter() - started
     _report(3, "sve pipeline state distance within instance budget on 30 runs",
@@ -100,7 +100,7 @@ def test_criterion_4_entrywise_readout_contract():
         for eps in (0.1, 0.05):
             for fn in (readout_swaptest, readout_sve, readout_hhl):
                 rep = fn(a, b, eps)
-                if rep.max_observed_error > eps:
+                if rep.realized_error > eps:
                     violations += 1
     elapsed = time.perf_counter() - started
     _report(4, "entrywise readout within eps_abs on 120 runs (3 methods x 20 pairs x 2 eps)",
@@ -119,9 +119,9 @@ def test_criterion_5_small_angle_preparation_bounds():
             f = f * rng.choice([-1.0, 1.0], size=8)
             base = from_vector("x", np.abs(rng.normal(size=8)) + 0.05)
             rep = prep_hamiltonian(f, base, eps=0.05)
-            p = rep.result.success_probability
+            p = rep.success_probability
             ok = (
-                rep.realized_distance <= math.sqrt(kappa / 3.0) * rep.epsilon1
+                rep.realized_error <= math.sqrt(kappa / 3.0) * rep.epsilon1
                 and rep.epsilon0**2 <= p <= rep.epsilon1**2
             )
             violations += 0 if ok else 1
@@ -142,8 +142,8 @@ def test_criterion_6_state_prep_cross_method_agreement():
         kappa = 2.0 ** (2 + seed % 9)  # up to 2^10
         x = generate_vector(dim, kappa, seed=seed)
         direct = synthesize_direct(x).state
-        dyadic = prep_dyadic(x, eps).result.state
-        shift = prep_signshift(x, eps).result.state
+        dyadic = prep_dyadic(x, eps).state
+        shift = prep_signshift(x, eps).state
         floor = 1.0 - 2.0 * eps
         ok = ok and fidelity(direct, dyadic) >= floor
         ok = ok and fidelity(direct, shift) >= floor
@@ -162,12 +162,12 @@ def test_criterion_7_exact_phase_oracle_equivalence():
         ref = vectorize(exact_product(a, b)).amplitudes
         for fn in (matmul_swaptest, matmul_sve, matmul_hhl):
             res = fn(a, b, phase_bits=6, exact_phase=True)
-            got = res.state.state.amplitudes
+            got = res.state.amplitudes
             overlap = np.vdot(ref, got)
             got = got * (abs(overlap) / overlap)
             worst = max(worst, float(np.max(np.abs(got - ref))))
         res = matmul_lcu(a, b, eps=0.05)
-        got = res.state.state.amplitudes
+        got = res.state.amplitudes
         overlap = np.vdot(ref, got)
         worst = max(worst, float(np.max(np.abs(got * abs(overlap) / overlap - ref))))
     elapsed = time.perf_counter() - started
@@ -204,7 +204,7 @@ def test_criterion_8_ledger_slopes():
     for kappa in kappas:
         f = np.geomspace(kappa, 1.0, 16)
         rep = prep_hamiltonian(f, base, eps=0.05)
-        rounds.append(rep.result.ledger.amplification_rounds)
+        rounds.append(rep.ledger.amplification_rounds)
     slope_prep = np.polyfit(np.log([k**1.5 for k in kappas]), np.log(rounds), 1)[0]
 
     elapsed = time.perf_counter() - started

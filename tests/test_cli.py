@@ -53,6 +53,10 @@ def test_verify_fails_on_tampered_report(tmp_path, matrices, capsys):
     "text, message",
     [
         ("[]", "a report is a JSON object, not list"),
+        # a schema is an int: true and 1.0 equal 1, and 3.0 equals 3, but none is read
+        ('{"schema": true, "rows": [{"id": "r", "x": [1.0, 2.0]}]}', "unsupported report schema True"),
+        ('{"schema": 1.0, "rows": [{"id": "r", "x": [1.0, 2.0]}]}', "unsupported report schema 1.0"),
+        ('{"schema": 3.0, "instances": [], "rows": []}', "unsupported report schema 3.0"),
         ('{"schema": 2, "rows": 5}', "the rows are a JSON list, not int"),
         ('{"schema": 2, "rows": [1]}', "row 0: a row is a JSON object, not int"),
         ('{"schema": 3, "instances": {}, "rows": []}', "the instances are a JSON list, not dict"),

@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmm import stateprep
+from qmm import Result, Statevector, harness, stateprep
 from qmm.harness import (
     MULTIPLY_METHODS,
     PREP_METHODS,
@@ -20,7 +21,7 @@ from qmm.harness import (
 )
 from qmm.io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
 from qmm.linalg import compute_svd
-from qmm.matmul import MAX_PHASE_BITS
+from qmm.matmul import MAX_PHASE_BITS, matmul_swaptest
 from helpers import comparable, comparable_rows, pinned_row
 
 
@@ -101,6 +102,11 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match=rf"\[2, {MAX_PHASE_BITS}\]"):
             ExperimentConfig(method="swap", phase_bits=bad)
     assert ExperimentConfig(method="swap", phase_bits=MAX_PHASE_BITS).phase_bits == MAX_PHASE_BITS
+    # a width of 9.7 would run at t = 9 while the config records 9.7
+    with pytest.raises(ValueError, match="phase_bits must be an integer"):
+        ExperimentConfig(method="swap", phase_bits=9.7)
+    with pytest.raises(ValueError, match="phase_bits must be an integer"):
+        matmul_swaptest(np.eye(2), np.eye(2), phase_bits=9.7)
 
 
 @pytest.mark.parametrize(
@@ -187,6 +193,41 @@ def test_rows_hold_read_only_snapshots_of_the_inputs(tmp_path, method, names):
         assert np.array_equal(row[name].view(np.uint64), kept[name].view(np.uint64))
     save_report_json(tmp_path / "after.json", table.to_dict())
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+
+# the Result fields each family sets besides method, realized_error, bound
+# and ledger; the bench's reference records expect exactly these row keys
+_PRODUCT = ("state", "success_probability", "phase_bits", "expected_success_probability", "details")
+_SMALL_ANGLE = ("state", "success_probability", "epsilon0", "epsilon1", "details")
+SET_FIELDS = {
+    **dict.fromkeys(MULTIPLY_METHODS, _PRODUCT),
+    **dict.fromkeys(READOUT_METHODS, ("c_tilde",)),
+    **dict.fromkeys(PREP_METHODS, _SMALL_ANGLE),
+    "prep-direct": ("state", "success_probability"),
+}
+
+
+@pytest.mark.parametrize("method", MULTIPLY_METHODS + READOUT_METHODS + PREP_METHODS)
+def test_every_method_returns_a_result_whose_set_fields_make_its_row(method, monkeypatch):
+    if method in PREP_METHODS:
+        inputs = {"x": generate_vector(16, 4.0, seed=2)}
+    else:
+        inputs = {"a": generate_matrix(4, 2.0, seed=2), "b": generate_matrix(4, 2.0, seed=3)}
+    results = []
+    call = harness._CALLS[method]
+    monkeypatch.setitem(harness._CALLS, method, lambda *args, **kw: results.append(call(*args, **kw)) or results[-1])
+    row = run_experiment(ExperimentConfig(method=method, eps=0.05, seed=2, inputs=inputs)).rows[0]
+    (res,) = results
+    assert isinstance(res, Result)
+    assert isinstance(res.state, Statevector) == (method not in READOUT_METHODS)
+    always = ("method", "realized_error", "bound", "ledger")
+    assert {f.name for f in fields(res) if getattr(res, f.name) is not None} == {*always, *SET_FIELDS[method]}
+    want = {name: getattr(res, name) for name in ("realized_error", "bound", *SET_FIELDS[method]) if name != "state"}
+    if "c_tilde" in want:
+        want["c_tilde"] = res.c_tilde.tolist()
+    want.update(inputs, id=f"{method}-n{16 if 'x' in inputs else 4}-seed2", method=method, eps=0.05, ledger=res.ledger.to_dict())
+    assert isinstance(row.pop("wall_time"), float)
+    assert comparable(row) == comparable(want)
 
 
 # ---------------------------------------------------------------------------

@@ -148,20 +148,20 @@ def test_phase0_closed_form_matches_gate_inversion():
 
 def test_matmul_swaptest_identity_pair():
     res = matmul_swaptest(np.eye(2), np.eye(2), eps=0.05)
-    table = res.state.state.reshaped()
+    table = res.state.reshaped()
     expected = np.zeros((2, 2))
     expected[0, 0] = expected[1, 1] = 1 / math.sqrt(2)
     assert np.max(np.abs(table - expected)) < 1e-10
     assert res.success_probability == pytest.approx(0.5, abs=1e-10)
     assert res.expected_success_probability == pytest.approx(0.5, abs=1e-12)
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound
 
 
 def test_matmul_swaptest_random_times_identity():
     a = rand_matrix(2)
     res = matmul_swaptest(a, np.eye(4), phase_bits=10)
-    assert res.realized_error <= res.predicted_bound
-    assert exact_state_distance(res.state.state, vectorize(a)) < 0.05
+    assert res.realized_error <= res.bound
+    assert exact_state_distance(res.state, vectorize(a)) < 0.05
 
 
 def test_matmul_swaptest_nilpotent_product_rejected():
@@ -175,10 +175,10 @@ def test_matmul_swaptest_bound_holds_on_seeded_instances():
         a, b = rand_matrix(seed), rand_matrix(seed + 100)
         for t in (8, 10):
             res = matmul_swaptest(a, b, phase_bits=t)
-            assert res.realized_error <= res.predicted_bound
+            assert res.realized_error <= res.bound
             eps_inner = math.pi / (1 << t)
             r2 = (np.linalg.norm(a) * np.linalg.norm(b) / np.linalg.norm(a @ b)) ** 2
-            assert res.predicted_bound == pytest.approx(
+            assert res.bound == pytest.approx(
                 math.sqrt(2 * r2 + 2 * r2 * r2) * eps_inner
             )
 
@@ -208,7 +208,7 @@ def test_matmul_swaptest_at_max_phase_bits():
     a, b = rand_matrix(7, shape=(2, 3)), rand_matrix(8, shape=(3, 2))
     res = matmul_swaptest(a, b, phase_bits=MAX_PHASE_BITS)
     assert res.phase_bits == MAX_PHASE_BITS == 20
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound
     assert res.success_probability == pytest.approx(res.expected_success_probability, rel=1e-5)
 
 
@@ -228,13 +228,13 @@ def test_a_nonpositive_eps_is_rejected_not_resized(fn):
 
 def test_rank_one_basis_states():
     res = rank_one_product(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert np.allclose(res.state.state.amplitudes, [1, 0, 0, 0])
+    assert np.allclose(res.state.amplitudes, [1, 0, 0, 0])
     assert res.realized_error < 1e-12
 
 
 def test_rank_one_three_four_five():
     res = rank_one_product(np.array([3.0, 4.0]) / 5.0, np.array([1.0, 0.0]))
-    assert np.allclose(res.state.state.amplitudes, [0.6, 0.0, 0.8, 0.0], atol=1e-12)
+    assert np.allclose(res.state.amplitudes, [0.6, 0.0, 0.8, 0.0], atol=1e-12)
 
 
 def test_rank_one_random_pair_fidelity():
@@ -243,7 +243,7 @@ def test_rank_one_random_pair_fidelity():
     b = rng.normal(size=8)
     res = rank_one_product(a, b, eps=0.05)
     outer = np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b))
-    assert exact_state_distance(res.state.state, vectorize(outer)) <= 1e-10
+    assert exact_state_distance(res.state, vectorize(outer)) <= 1e-10
     assert res.success_probability == pytest.approx(1.0, abs=1e-10)
     assert res.ledger.amplification_rounds == 1
 
@@ -263,8 +263,8 @@ def test_rank_one_rejects_zero_vector():
 
 def test_matmul_lcu_identity_pair():
     res = matmul_lcu(np.eye(2), np.eye(2), eps=0.05)
-    assert res.realized_error <= res.predicted_bound
-    table = res.state.state.reshaped()
+    assert res.realized_error <= res.bound
+    table = res.state.reshaped()
     assert abs(table[0, 0] - 1 / math.sqrt(2)) < 1e-10
 
 
@@ -275,7 +275,7 @@ def test_matmul_lcu_single_term_reduces_to_rank_one():
     b = np.outer([1.0, 0.0], b_vec)  # only row 0 nonzero
     res = matmul_lcu(a, b, eps=0.05)
     ref = rank_one_product(a_vec, b_vec, eps=0.05)
-    assert exact_state_distance(res.state.state, ref.state.state) < 1e-10
+    assert exact_state_distance(res.state, ref.state) < 1e-10
 
 
 def test_matmul_lcu_random_pair_and_cheaper_ledger():
@@ -283,7 +283,7 @@ def test_matmul_lcu_random_pair_and_cheaper_ledger():
     res = matmul_lcu(a, b, eps=0.05)
     c = exact_product(a, b)
     assert 1 - res.realized_error**2 / 2 >= 1 - 0.05  # fidelity >= 1 - eps
-    assert exact_state_distance(res.state.state, vectorize(c)) < 1e-10
+    assert exact_state_distance(res.state, vectorize(c)) < 1e-10
     swap = matmul_swaptest(a, b, eps=0.05)
     lcu_cost = res.ledger.total_oracle_units() * res.ledger.amplification_rounds
     swap_cost = swap.ledger.total_oracle_units() * swap.ledger.amplification_rounds
@@ -319,9 +319,9 @@ def test_matmul_lcu_matches_simulated_rank_one_terms(case):
     lam = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
     combined = np.zeros((l, n))
     for j in np.flatnonzero(lam):
-        table = rank_one_product(a[:, j], b[j], eps=eps).state.state.reshaped()
+        table = rank_one_product(a[:, j], b[j], eps=eps).state.reshaped()
         combined += lam[j] * table[:l, :n].real
-    table = res.state.state.reshaped()
+    table = res.state.reshaped()
     assert np.max(np.abs(table[:l, :n] - combined / np.linalg.norm(combined))) <= 1e-12
     assert np.all(table[l:] == 0) and np.all(table[:, n:] == 0)
 
@@ -336,10 +336,10 @@ def test_matmul_lcu_matches_simulated_rank_one_terms(case):
     charge_amplification(ledger, success)
     assert res.ledger.to_dict() == ledger.to_dict()
     assert res.phase_bits == t
-    assert res.predicted_bound == eps
+    assert res.bound == eps
     assert res.success_probability == res.expected_success_probability == success
     assert res.details == {"weight_sum": float(np.sum(lam))}
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound
 
 
 @pytest.mark.parametrize(
@@ -362,7 +362,7 @@ def test_matmul_lcu_keeps_a_term_too_small_for_its_own_pipeline():
     a = np.array([[1.0, 1e-8], [2.0, 1e-8]])
     b = np.array([[1.0, 2.0], [1e-8, 1e-8]])
     res = matmul_lcu(a, b, eps=0.05)
-    assert exact_state_distance(res.state.state, vectorize(exact_product(a, b))) < 1e-12
+    assert exact_state_distance(res.state, vectorize(exact_product(a, b))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def test_sve_transform_zero_matrix_rejected():
 
 def test_matmul_sve_identity_pair():
     res = matmul_sve(np.eye(2), np.eye(2), phase_bits=8)
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound
     # exact up to the sqrt-amplified float floor of the distance metric
     assert res.realized_error < 1e-7
     assert res.success_probability == pytest.approx(1.0, rel=1e-6)
@@ -445,7 +445,7 @@ def test_matmul_sve_bound_holds_on_seeded_instances():
         a = rand_matrix(seed, shift=2.0)
         b = rand_matrix(seed + 200)
         res = matmul_sve(a, b, phase_bits=10)
-        assert res.realized_error <= res.predicted_bound
+        assert res.realized_error <= res.bound
 
 
 def test_matmul_sve_per_component_sigma_accuracy():
@@ -463,7 +463,7 @@ def test_matmul_sve_single_column():
     b = rand_matrix(41)[:, :1]
     res = matmul_sve(a, b, phase_bits=9)
     target = (a @ b).reshape(-1)
-    assert exact_state_distance(res.state.state, vectorize(target.reshape(-1, 1))) < 0.02
+    assert exact_state_distance(res.state, vectorize(target.reshape(-1, 1))) < 0.02
 
 
 def test_matmul_sve_support_violation_modes():
@@ -471,7 +471,7 @@ def test_matmul_sve_support_violation_modes():
     b = np.array([[1.0, 0.0], [1.0, 0.5]])
     with pytest.warns(SupportViolationWarning):
         res = matmul_sve(a, b, phase_bits=8)
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound
     with pytest.raises(SupportViolationError):
         matmul_sve(a, b, phase_bits=8, strict_support=True)
 
@@ -483,7 +483,7 @@ def test_matmul_hhl_identity_passes_through_columns():
     rng = np.random.default_rng(9)
     b = rng.normal(size=(2, 1))
     res = matmul_hhl(np.eye(2), b, phase_bits=8)
-    assert exact_state_distance(res.state.state, vectorize(b)) < 1e-8
+    assert exact_state_distance(res.state, vectorize(b)) < 1e-8
 
 
 def test_matmul_hhl_diagonal_reweights_by_sigma():
@@ -492,7 +492,7 @@ def test_matmul_hhl_diagonal_reweights_by_sigma():
     res = matmul_hhl(a, v, phase_bits=10)
     # oracle: direct formula, amplitudes proportional to sigma_k * v_k
     target = np.array([1.0, 0.5]) / math.sqrt(1.25)
-    table = res.state.state.amplitudes
+    table = res.state.amplitudes
     assert np.max(np.abs(np.abs(table) - target)) < 1e-6
 
 
@@ -501,7 +501,7 @@ def test_matmul_hhl_bound_holds_on_seeded_instances():
         a = rand_matrix(seed + 27, shift=2.0)
         b = rand_matrix(seed + 327)
         res = matmul_hhl(a, b, phase_bits=10)
-        assert res.realized_error <= res.predicted_bound
+        assert res.realized_error <= res.bound
         eff = np.asarray(res.details["sigma_eff"])
         exact = np.asarray(res.details["sigma_exact"])
         assert np.max(np.abs(eff - exact)) <= res.details["eps1_eff"]
@@ -526,13 +526,13 @@ def test_exact_phase_mode_reproduces_exact_product(method):
         b = rand_matrix(seed + 77)
         res = method(a, b, phase_bits=6, exact_phase=True)
         ref = vectorize(exact_product(a, b))
-        assert exact_state_distance(res.state.state, ref) < 1e-10
+        assert exact_state_distance(res.state, ref) < 1e-10
 
 
 def test_exact_phase_mode_lcu():
     a, b = rand_matrix(3), rand_matrix(4)
     res = matmul_lcu(a, b, eps=0.05)
-    assert exact_state_distance(res.state.state, vectorize(exact_product(a, b))) < 1e-10
+    assert exact_state_distance(res.state, vectorize(exact_product(a, b))) < 1e-10
 
 
 PIPELINES_PINNED = json.loads((Path(__file__).parent / "data" / "pipelines_pinned.json").read_text())
@@ -557,7 +557,7 @@ def test_value_estimation_pipelines_match_pinned_values(case):
     assert np.max(np.abs(np.array(res.details["sigma_eff"]) - case["sigma_eff"])) <= 1e-12
     for key in ("success_probability", "expected_success_probability"):
         assert getattr(res, key) == pytest.approx(case[key], abs=1e-12)
-    assert res.predicted_bound == pytest.approx(case["bound"], abs=1e-12)
+    assert res.bound == pytest.approx(case["bound"], abs=1e-12)
     # the realized error is sqrt(2 - 2 fidelity): compare what is under the root
     assert res.realized_error**2 == pytest.approx(case["realized_error"] ** 2, abs=1e-12)
 
@@ -611,7 +611,7 @@ def test_swaptest_pipeline_matches_full_circuit():
     full_state = ps.state  # on the ij register
 
     res = matmul_swaptest(a, b, phase_bits=t)
-    factored = res.state.state.amplitudes  # (row, col) = same ij ordering
+    factored = res.state.amplitudes  # (row, col) = same ij ordering
     assert np.max(np.abs(full_state.amplitudes - factored)) < 1e-10
     assert joint == pytest.approx(res.success_probability, abs=1e-12)
 
@@ -657,7 +657,7 @@ def test_sve_pipeline_matches_full_circuit():
     full_state = ps.state
 
     res = matmul_sve(a, bvec.reshape(-1, 1), phase_bits=t)
-    assert np.max(np.abs(full_state.amplitudes - res.state.state.amplitudes)) < 1e-9
+    assert np.max(np.abs(full_state.amplitudes - res.state.amplitudes)) < 1e-9
     assert joint == pytest.approx(res.success_probability, rel=1e-9)
 
 
@@ -700,7 +700,7 @@ def test_hhl_pipeline_matches_full_circuit():
     full_state = ps.state
 
     res = matmul_hhl(a, bvec.reshape(-1, 1), phase_bits=t)
-    assert np.max(np.abs(full_state.amplitudes - res.state.state.amplitudes)) < 1e-9
+    assert np.max(np.abs(full_state.amplitudes - res.state.amplitudes)) < 1e-9
     assert joint == pytest.approx(res.success_probability, rel=1e-9)
 
 
@@ -715,8 +715,8 @@ def test_swap_zero_rows_and_single_entries_match_closed_form(case, t):
     res = matmul_swaptest(a, b, phase_bits=t)
     rows = np.linalg.norm(a, axis=1)
     want = swap_closed_form_entries(a, b, t)
-    got = res.state.state.reshaped()[: want.shape[0], : want.shape[1]]
+    got = res.state.reshaped()[: want.shape[0], : want.shape[1]]
     assert np.all(got[rows == 0] == 0.0)
     assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-11
     assert res.success_probability == pytest.approx(np.sum(want**2) / np.sum(a**2) / np.sum(b**2), abs=1e-12)
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound

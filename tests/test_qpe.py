@@ -75,6 +75,11 @@ def test_phase_width_rule():
     for bad in (0, 1, MAX_PHASE_BITS + 1):
         with pytest.raises(ValueError, match=rf"phase_bits must lie in \[2, {MAX_PHASE_BITS}\]"):
             _resolve_phase_bits(bad, None)
+    # an explicit width is an integer: numpy's too, but no float and no bool
+    assert _resolve_phase_bits(np.int64(9), None) == _resolve_phase_bits(np.uint8(9), None) == 9
+    for bad in (9.7, 9.0, np.float64(9.0), True, np.bool_(True)):
+        with pytest.raises(ValueError, match="phase_bits must be an integer"):
+            _resolve_phase_bits(bad, None)
     with pytest.raises(ValueError, match="at least one bit"):
         phase_estimate(np.eye(2), from_vector("q", [1, 0]), 0)
     # the public swap-test entry points take an accuracy in (0, 1)

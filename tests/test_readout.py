@@ -72,7 +72,7 @@ def test_inner_product_norm_scaling_of_achieved_error():
 def test_readout_swaptest_identity():
     rep = readout_swaptest(np.eye(2), np.eye(2), 0.05)
     assert np.max(np.abs(rep.c_tilde - np.eye(2))) <= 0.05
-    assert rep.max_observed_error <= 0.05
+    assert rep.realized_error <= 0.05
 
 
 @pytest.mark.parametrize(
@@ -92,9 +92,9 @@ def test_readout_swaptest_rejects_bad_pairs(a, b, match):
 def test_readout_swaptest_random_seed31():
     a, b = rand_pair(31)
     rep = readout_swaptest(a, b, 0.05)
-    assert rep.max_observed_error <= 0.05
+    assert rep.realized_error <= 0.05
     assert np.max(np.abs(rep.c_tilde - exact_product(a, b))) == pytest.approx(
-        rep.max_observed_error
+        rep.realized_error
     )
 
 
@@ -133,7 +133,7 @@ def test_readout_classical_entry_count_separated():
 
 def test_readout_sve_identity():
     rep = readout_sve(np.eye(2), np.eye(2), 0.05)
-    assert rep.max_observed_error <= 0.05
+    assert rep.realized_error <= 0.05
 
 
 def test_readout_sve_diagonal():
@@ -144,12 +144,12 @@ def test_readout_sve_diagonal():
 def test_readout_sve_random_seed37():
     a, b = rand_pair(37, n=4, shift=2.0)
     rep = readout_sve(a, b, 0.05)
-    assert rep.max_observed_error <= 0.05
+    assert rep.realized_error <= 0.05
 
 
 def test_readout_hhl_identity():
     rep = readout_hhl(np.eye(2), np.eye(2), 0.05)
-    assert rep.max_observed_error <= 0.05
+    assert rep.realized_error <= 0.05
 
 
 def test_readout_hhl_diagonal_times_ones():
@@ -162,7 +162,7 @@ def test_readout_hhl_diagonal_times_ones():
 def test_readout_hhl_random_seed41():
     a, b = rand_pair(41, n=4, shift=2.0)
     rep = readout_hhl(a, b, 0.05)
-    assert rep.max_observed_error <= 0.05
+    assert rep.realized_error <= 0.05
 
 
 def test_readout_hhl_vs_sve_ledger_direction():
@@ -257,7 +257,7 @@ def test_readout_support_violation_warns():
     with pytest.warns(SupportViolationWarning):
         rep = readout_sve(a, b, 0.1)
     # entries still within tolerance of the exact product
-    assert rep.max_observed_error <= 0.1
+    assert rep.realized_error <= 0.1
 
 
 @pytest.mark.parametrize("fn", [readout_sve, readout_hhl])
@@ -288,7 +288,7 @@ def test_readouts_on_zero_rows_and_single_entries_match_dense_overlap_oracle(cas
     if method == "readout-swap":
         assert np.all(rep.c_tilde[np.linalg.norm(a, axis=1) == 0] == 0.0)
     err = float(np.max(np.abs(rep.c_tilde - a @ b)))
-    assert rep.max_observed_error == err <= rep.entrywise_error_bound == eps
+    assert rep.realized_error == err <= rep.bound == eps
 
 
 @pytest.mark.parametrize("method", sorted(READOUTS))

@@ -74,10 +74,10 @@ def test_prep_hamiltonian_constant_f_is_exact_direction():
     base = from_vector("x", [1.0, 1.0, 1.0, 1.0])
     rep = prep_hamiltonian([3.0, 3.0, 3.0, 3.0], base, eps=0.05)
     assert rep.details["kappa_f"] == 1.0
-    assert fidelity(rep.result.state, base) > 1 - 1e-12
+    assert fidelity(rep.state, base) > 1 - 1e-12
     # success probability ~ (c t)^2 for constant f
     t = rep.details["evolution_time"]
-    assert rep.result.success_probability == pytest.approx(math.sin(3.0 * t) ** 2, abs=1e-12)
+    assert rep.success_probability == pytest.approx(math.sin(3.0 * t) ** 2, abs=1e-12)
 
 
 def test_prep_hamiltonian_two_level_example():
@@ -86,8 +86,8 @@ def test_prep_hamiltonian_two_level_example():
     t = rep.details["evolution_time"]
     # oracle: direct summation of the sine branch
     direct = (math.sin(t) ** 2 + math.sin(2 * t) ** 2) / 2.0
-    assert rep.result.success_probability == pytest.approx(direct, abs=1e-15)
-    assert rep.realized_distance <= math.sqrt(2.0 / 3.0) * rep.epsilon1
+    assert rep.success_probability == pytest.approx(direct, abs=1e-15)
+    assert rep.realized_error <= math.sqrt(2.0 / 3.0) * rep.epsilon1
 
 
 def test_prep_hamiltonian_random_positive_seed47():
@@ -96,10 +96,10 @@ def test_prep_hamiltonian_random_positive_seed47():
     base = from_vector("x", np.abs(rng.normal(size=8)) + 0.1)
     rep = prep_hamiltonian(f, base, eps=0.05)
     kappa = rep.details["kappa_f"]
-    assert rep.realized_distance <= math.sqrt(kappa / 3.0) * rep.epsilon1
+    assert rep.realized_error <= math.sqrt(kappa / 3.0) * rep.epsilon1
     target = normalized(f * base.amplitudes.real)
     assert np.allclose(
-        np.abs(rep.result.state.amplitudes), np.abs(target), atol=rep.target_fidelity_bound
+        np.abs(rep.state.amplitudes), np.abs(target), atol=rep.bound
     )
 
 
@@ -110,7 +110,7 @@ def test_prep_hamiltonian_success_probability_sandwich():
         rng.shuffle(f)
         base = from_vector("x", np.abs(rng.normal(size=8)) + 0.05)
         rep = prep_hamiltonian(f, base, eps=0.05)
-        p = rep.result.success_probability
+        p = rep.success_probability
         assert rep.epsilon0**2 <= p <= rep.epsilon1**2
 
 
@@ -132,7 +132,7 @@ def test_prep_hamiltonian_amplification_model():
         f = np.geomspace(kappa, 1.0, 8)
         rep = prep_hamiltonian(f, base, eps=0.05)
         expected = math.ceil(1.0 / rep.epsilon0)
-        assert rep.result.ledger.amplification_rounds == expected
+        assert rep.ledger.amplification_rounds == expected
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_prep_sparse_basis_vector():
     vals = np.zeros(4)
     vals[2] = 0.7
     rep = prep_sparse(vals, 0.05)
-    assert np.allclose(np.abs(rep.result.state.amplitudes), np.eye(4)[2], atol=1e-10)
+    assert np.allclose(np.abs(rep.state.amplitudes), np.eye(4)[2], atol=1e-10)
 
 
 def test_prep_sparse_two_point_support_and_unknown_penalty():
@@ -150,15 +150,15 @@ def test_prep_sparse_two_point_support_and_unknown_penalty():
     vals[[1, 3]] = 1.0
     known = prep_sparse(vals, 0.05, support_known=True)
     assert np.allclose(
-        np.abs(known.result.state.amplitudes),
+        np.abs(known.state.amplitudes),
         np.where(np.arange(8) % 2 == 1, 1, 0)[[0, 1, 2, 3, 4, 5, 6, 7]] * 0
         + np.isin(np.arange(8), [1, 3]) / math.sqrt(2),
         atol=1e-10,
     )
     unknown = prep_sparse(vals, 0.05, support_known=False)
     # sqrt(8/2) = 2 exactly
-    assert unknown.result.ledger.amplification_rounds == 2 * known.result.ledger.amplification_rounds
-    assert unknown.result.ledger.oracle_calls == 2 * known.result.ledger.oracle_calls
+    assert unknown.ledger.amplification_rounds == 2 * known.ledger.amplification_rounds
+    assert unknown.ledger.oracle_calls == 2 * known.ledger.oracle_calls
 
 
 def test_prep_sparse_relatively_uniform_seed53():
@@ -167,8 +167,8 @@ def test_prep_sparse_relatively_uniform_seed53():
     rng.shuffle(mags)
     vals = mags * rng.choice([-1.0, 1.0], size=16)
     rep = prep_sparse(vals, 0.05)
-    assert rep.realized_distance <= rep.target_fidelity_bound
-    assert fidelity(rep.result.state, from_vector("x", vals)) > 1 - 0.05
+    assert rep.realized_error <= rep.bound
+    assert fidelity(rep.state, from_vector("x", vals)) > 1 - 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +213,8 @@ def test_prep_dyadic_wide_spread_seed59():
     rng.shuffle(mags)
     vals = mags * rng.choice([-1.0, 1.0], size=64)
     rep = prep_dyadic(vals, 0.05)
-    assert fidelity(rep.result.state, from_vector("x", vals)) >= 1 - 0.05
-    assert rep.realized_distance <= rep.target_fidelity_bound
+    assert fidelity(rep.state, from_vector("x", vals)) >= 1 - 0.05
+    assert rep.realized_error <= rep.bound
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +224,26 @@ def test_signshift_all_positive_uniform():
     vals = np.ones(4)
     rep = prep_signshift(vals, 0.05)
     # z = 2x/..., y = x: combination is exact for a uniform vector
-    assert rep.realized_distance < 1e-10
+    assert rep.realized_error < 1e-10
     norm_x = 2.0
     norm_y = 2.0
     norm_z = 4.0
-    assert rep.result.success_probability == pytest.approx(
+    assert rep.success_probability == pytest.approx(
         norm_x**2 / (2 * (norm_y**2 + norm_z**2))
     )
 
 
 def test_signshift_antisymmetric_pair():
     rep = prep_signshift(np.array([1.0, -1.0]), 0.05)
-    assert rep.realized_distance < 1e-10
-    assert np.allclose(np.abs(rep.result.state.amplitudes), [1, 1] / np.sqrt(2.0))
+    assert rep.realized_error < 1e-10
+    assert np.allclose(np.abs(rep.state.amplitudes), [1, 1] / np.sqrt(2.0))
 
 
 def test_signshift_random_seed61():
     rng = np.random.default_rng(61)
     vals = rng.normal(size=8)
     rep = prep_signshift(vals, 0.05)
-    assert fidelity(rep.result.state, from_vector("x", vals)) >= 1 - 0.05
+    assert fidelity(rep.state, from_vector("x", vals)) >= 1 - 0.05
     # construction identity z - y = x, exact on dyadic inputs
     spec = VectorSpec.from_values(np.round(vals * 1024) / 1024)
     m = spec.max_abs
@@ -327,8 +327,8 @@ def test_all_methods_agree_pairwise():
         rng.shuffle(mags)
         vals = mags * rng.choice([-1.0, 1.0], size=32)
         direct = synthesize_direct(vals).state
-        dyadic = prep_dyadic(vals, eps).result.state
-        shift = prep_signshift(vals, eps).result.state
+        dyadic = prep_dyadic(vals, eps).state
+        shift = prep_signshift(vals, eps).state
         assert fidelity(direct, dyadic) >= 1 - 2 * eps
         assert fidelity(direct, shift) >= 1 - 2 * eps
         assert fidelity(dyadic, shift) >= 1 - 2 * eps
@@ -340,9 +340,9 @@ def test_small_angle_routes_prepare_a_one_entry_vector(route, x):
     # the base state once had pad_dim(1) = 1 amplitude on a one-qubit
     # register; it is now from_vector's two-amplitude register
     rep = route(np.array(x), 0.05)
-    assert rep.result.state.layout == (("x", 1),)
-    assert np.array_equal(rep.result.state.amplitudes, [math.copysign(1.0, x[0]), 0.0])
-    assert rep.realized_distance == 0.0 <= rep.target_fidelity_bound
+    assert rep.state.layout == (("x", 1),)
+    assert np.array_equal(rep.state.amplitudes, [math.copysign(1.0, x[0]), 0.0])
+    assert rep.realized_error == 0.0 <= rep.bound
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +431,15 @@ def test_prep_hamiltonian_matches_flag_state_oracle_bit_for_bit(case):
         return
     produced, prob, realized, eps0, eps1, ledger = want
     rep = prep_hamiltonian(f, base, eps)
-    amps = rep.result.state.amplitudes
-    assert rep.result.state.layout == produced.layout
+    amps = rep.state.amplitudes
+    assert rep.state.layout == produced.layout
     assert np.array_equal(bits(amps.real), bits(produced.amplitudes.real))
     assert not np.any(amps.imag) and not np.any(produced.amplitudes.imag)
-    assert bits(rep.result.success_probability) == bits(prob)
-    assert bits(rep.realized_distance) == bits(realized)
+    assert bits(rep.success_probability) == bits(prob)
+    assert bits(rep.realized_error) == bits(realized)
     assert bits(rep.epsilon0) == bits(eps0) and bits(rep.epsilon1) == bits(eps1)
-    assert rep.result.ledger == ledger
-    assert rep.realized_distance <= rep.target_fidelity_bound
+    assert rep.ledger == ledger
+    assert rep.realized_error <= rep.bound
 
 
 def test_prep_hamiltonian_rejects_a_vanishing_sine_branch():

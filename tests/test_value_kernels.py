@@ -173,7 +173,7 @@ def test_degenerate_inputs_match_block_oracle_and_keep_bound(case, t, method):
         warnings.simplefilter("ignore", SupportViolationWarning)
         res = PIPELINES[method](a, b, phase_bits=t)
     assert res.phase_bits == t
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,11 +183,11 @@ def test_eps_up_to_one_matches_oracles_and_keeps_bound(case, eps, method):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupportViolationWarning)
         res = {"swap": matmul_swaptest, **PIPELINES}[method](a, b, eps=eps)
-    assert res.realized_error <= res.predicted_bound
+    assert res.realized_error <= res.bound
     t = res.phase_bits
     if method == "swap":
         want = swap_closed_form_entries(a, b, t)
-        got = res.state.state.reshaped()[: want.shape[0], : want.shape[1]]
+        got = res.state.reshaped()[: want.shape[0], : want.shape[1]]
         assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-11
         return
     frob = float(np.linalg.norm(a))
