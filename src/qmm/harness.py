@@ -286,7 +286,8 @@ def verify_bounds(report: dict) -> tuple[bool, list[dict]]:
             if row["method"] in READOUT_METHODS:
                 entry_error = float(np.max(np.abs(np.asarray(row["c_tilde"]) - exact_product(row["a"], row["b"]))))
         except Exception as exc:  # surface broken instance data per row
-            findings.append({"id": ident, "problem": f"cannot recompute from the instance: {exc}"})
+            reason = f"the row has no field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            findings.append({"id": ident, "problem": f"cannot recompute from the instance: {reason}"})
             continue
         if bound is None:
             findings.append({"id": ident, "problem": "unknown method"})

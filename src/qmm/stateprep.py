@@ -15,7 +15,7 @@ pieces the primitive handles well, then recombine them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,10 +84,9 @@ def synthesize_direct(x) -> Result:
     gates = n**2 * logn**2
     ledger.gate_units += gates * max(math.log2(gates / 1e-12), 1.0) ** SYNTH_LOG_CONST
     ledger.charge_oracle(1)
-    # the route is exact: the distance to the target is 0, and the fixed
-    # bound is what reports record for it
-    realized = aligned_distance(state, from_vector("x", spec.values))
-    return Result("direct", realized, PREP_DIRECT_BOUND, ledger, state=state, success_probability=1.0)
+    # the state is |x> itself: its distance to the target is 0, under the
+    # fixed bound reports record for the route
+    return Result("direct", 0.0, PREP_DIRECT_BOUND, ledger, state=state, success_probability=1.0)
 
 
 def prep_hamiltonian(f, base: Statevector, eps: float) -> Result:
@@ -101,14 +100,16 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> Result:
     directly, bit for bit as staging and postselecting the 2 dim flag state
     would give it; that circuit stays in the tests as the oracle.
     """
-    return _measured(*_sine_branch(f, base, eps))
+    return _measured("hamiltonian", *_sine_branch(f, base, eps))
 
 
-def _measured(result: Result, target: np.ndarray) -> Result:
-    """The result with its realized distance to the normalized target."""
-    produced = result.state
-    want = from_vector(produced.layout[0][0], target, pad=False)
-    return replace(result, realized_error=float(np.linalg.norm(produced.amplitudes - want.amplitudes)))
+def _measured(method: str, piece: PreparedState, window: dict, target: np.ndarray) -> Result:
+    """The Result of a small-angle piece: its window (bound, epsilon0,
+    epsilon1, details) and its realized distance to the normalized target."""
+    want = from_vector(piece.state.layout[0][0], target, pad=False)
+    realized = float(np.linalg.norm(piece.state.amplitudes - want.amplitudes))
+    return Result(method, realized, ledger=piece.ledger, state=piece.state,
+                  success_probability=piece.success_probability, **window)
 
 
 def small_angle_bound(eps: float, kappa_f: float) -> float:
@@ -117,10 +118,11 @@ def small_angle_bound(eps: float, kappa_f: float) -> float:
     return math.sqrt(kappa_f / 3.0) * (eps / math.sqrt(kappa_f))
 
 
-def _sine_branch(f, base: Statevector, eps: float) -> tuple[Result, np.ndarray]:
-    """prep_hamiltonian's result with realized_error left at nan, and the
-    unnormalized target f b (zero off the base's support) that _measured
-    compares it with. The composite routes read only the prepared state."""
+def _sine_branch(f, base: Statevector, eps: float) -> tuple[PreparedState, dict, np.ndarray]:
+    """prep_hamiltonian's branch as a PreparedState, its window (the Result
+    fields bound, epsilon0, epsilon1 and details) and the unnormalized
+    target f b (zero off the base's support) that _measured compares it
+    with. The composite routes read only the PreparedState."""
     if len(base.layout) != 1:
         raise ValueError("base state must live on a single register")
     dim = base.amplitudes.size
@@ -166,18 +168,13 @@ def _sine_branch(f, base: Statevector, eps: float) -> tuple[Result, np.ndarray]:
     ledger.charge_oracle(rounds)  # each round reruns base prep + evolution
     ledger.gate_units += rounds  # one diagonal-evolution unit per pass
 
-    result = Result(
-        method="hamiltonian",
-        realized_error=math.nan,
-        bound=small_angle_bound(eps, kappa_f),
-        ledger=ledger,
-        state=produced,
-        success_probability=prob,
-        epsilon0=eps0,
-        epsilon1=eps1,
-        details={"kappa_f": kappa_f, "evolution_time": t_evo, "rounds": rounds},
-    )
-    return result, np.where(populated, fvals * b, 0.0)
+    window = {
+        "bound": small_angle_bound(eps, kappa_f),
+        "epsilon0": eps0,
+        "epsilon1": eps1,
+        "details": {"kappa_f": kappa_f, "evolution_time": t_evo, "rounds": rounds},
+    }
+    return PreparedState(produced, prob, ledger), window, np.where(populated, fvals * b, 0.0)
 
 
 def prep_sparse(x, eps: float, support_known: bool = True) -> Result:
@@ -188,40 +185,44 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> Result:
     and amplification pays an extra sqrt(n/z) factor.
     """
     spec = _as_spec(x)
-    result, target = _sparse(spec, eps)
+    piece, window, target = _sparse(spec, eps)
     if not support_known:
         penalty = math.ceil(math.sqrt(spec.values.size / spec.support.size))
-        result.ledger.amplification_rounds *= penalty
-        result.ledger.oracle_calls *= penalty
-        result = replace(result, method="sparse-unknown")
-    return _measured(result, target)
+        piece.ledger.amplification_rounds *= penalty
+        piece.ledger.oracle_calls *= penalty
+    return _measured("sparse-known" if support_known else "sparse-unknown", piece, window, target)
 
 
-def _on_support(spec: VectorSpec, shape, reweight):
-    """reweight(base), a (Result, ...) tuple, for the base state
-    shape(x_k)/sqrt(z) on the z-point support of x, with the base's
-    ceil(log2 n) gate units charged: the uniform base of _sparse, the sign
-    base of _prep_by_sign_base."""
+def _base_gates(spec: VectorSpec) -> int:
+    """The ceil(log2 n) gate units charged for a base or sign state on x's register."""
+    return math.ceil(math.log2(max(spec.values.size, 2)))
+
+
+def _support_base(spec: VectorSpec, values) -> Statevector:
+    """The base state values/sqrt(z) on the z-point support of x: the
+    uniform base of _sparse (values 1), the sign base of _prep_by_sign_base."""
     dim = max(pad_dim(spec.values.size), 2)  # from_vector's register: one qubit at least
     base = np.zeros(dim, dtype=complex)
-    base[spec.support] = shape(spec.values[spec.support]) / math.sqrt(spec.support.size)
-    out = reweight(_owned((("x", int(math.log2(dim))),), base))
-    out[0].ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))
-    return out
+    base[spec.support] = values / math.sqrt(spec.support.size)
+    return _owned((("x", int(math.log2(dim))),), base)
 
 
-def _sparse(spec: VectorSpec, eps: float) -> tuple[Result, np.ndarray]:
+def _sparse(spec: VectorSpec, eps: float) -> tuple[PreparedState, dict, np.ndarray]:
     """prep_sparse with the support known, as _sine_branch returns it;
     prep_dyadic and prep_signshift prepare their pieces with it."""
-    result, target = _on_support(spec, lambda values: 1.0, lambda base: _sine_branch(spec.values, base, eps))
-    return replace(result, method="sparse-known"), target
+    piece, window, target = _sine_branch(spec.values, _support_base(spec, 1.0), eps)
+    piece.ledger.gate_units += _base_gates(spec)
+    return piece, window, target
 
 
 def _prep_by_sign_base(x, eps: float) -> Result:
     """prep_hamiltonian with f = |x| over the sign state sum_k sign(x_k)|k>/sqrt(z)
     on the support of x: the harness's prep-hamiltonian method."""
     spec = _as_spec(x)
-    return _on_support(spec, np.sign, lambda base: (prep_hamiltonian(np.abs(spec.values), base, eps),))[0]
+    base = _support_base(spec, np.sign(spec.values[spec.support]))
+    result = prep_hamiltonian(np.abs(spec.values), base, eps)
+    result.ledger.gate_units += _base_gates(spec)
+    return result
 
 
 def dyadic_bands(spec: VectorSpec) -> list[VectorSpec]:
@@ -252,24 +253,11 @@ def prep_dyadic(x, eps: float) -> Result:
     weights = [float(np.linalg.norm(band.values)) / norm_x for band in bands]
     # one band state alive at a time
     combined = lcu_combine((_sparse(band, eps_band)[0] for band in bands), weights)
-    ledger = combined.ledger
     # selection-unitary synthesis for the q combination weights
     logq = max(math.log2(max(q, 2)), 1.0)
     cq = q**2 * logq**2
-    ledger.gate_units += cq * max(math.log2(max(cq, 2.0) / eps), 1.0) ** SYNTH_LOG_CONST
-    target = from_vector("x", spec.values)
-    realized = aligned_distance(combined.state, target)
-    return Result(
-        method="dyadic",
-        realized_error=realized,
-        bound=eps,
-        ledger=ledger,
-        state=combined.state,
-        success_probability=combined.success_probability,
-        epsilon0=0.0,  # the bands have windows of their own; the composite reports 0
-        epsilon1=0.0,
-        details={"bands": q, "weights": weights},
-    )
+    combined.ledger.gate_units += cq * max(math.log2(max(cq, 2.0) / eps), 1.0) ** SYNTH_LOG_CONST
+    return _composite("dyadic", spec, eps, combined, {"bands": q, "weights": weights})
 
 
 def prep_signshift(x, eps: float) -> Result:
@@ -285,14 +273,15 @@ def prep_signshift(x, eps: float) -> Result:
     m_val = spec.max_abs
     y = np.zeros_like(spec.values)
     y[spec.support] = np.where(spec.values[spec.support] > 0.0, m_val, -m_val)
-    z = spec.values + y
-    spread = (m_val + spec.max_abs) / (m_val + spec.min_abs_nonzero)
+    # z keeps the support of x; its magnitudes |x_k| + M run from M + min|x| to 2M
+    spread = 2.0 * m_val / (m_val + spec.min_abs_nonzero)
+    z = VectorSpec(spec.values + y, spec.support, 2.0 * m_val, m_val + spec.min_abs_nonzero, spread)
     norm_x = float(np.linalg.norm(spec.values))
     norm_y = float(np.linalg.norm(y))
-    norm_z = float(np.linalg.norm(z))
+    norm_z = float(np.linalg.norm(z.values))
 
     eps_z = eps * norm_x / (2.0 * norm_z)
-    z_prep = _sparse(VectorSpec.from_values(z), eps_z)[0]
+    z_prep = _sparse(z, eps_z)[0]
     del z
 
     lam = norm_z / norm_x
@@ -307,28 +296,21 @@ def prep_signshift(x, eps: float) -> Result:
     nrm = np.linalg.norm(combined)
     if nrm < 1e-14:
         raise ValueError("combination cancelled exactly")
-    ledger.gate_units += math.ceil(math.log2(max(spec.values.size, 2)))  # the sign state
+    ledger.gate_units += _base_gates(spec)  # the sign state
     ledger.record_postselect(success)
-    ledger.amplification_rounds += math.ceil(1.0 / math.sqrt(success))
+    charge_amplification(ledger, success)
     combined /= nrm
-    state = _owned(layout, combined)
-    target = from_vector("x", spec.values)
-    realized = aligned_distance(state, target)
-    return Result(
-        method="signshift",
-        realized_error=realized,
-        bound=eps,
-        ledger=ledger,
-        state=state,
-        success_probability=success,
-        epsilon0=0.0,
-        epsilon1=0.0,
-        details={
-            "shift": m_val,
-            "spread": spread,
-            "success_probability": success,
-        },
-    )
+    return _composite("signshift", spec, eps, PreparedState(_owned(layout, combined), success, ledger),
+                      {"shift": m_val, "spread": spread})
+
+
+def _composite(method: str, spec: VectorSpec, eps: float, combined: PreparedState, details: dict) -> Result:
+    """The Result of prep_dyadic or prep_signshift: the combined state's
+    distance to |x> up to a global phase, under the bound eps. The pieces
+    have small-angle windows of their own; the composite reports 0.0."""
+    realized = aligned_distance(combined.state, from_vector("x", spec.values))
+    return Result(method, realized, eps, combined.ledger, state=combined.state,
+                  success_probability=combined.success_probability, epsilon0=0.0, epsilon1=0.0, details=details)
 
 
 def lcu_combine(states, weights) -> PreparedState:

@@ -5,7 +5,9 @@ each field that moved.
     python tests/data/record_pinned.py --write    # print it and re-record
 
 One line per moved field: case id, field, pinned value, new value and the
-relative move (a dash where the field is not a float). A harness case's
+relative move (a dash where the field is not a float). A key added to or
+dropped from a dict is one field, "absent" on the side that lacks it;
+the keys both sides share are compared field by field. A harness case's
 fields are those of its row; a readout case's are its c_tilde entries, its
 ledger and, for readout-sve and -hhl, phase_widths, the sorted t1 of the
 kernel evaluations. The files are rewritten only with --write, so a
@@ -96,11 +98,22 @@ FILES = (
 )
 
 
+class _Absent:
+    """The side of a move on which a dict key is missing."""
+
+    def __repr__(self) -> str:
+        return "absent"
+
+
+ABSENT = _Absent()
+
+
 def moves(old, new, path: str = ""):
-    """(field, old, new) for every leaf of old that new does not equal."""
-    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
-        for key in old:
-            yield from moves(old[key], new[key], f"{path}.{key}" if path else key)
+    """(field, old, new) for every leaf of old that new does not equal; a
+    dict key on one side only is one field, ABSENT on the other side."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            yield from moves(old.get(key, ABSENT), new.get(key, ABSENT), f"{path}.{key}" if path else key)
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for k, (o, n) in enumerate(zip(old, new)):
             yield from moves(o, n, f"{path}[{k}]")
@@ -114,6 +127,11 @@ def relative_move(old, new) -> str:
     return "-"
 
 
+def moved_lines(ident: str, old, new) -> list[str]:
+    """The printed lines of a case: one per moved field."""
+    return [f"{ident}  {field}  {o!r}  {n!r}  {relative_move(o, n)}" for field, o, n in moves(old, new)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="re-record the files with the new cases")
@@ -124,8 +142,8 @@ def main(argv=None) -> int:
         new = [rerun(pinned, case) for case in pinned["cases"]]
         moved = 0
         for old, case in zip(pinned["cases"], new):
-            for field, o, n in moves(old, case):
-                print(f"{ident(old)}  {field}  {o!r}  {n!r}  {relative_move(o, n)}")
+            for line in moved_lines(ident(old), old, case):
+                print(line)
                 moved += 1
         print(f"{name}: {moved} fields moved in {len(new)} cases")
         if args.write:

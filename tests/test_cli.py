@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmm.cli import _emit_report, main
-from qmm.harness import ReportTable
+from qmm.harness import ExperimentConfig, ReportTable, run_experiment, verify_bounds
 from qmm.io import load_matrix_csv, save_matrix_csv, save_report_json
 
 
@@ -76,6 +76,41 @@ def test_verify_reports_a_malformed_report_without_a_traceback(tmp_path, capsys,
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n"
+
+
+def broken_rows(a, b) -> list[dict]:
+    """An sve row whose b does not chain with its a, and a swap row
+    without phase_bits: rows verify cannot recompute a bound for."""
+    sve, swap = (
+        run_experiment(ExperimentConfig(method=m, inputs={"a": a, "b": b})).rows[0] for m in ("sve", "swap")
+    )
+    sve["b"] = np.asarray(b)[:2, :2]
+    del swap["phase_bits"]
+    return [sve, swap]
+
+
+BROKEN_ROW_PROBLEMS = [
+    "sve-n3-seed0: cannot recompute from the instance: dimension mismatch: (3, 3) x (2, 2)",
+    "swap-n3-seed0: cannot recompute from the instance: the row has no field 'phase_bits'",
+]
+
+
+def test_verify_names_what_it_cannot_recompute(tmp_path, matrices, capsys):
+    rows = broken_rows(load_matrix_csv(matrices[0]), load_matrix_csv(matrices[1]))
+    ok, findings = verify_bounds({"rows": rows})
+    assert not ok
+    assert [f"{f['id']}: {f['problem']}" for f in findings] == BROKEN_ROW_PROBLEMS
+    for row, problem in zip(rows, BROKEN_ROW_PROBLEMS):
+        path = tmp_path / f"{row['id']}.json"
+        save_report_json(path, {"method": row["method"], "config": {}, "rows": [row]})
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == problem + "\n"
+        assert captured.out == "fail (1 problem(s))\n"
+    path = tmp_path / "both.json"
+    save_report_json(path, {"method": "mixed", "config": {}, "rows": rows})
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == BROKEN_ROW_PROBLEMS
 
 
 def test_readout_entries_within_eps(tmp_path, matrices):
@@ -154,6 +189,20 @@ def test_scaling_prints_slopes(capsys):
     out = capsys.readouterr().out
     assert "cost_vs_inv_eps" in out
     assert "cost_vs_n" in out
+
+
+def test_scaling_writes_its_cost_table(tmp_path, capsys):
+    out = tmp_path / "scaling.csv"
+    argv = ["--method", "prep-sparse", "--n-grid", "16,64", "--eps-grid", "0.1,0.05", "--seeds", "1,2"]
+    assert main(["scaling", *argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,eps,seed,cost,amplification_rounds,realized_error,bound"
+    assert len(lines) == 9
+    assert lines[1].startswith("16,0.1,1,29.0,29,")
+    assert capsys.readouterr().out.splitlines() == [
+        "cost_vs_inv_eps: slope=0.975 +- 0.000",
+        "cost_vs_n: slope=0.000 +- 0.000",
+    ]
 
 
 def test_exact_phase_flag(tmp_path, matrices):

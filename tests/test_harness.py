@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from dataclasses import fields
@@ -53,6 +54,12 @@ def test_generate_matrix_validation():
         generate_matrix(2, 0.5, seed=1)
     with pytest.raises(ValueError):
         generate_matrix(1, 2.0, seed=1)
+
+
+def test_generate_matrix_one_by_one_is_sigma_max():
+    for seed in (0, 1):
+        assert np.array_equal(generate_matrix(1, 1.0, seed), [[1.0]])
+    assert np.array_equal(generate_matrix(1, 1.0, 3, sigma_max=2.5), [[2.5]])
 
 
 def test_generate_vector_spread():
@@ -250,6 +257,20 @@ def test_scaling_readout_swap_slopes():
     assert abs(slope_n - 2.0) <= 0.2
 
 
+def test_scaling_prep_sparse_cost_follows_inverse_eps_not_n():
+    # the rounds ceil(1/eps0) depend on eps and kappa, not on n
+    result = scaling_study("prep-sparse", n_grid=[16, 64], eps_grid=[0.1, 0.05], seeds=[1, 2])
+    table = result["table"]
+    assert [(r["n"], r["eps"], r["seed"]) for r in table] == [
+        (n, eps, seed) for n in (16, 64) for eps in (0.1, 0.05) for seed in (1, 2)
+    ]
+    assert all(r["realized_error"] <= r["bound"] and r["cost"] == r["amplification_rounds"] for r in table)
+    slope, _ = result["slopes"]["cost_vs_inv_eps"]
+    assert abs(slope - 1.0) <= 0.05
+    slope_n, _ = result["slopes"]["cost_vs_n"]
+    assert abs(slope_n) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -355,7 +376,8 @@ def test_verify_bounds_batch_of_seeded_swap_runs():
 # ---------------------------------------------------------------------------
 # pinned rows of every method
 
-HARNESS_PINNED = json.loads((Path(__file__).parent / "data" / "harness_pinned.json").read_text())
+DATA = Path(__file__).parent / "data"
+HARNESS_PINNED = json.loads((DATA / "harness_pinned.json").read_text())
 
 
 def assert_matches_pinned(got, want, path="row"):
@@ -381,6 +403,21 @@ def assert_matches_pinned(got, want, path="row"):
 def test_every_method_matches_its_pinned_row(case):
     # tests/data/record_pinned.py prints what moved, and re-records with --write
     assert_matches_pinned(pinned_row(HARNESS_PINNED, case), case["row"])
+
+
+def test_record_pinned_prints_one_line_per_added_or_dropped_key():
+    spec = importlib.util.spec_from_file_location("record_pinned", DATA / "record_pinned.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    old = {"id": "r", "bound": 0.5, "details": {"rounds": 3, "success_probability": 0.25}}
+    new = {"id": "r", "bound": 0.5, "details": {"rounds": 3}, "weights": [0.6, 0.8]}
+    assert record.moved_lines("r", old, new) == [
+        "r  details.success_probability  0.25  absent  -",
+        "r  weights  absent  [0.6, 0.8]  -",
+    ]
+    # the shared keys are still compared leaf by leaf
+    new["details"]["rounds"] = 4
+    assert record.moved_lines("r", old, new)[0] == "r  details.rounds  3  4  -"
 
 
 def test_pinned_rows_cover_every_method():

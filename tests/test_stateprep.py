@@ -43,6 +43,12 @@ def test_vector_spec_rejects_empty_support():
         VectorSpec.from_values([0.0, 0.0])
 
 
+@pytest.mark.parametrize("values", [[], [1.0, math.nan], [math.inf, 1.0], [-math.inf]])
+def test_vector_spec_rejects_an_empty_or_nonfinite_vector(values):
+    with pytest.raises(ValueError, match="expected a nonempty finite vector"):
+        VectorSpec.from_values(values)
+
+
 # ---------------------------------------------------------------------------
 # direct synthesis
 
@@ -118,6 +124,12 @@ def test_prep_hamiltonian_rejects_f_zero_on_support():
     base = from_vector("x", [1.0, 1.0])
     with pytest.raises(ValueError, match="vanishes"):
         prep_hamiltonian([1.0, 0.0], base, eps=0.05)
+
+
+def test_prep_hamiltonian_rejects_a_two_register_base():
+    base = Statevector((("a", 1), ("b", 1)), np.full(4, 0.5))
+    with pytest.raises(ValueError, match="single register"):
+        prep_hamiltonian([1.0, 2.0, 3.0, 4.0], base, eps=0.05)
 
 
 def test_prep_hamiltonian_rejects_angle_overflow():
@@ -449,17 +461,18 @@ def test_prep_hamiltonian_rejects_a_vanishing_sine_branch():
 
 
 @pytest.mark.parametrize(
-    "route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0), (prep_dyadic, 8.5), (prep_signshift, 6.0)]
+    "route, multiple", [(prep_sparse, 5.5), (_prep_by_sign_base, 6.0), (prep_dyadic, 8.5), (prep_signshift, 5.5)]
 )
 def test_small_angle_routes_allocate_a_few_vectors_at_n_65536(route, multiple):
     # at the peak: the base, the produced and target states and their
     # difference (four complex vectors), plus float temporaries; f = |x| adds
-    # half a vector for the sign base. prep_dyadic (8.07 vectors) combines its
-    # band states one at a time; holding all three at once, as a list passed
-    # to lcu_combine does, reaches 9.5. prep_signshift (5.57) builds its sign
-    # state only after z and the z state are consumed; holding both with the
-    # combination reaches 9.5. A staged 2 dim flag state or one more
-    # amplitude copy held across the peak goes over the line.
+    # half a vector for the sign base (measured: prep_sparse 4.07 vectors,
+    # the sign base 5.50). prep_dyadic (8.07) combines its band states one
+    # at a time; holding all three at once, as a list passed to lcu_combine
+    # does, reaches 9.5. prep_signshift (5.07) builds its sign state only
+    # after z and the z state are consumed, and takes z's support from x
+    # (rescanning z, 5.57). A staged 2 dim flag state or one more amplitude
+    # copy held across the peak goes over the line.
     x = generate_vector(1 << 16, 4.0, seed=1)
     vector = 16 * x.size  # one complex amplitude vector, 1 MiB
     tracemalloc.start()

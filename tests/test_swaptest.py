@@ -65,6 +65,17 @@ def test_inner_product_random_pair_seed21():
     assert led.controlled_oracle_calls > 0
 
 
+def test_inner_product_strips_a_complex_global_phase():
+    # a complex carrier phase is divided out so that the first nonzero
+    # amplitude is positive; x[0] > 0, so e^{0.7i} x reads as x itself
+    rng = np.random.default_rng(23)
+    x, y = unit(rng, 8), unit(rng, 8)
+    x *= np.sign(x[0])
+    want = inner_product_estimate(from_vector("x", x), from_vector("x", y), 2**-8)
+    got = inner_product_estimate(from_vector("x", np.exp(0.7j) * x), from_vector("x", y), 2**-8)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def test_inner_product_cost_scales_inverse_eps():
     x = unit(np.random.default_rng(2), 4)
     p = from_vector("x", x)
