@@ -6,8 +6,6 @@ nest a singular-value pipeline inside each overlap estimate. The classical
 norm pass (one touch per matrix entry) is tracked separately from oracle
 costs.
 """
-import numpy as np
-
 from qmm import exact_product, readout_hhl, readout_sve, readout_swaptest
 from qmm.harness import generate_matrix
 
@@ -18,11 +16,11 @@ c = exact_product(a, b)
 eps = 0.05
 print(f"eps_abs = {eps}\n")
 print(f"{'method':>14} {'max entry error':>16} {'oracle units':>14} {'classical entries':>18}")
-for fn in (readout_swaptest, readout_sve, readout_hhl):
+for name, fn in (("readout-swap", readout_swaptest), ("readout-sve", readout_sve), ("readout-hhl", readout_hhl)):
     rep = fn(a, b, eps)
     led = rep.ledger
     print(
-        f"{rep.method:>14} {rep.realized_error:>16.4e} "
+        f"{name:>14} {rep.realized_error:>16.4e} "
         f"{led.total_oracle_units():>14.3e} {led.classical_entries:>18}"
     )
 

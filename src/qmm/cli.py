@@ -18,6 +18,7 @@ from .harness import (
     MULTIPLY_METHODS,
     PREP_METHODS,
     READOUT_METHODS,
+    RUN_OPTIONS,
     ExperimentConfig,
     generate_matrix,
     run_experiment,
@@ -53,7 +54,7 @@ def _cmd_run(args) -> int:
         inputs = {"x": load_vector_csv(args.x)}
     else:
         inputs = {"a": load_matrix_csv(args.a), "b": load_matrix_csv(args.b)}
-    options = {k: v for k, v in vars(args).items() if k in ("phase_bits", "exact_phase", "strict_support")}
+    options = {k: v for k, v in vars(args).items() if k in RUN_OPTIONS}
     cfg = ExperimentConfig(method=args.prefix + args.method, eps=args.eps, seed=args.seed, inputs=inputs, **options)
     table = run_experiment(cfg)
     if getattr(args, "entries_out", None):

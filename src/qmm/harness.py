@@ -21,7 +21,9 @@ from .linalg import exact_product
 MULTIPLY_METHODS = ("swap", "sve", "hhl", "lcu")
 READOUT_METHODS = ("readout-swap", "readout-sve", "readout-hhl")
 PREP_METHODS = ("prep-direct", "prep-hamiltonian", "prep-sparse", "prep-dyadic", "prep-signshift")
-# the options each method takes besides eps; setting any other one is an error
+# the options a run takes besides eps (unset: None or False), and the ones
+# each method takes; setting any other one is an error
+RUN_OPTIONS = ("phase_bits", "exact_phase", "strict_support")
 _METHOD_OPTIONS = {
     "swap": ("phase_bits", "exact_phase"),
     "sve": ("phase_bits", "exact_phase", "strict_support"),
@@ -49,7 +51,7 @@ class ExperimentConfig:
             raise ValueError("eps must lie in (0, 1)")
         if self.phase_bits is not None:
             matmul._resolve_phase_bits(self.phase_bits, None)  # raises outside [2, MAX_PHASE_BITS]
-        for name in ("phase_bits", "exact_phase", "strict_support"):  # unset: None or False
+        for name in RUN_OPTIONS:
             if getattr(self, name) and name not in _METHOD_OPTIONS.get(self.method, ()):
                 raise ValueError(f"method {self.method!r} takes no {name} option")
 
@@ -146,14 +148,14 @@ _CALLS = {
 
 def _row(cfg: ExperimentConfig, inputs: dict, ident: str) -> dict:
     """Run cfg's method on its instance and report one row: every set field
-    of its Result but state and method (c_tilde as a list, the ledger as a
-    dict), then the fields every row has."""
+    of its Result but state (c_tilde as a list, the ledger as a dict), then
+    the fields every row has."""
     started = time.perf_counter()
     res = _CALLS[cfg.method](inputs, cfg.eps, **cfg.options())
     row = {}
     for f in fields(res):
         value = getattr(res, f.name)
-        if value is not None and f.name not in ("state", "method"):
+        if value is not None and f.name != "state":
             row[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     row.update(inputs, id=ident, method=cfg.method, eps=cfg.eps, ledger=res.ledger.to_dict())
     row["wall_time"] = time.perf_counter() - started

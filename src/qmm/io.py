@@ -7,9 +7,8 @@ float64 arrays, stored once per distinct array in the report's "instances"
 list, packed as {"shape": [...], "f8": base64 of the little-endian float64
 bytes}, in order of first use; a row's field is the index of its entry.
 Loading gives every row that refers to an entry the same read-only array,
-bit for bit, and drops the list; outputs stay readable lists. The loader
-also reads schema 2, whose rows pack their own instance fields, and schema
-1, whose instance fields are plain lists.
+bit for bit, and drops the list; outputs stay readable lists. A report of
+any other schema is an error.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 REPORT_SCHEMA = 3
-READABLE_SCHEMAS = (1, 2, 3)
 INSTANCE_FIELDS = ("a", "b", "x")  # the inputs verify_bounds recomputes from
 
 
@@ -136,29 +134,24 @@ def save_report_json(path, report: dict) -> None:
 
 
 def load_report_json(path) -> dict:
-    """Read a schema 1, 2 or 3 report; instance fields come back as float64
-    arrays. A schema 3 report's "instances" list is dropped; each entry a
-    row refers to is decoded once, and every row that refers to it gets the
-    same read-only array."""
+    """Read a schema 3 report; instance fields come back as float64 arrays.
+    The "instances" list is dropped; each entry a row refers to is decoded
+    once, and every row that refers to it gets the same read-only array."""
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(report, dict):
         raise ValueError(f"{path}: a report is a JSON object, not {type(report).__name__}")
     schema = report.get("schema")
-    if type(schema) is not int or schema not in READABLE_SCHEMAS:  # true == 1 and 3.0 == 3, but neither is a schema
+    if type(schema) is not int or schema != REPORT_SCHEMA:  # 3.0 == 3, but it is not a schema
         raise ValueError(f"{path}: unsupported report schema {schema!r}")
     rows = report.get("rows", [])
     if not isinstance(rows, list):
         raise ValueError(f"{path}: the rows are a JSON list, not {type(rows).__name__}")
-    table = report.pop("instances", []) if schema == 3 else []
+    table = report.pop("instances", [])
     if not isinstance(table, list):
         raise ValueError(f"{path}: the instances are a JSON list, not {type(table).__name__}")
     decoded = {}
 
     def instance(value) -> np.ndarray:
-        if schema == 1:  # a (nested) list
-            return np.array(value, dtype=float)
-        if schema == 2:
-            return _unpack(value)
         if type(value) is not int:
             raise ValueError(f"an instance field is an index into the instances, not {type(value).__name__}")
         if not 0 <= value < len(table):

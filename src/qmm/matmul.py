@@ -353,7 +353,6 @@ class _ValueRoute:
     undone.
     """
 
-    method: str
     scale: float
     lowest: float  # smallest rotation value: 0 for unsigned decodes, -1 for signed
     decode: Callable[[int], np.ndarray]
@@ -380,7 +379,6 @@ def walk_route(frob_a: float, sigma_max: float) -> _ValueRoute:
         return frob_a * abs(math.cos(math.pi * math.floor(theta_top * T / (2.0 * math.pi)) / T))
 
     return _ValueRoute(
-        method="sve",
         scale=2.0 * math.pi * frob_a,
         lowest=0.0,
         decode=lambda t: _sigma_decode(t, frob_a),
@@ -403,7 +401,6 @@ def dilation_route(frob_a: float, sigma_max: float) -> _ValueRoute:
         return abs((2.0 * math.pi * y / T) / t0)
 
     return _ValueRoute(
-        method="hhl",
         scale=8.0 * sigma_max,
         lowest=-1.0,
         decode=lambda t: _lambda_decode(t, t0),
@@ -566,7 +563,6 @@ def matmul_swaptest(
     realized = aligned_distance(state, vectorize(c))
     bound = swaptest_error_bound(frob_a, frob_b, frob_c, eps_inner)
     return Result(
-        method="swap",
         realized_error=realized,
         bound=bound,
         ledger=_pipeline_ledger(2, 4, t, success),
@@ -588,7 +584,7 @@ def rank_one_product(a_vec, b_vec, eps: float = 0.05) -> Result:
     if not np.linalg.norm(a_vec) or not np.linalg.norm(b_vec):
         raise ValueError("rank-one factors must be nonzero")
     res = matmul_swaptest(a_vec.reshape(-1, 1), b_vec.reshape(1, -1), eps=eps)
-    return replace(res, bound=min(res.bound, eps), method="rank-one")
+    return replace(res, bound=min(res.bound, eps))
 
 
 def matmul_lcu(a, b, eps: float = 0.05) -> Result:
@@ -621,7 +617,6 @@ def matmul_lcu(a, b, eps: float = 0.05) -> Result:
     state, _ = _product_state(combined, l, n)
     success = frob_c**2 / float(np.sum(lam)) ** 2
     return Result(
-        method="lcu",
         realized_error=aligned_distance(state, vectorize(c)),
         bound=eps,
         ledger=_pipeline_ledger(2, 4, t, success),
@@ -706,7 +701,6 @@ def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_suppo
     state, success = _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, a0.shape[0], b0.shape[1])
     sigma_eff = np.abs(a_vec) / c_rot
     return Result(
-        method=route.method,
         realized_error=aligned_distance(state, vectorize(c)),
         bound=sve_error_bound(eps1_eff, col_norms, alpha, sigma_eff, sigmas),
         ledger=_pipeline_ledger(1, 2, t, success),

@@ -58,11 +58,11 @@ def _stacked_estimates(shape, flat, widths, s, scale, data_qubits: int, ledger: 
     return c_tilde
 
 
-def _report(c_tilde, a, b, eps_abs: float, ledger: CostLedger, method: str) -> Result:
+def _report(c_tilde, a, b, eps_abs: float, ledger: CostLedger) -> Result:
     """The readout's result: its realized error max |c_tilde - AB| must not
     exceed its bound, the requested eps_abs, on any run."""
     error = float(np.max(np.abs(c_tilde - exact_product(a, b))))
-    return Result(method, error, eps_abs, ledger, c_tilde=c_tilde)
+    return Result(error, eps_abs, ledger, c_tilde=c_tilde)
 
 
 def readout_swaptest(a, b, eps_abs: float) -> Result:
@@ -83,7 +83,7 @@ def readout_swaptest(a, b, eps_abs: float) -> Result:
     flat, scale = (b.shape[1] * rows[:, None] + cols).ravel(), (nx[:, None] * ny).ravel()
     data_qubits = int(math.log2(pad_dim(a.shape[1])))
     c_tilde = _stacked_estimates((a.shape[0], b.shape[1]), flat, widths, s.ravel(), scale, data_qubits, ledger)
-    return _report(c_tilde, a, b, eps_abs, ledger, "readout-swap")
+    return _report(c_tilde, a, b, eps_abs, ledger)
 
 
 def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> Result:
@@ -134,7 +134,7 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
     data_qubits = int(math.log2(pad_dim(2 * sigmas.size + 1)))
     scale = np.repeat(col_norms[live], l)
     c_tilde = _stacked_estimates((l, n), flat, np.repeat(t2, l), y0.T.ravel(), scale, data_qubits, None) / c_rot
-    return _report(c_tilde, a0, b0, eps_abs, ledger, "readout-" + route.method)
+    return _report(c_tilde, a0, b0, eps_abs, ledger)
 
 
 def readout_sve(a, b, eps_abs: float, *, strict_support: bool = False) -> Result:

@@ -86,7 +86,7 @@ def synthesize_direct(x) -> Result:
     ledger.charge_oracle(1)
     # the state is |x> itself: its distance to the target is 0, under the
     # fixed bound reports record for the route
-    return Result("direct", 0.0, PREP_DIRECT_BOUND, ledger, state=state, success_probability=1.0)
+    return Result(0.0, PREP_DIRECT_BOUND, ledger, state=state, success_probability=1.0)
 
 
 def prep_hamiltonian(f, base: Statevector, eps: float) -> Result:
@@ -100,16 +100,15 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> Result:
     directly, bit for bit as staging and postselecting the 2 dim flag state
     would give it; that circuit stays in the tests as the oracle.
     """
-    return _measured("hamiltonian", *_sine_branch(f, base, eps))
+    return _measured(*_sine_branch(f, base, eps))
 
 
-def _measured(method: str, piece: PreparedState, window: dict, target: np.ndarray) -> Result:
+def _measured(piece: PreparedState, window: dict, target: np.ndarray) -> Result:
     """The Result of a small-angle piece: its window (bound, epsilon0,
     epsilon1, details) and its realized distance to the normalized target."""
     want = from_vector(piece.state.layout[0][0], target, pad=False)
     realized = float(np.linalg.norm(piece.state.amplitudes - want.amplitudes))
-    return Result(method, realized, ledger=piece.ledger, state=piece.state,
-                  success_probability=piece.success_probability, **window)
+    return Result(realized, ledger=piece.ledger, state=piece.state, success_probability=piece.success_probability, **window)
 
 
 def small_angle_bound(eps: float, kappa_f: float) -> float:
@@ -190,7 +189,7 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> Result:
         penalty = math.ceil(math.sqrt(spec.values.size / spec.support.size))
         piece.ledger.amplification_rounds *= penalty
         piece.ledger.oracle_calls *= penalty
-    return _measured("sparse-known" if support_known else "sparse-unknown", piece, window, target)
+    return _measured(piece, window, target)
 
 
 def _base_gates(spec: VectorSpec) -> int:
@@ -257,7 +256,7 @@ def prep_dyadic(x, eps: float) -> Result:
     logq = max(math.log2(max(q, 2)), 1.0)
     cq = q**2 * logq**2
     combined.ledger.gate_units += cq * max(math.log2(max(cq, 2.0) / eps), 1.0) ** SYNTH_LOG_CONST
-    return _composite("dyadic", spec, eps, combined, {"bands": q, "weights": weights})
+    return _composite(spec, eps, combined, {"bands": q, "weights": weights})
 
 
 def prep_signshift(x, eps: float) -> Result:
@@ -300,16 +299,16 @@ def prep_signshift(x, eps: float) -> Result:
     ledger.record_postselect(success)
     charge_amplification(ledger, success)
     combined /= nrm
-    return _composite("signshift", spec, eps, PreparedState(_owned(layout, combined), success, ledger),
+    return _composite(spec, eps, PreparedState(_owned(layout, combined), success, ledger),
                       {"shift": m_val, "spread": spread})
 
 
-def _composite(method: str, spec: VectorSpec, eps: float, combined: PreparedState, details: dict) -> Result:
+def _composite(spec: VectorSpec, eps: float, combined: PreparedState, details: dict) -> Result:
     """The Result of prep_dyadic or prep_signshift: the combined state's
     distance to |x> up to a global phase, under the bound eps. The pieces
     have small-angle windows of their own; the composite reports 0.0."""
     realized = aligned_distance(combined.state, from_vector("x", spec.values))
-    return Result(method, realized, eps, combined.ledger, state=combined.state,
+    return Result(realized, eps, combined.ledger, state=combined.state,
                   success_probability=combined.success_probability, epsilon0=0.0, epsilon1=0.0, details=details)
 
 

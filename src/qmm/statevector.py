@@ -216,7 +216,6 @@ class Result:
     epsilon1 by the prep routes but synthesize_direct (0.0 on the dyadic
     and sign-shift routes, which have no small-angle window of their own)."""
 
-    method: str
     realized_error: float
     bound: float
     ledger: CostLedger

@@ -57,8 +57,11 @@ def test_verify_fails_on_tampered_report(tmp_path, matrices, capsys):
         ('{"schema": true, "rows": [{"id": "r", "x": [1.0, 2.0]}]}', "unsupported report schema True"),
         ('{"schema": 1.0, "rows": [{"id": "r", "x": [1.0, 2.0]}]}', "unsupported report schema 1.0"),
         ('{"schema": 3.0, "instances": [], "rows": []}', "unsupported report schema 3.0"),
-        ('{"schema": 2, "rows": 5}', "the rows are a JSON list, not int"),
-        ('{"schema": 2, "rows": [1]}', "row 0: a row is a JSON object, not int"),
+        # the schemas earlier versions wrote: plain instance lists, and packed fields inline
+        ('{"schema": 1, "rows": [{"id": "r", "x": [1.0, 2.0]}]}', "unsupported report schema 1"),
+        ('{"schema": 2, "rows": [{"id": "r", "x": {"f8": "AAAAAAAA8D8=", "shape": [1]}}]}', "unsupported report schema 2"),
+        ('{"schema": 3, "rows": 5}', "the rows are a JSON list, not int"),
+        ('{"schema": 3, "rows": [1]}', "row 0: a row is a JSON object, not int"),
         ('{"schema": 3, "instances": {}, "rows": []}', "the instances are a JSON list, not dict"),
         (
             '{"schema": 3, "instances": [], "rows": [{"id": "r", "x": 0}]}',
@@ -113,6 +116,23 @@ def test_verify_names_what_it_cannot_recompute(tmp_path, matrices, capsys):
     assert capsys.readouterr().err.splitlines() == BROKEN_ROW_PROBLEMS
 
 
+def test_verify_cannot_recompute_an_sve_bound_from_zero_sigma_eff(tmp_path, matrices, capsys):
+    a, b = (load_matrix_csv(p) for p in matrices)
+    report = run_experiment(ExperimentConfig(method="sve", inputs={"a": a, "b": b})).to_dict()
+    details = report["rows"][0]["details"]
+    details["sigma_eff"] = [0.0] * len(details["sigma_eff"])
+    problem = "sve-n3-seed0: cannot recompute from the instance: error budget undefined for a zero product"
+    ok, findings = verify_bounds(report)
+    assert not ok
+    assert [f"{f['id']}: {f['problem']}" for f in findings] == [problem]
+    path = tmp_path / "r.json"
+    save_report_json(path, report)
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == problem + "\n"
+    assert captured.out == "fail (1 problem(s))\n"
+
+
 def test_readout_entries_within_eps(tmp_path, matrices):
     a, b = matrices
     entries = tmp_path / "c.csv"
@@ -146,6 +166,37 @@ def test_readout_of_a_zero_a_is_one_error_line(tmp_path, matrices, method, capsy
     save_matrix_csv(zero, np.zeros((3, 3)))
     assert main(["readout", "--method", method, "--a", str(zero), "--b", matrices[1]]) == 1
     assert capsys.readouterr().err == "error: A is zero\n"
+
+
+@pytest.mark.parametrize("method", ["sve", "hhl"])
+def test_readout_of_a_zero_b_is_one_error_line(tmp_path, matrices, method, capsys):
+    zero = tmp_path / "zero.csv"
+    save_matrix_csv(zero, np.zeros((3, 3)))
+    assert main(["readout", "--method", method, "--a", matrices[0], "--b", str(zero)]) == 1
+    assert capsys.readouterr().err == "error: B is zero\n"
+
+
+@pytest.mark.parametrize("method", ["sve", "hhl"])
+def test_multiply_of_nonzero_factors_with_a_zero_product_is_one_error_line(tmp_path, method, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_matrix_csv(a, np.diag([1.0, 0.0]))
+    save_matrix_csv(b, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert main(["multiply", "--method", method, "--a", str(a), "--b", str(b)]) == 1
+    assert capsys.readouterr().err == "error: AB = 0: the product state is undefined\n"
+
+
+def test_a_csv_without_rows_is_one_error_line(tmp_path, matrices, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# a comment\n\n   \n# another\n")
+    assert main(["multiply", "--method", "swap", "--a", str(empty), "--b", matrices[1]]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no matrix rows found\n"
+
+
+def test_prepare_of_a_matrix_is_one_error_line(tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    x.write_text("1.0,2.0\n3.0,4.0\n")
+    assert main(["prepare", "--method", "sparse", "--x", str(x)]) == 1
+    assert capsys.readouterr().err == f"error: {x}: expected a single row or column of values\n"
 
 
 def test_gen_rejects_a_nan_kappa(tmp_path, capsys):

@@ -227,7 +227,7 @@ def test_every_method_returns_a_result_whose_set_fields_make_its_row(method, mon
     (res,) = results
     assert isinstance(res, Result)
     assert isinstance(res.state, Statevector) == (method not in READOUT_METHODS)
-    always = ("method", "realized_error", "bound", "ledger")
+    always = ("realized_error", "bound", "ledger")
     assert {f.name for f in fields(res) if getattr(res, f.name) is not None} == {*always, *SET_FIELDS[method]}
     want = {name: getattr(res, name) for name in ("realized_error", "bound", *SET_FIELDS[method]) if name != "state"}
     if "c_tilde" in want:
@@ -349,12 +349,19 @@ def test_verify_bounds_recomputes_prep_bounds(method):
 
 @pytest.mark.parametrize("method", READOUT_METHODS)
 def test_verify_bounds_recomputes_readout_entries(method):
-    # a tampered entry that leaves the stored realized error in place is
-    # caught: the error is recomputed from c_tilde and the instance
+    # a stored realized error one part in a million off, and a tampered
+    # entry that leaves the stored realized error in place, are caught: the
+    # error is recomputed from c_tilde and the instance
     a, b = generate_matrix(4, 2.0, seed=3), generate_matrix(4, 2.0, seed=4)
     report = run_experiment(ExperimentConfig(method=method, eps=0.05, inputs={"a": a, "b": b})).to_dict()
     assert verify_bounds(report) == (True, [])
     row = report["rows"][0]
+    realized = row["realized_error"]
+    row["realized_error"] = realized * (1.0 + 1e-6)  # still under its bound
+    ok, findings = verify_bounds(report)
+    assert not ok
+    assert "recomputed from c_tilde" in findings[0]["problem"]
+    row["realized_error"] = realized
     row["c_tilde"][0][0] += 10 * row["eps"]
     ok, findings = verify_bounds(report)
     assert not ok

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmm.cli import main
 from qmm.harness import (
     MULTIPLY_METHODS,
     PREP_METHODS,
@@ -121,71 +120,10 @@ def test_packed_instance_round_trip_is_bit_exact(tmp_path_factory, values):
         assert_bit_exact_array(row["x"], values)
 
 
-@given(INSTANCE_ARRAYS)
-@example(np.array(SPECIAL))
-@example(np.array(SPECIAL[:6]).reshape(2, 3))
-def test_schema_1_instance_lists_load_as_bit_exact_arrays(tmp_path_factory, values):
-    path = tmp_path_factory.mktemp("schema1") / "r.json"
-    path.write_text(json.dumps({"schema": 1, "rows": [{"id": "r", "x": values.tolist()}]}))
-    assert_bit_exact_array(load_report_json(path)["rows"][0]["x"], values)
-
-
 def assert_bit_exact_array(got, values):
     assert isinstance(got, np.ndarray) and got.dtype == np.float64
     assert got.shape == values.shape
     assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
-
-
-def _schema_1(report: dict) -> dict:
-    """The report as schema 1 wrote it: instance fields as plain lists."""
-    rows = [{k: v.tolist() if k in INSTANCE_FIELDS else v for k, v in row.items()} for row in report["rows"]]
-    return dict(report, schema=1, rows=rows)
-
-
-def test_schema_1_report_loads_and_verifies(tmp_path, capsys):
-    report = _report("sve")
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(_schema_1(report)))
-    assert comparable_rows(load_report_json(path)["rows"]) == comparable_rows(report["rows"])
-    assert main(["verify", str(path)]) == 0
-    assert "pass" in capsys.readouterr().out
-
-
-def test_resaved_schema_1_report_is_labelled_schema_3(tmp_path):
-    report = _report("prep-dyadic")
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(_schema_1(report)))
-    save_report_json(path, load_report_json(path))
-    raw = json.loads(path.read_text())
-    assert raw["schema"] == 3
-    assert raw["rows"][0]["x"] == 0
-    assert sorted(raw["instances"][0]) == ["f8", "shape"]
-    assert comparable_rows(load_report_json(path)["rows"]) == comparable_rows(report["rows"])
-
-
-def _schema_2(report: dict) -> dict:
-    """The report as schema 2 wrote it: each row packs its own instance fields."""
-    rows = [{k: _pack(v) if k in INSTANCE_FIELDS else v for k, v in row.items()} for row in report["rows"]]
-    return dict(report, schema=2, rows=rows)
-
-
-def test_schema_2_report_loads_verifies_and_resaves_deduplicated(tmp_path, capsys):
-    # the prep routes of _report share one x, so schema 2 packs it twice
-    report = _report("prep-sparse")
-    report["rows"] += _report("prep-dyadic")["rows"]
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(_schema_2(report), sort_keys=True))
-    loaded = load_report_json(path)
-    assert comparable_rows(loaded["rows"]) == comparable_rows(report["rows"])
-    assert main(["verify", str(path)]) == 0
-    assert "pass" in capsys.readouterr().out
-    save_report_json(path, loaded)
-    raw = json.loads(path.read_text())
-    assert raw["schema"] == 3
-    assert raw["instances"] == [_pack(report["rows"][0]["x"])]
-    assert [row["x"] for row in raw["rows"]] == [0, 0]
-    assert comparable_rows(load_report_json(path)["rows"]) == comparable_rows(report["rows"])
-    assert main(["verify", str(path)]) == 0
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -227,6 +165,21 @@ def test_instance_table_packs_each_distinct_array_once(tmp_path_factory, pool, r
     assert len(shared) == len(table)
 
 
+# each case's error, after the file, row and field that name where it is
+PACKED_ERRORS = {
+    "base64": "Only base64 data is allowed",
+    "shape": "cannot reshape array of size 2 into shape (3,)",
+    "byte count": "buffer size must be a multiple of element size",
+    "no shape": "'shape'",
+    "negative size": "a shape is a list of non-negative integers, not [-1]",
+    "negative second size": "a shape is a list of non-negative integers, not [2, -1]",
+    "a bool size": "a shape is a list of non-negative integers, not [True]",
+    "a float size": "a shape is a list of non-negative integers, not [2.0]",
+    "a shape that is not a list": "a shape is a list of non-negative integers, not 1",
+    "a list entry": "a packed array is a JSON object, not list",
+}
+
+
 @pytest.mark.parametrize(
     "packed, why",
     [
@@ -239,16 +192,15 @@ def test_instance_table_packs_each_distinct_array_once(tmp_path_factory, pool, r
         (dict(_pack([1.0]), shape=[True]), "a bool size"),
         (dict(_pack([1.0, 2.0]), shape=[2.0]), "a float size"),
         (dict(_pack([1.0]), shape=1), "a shape that is not a list"),
-        ([1.0, 2.0], "a list in a schema 2 report"),
+        ([1.0, 2.0], "a list entry"),
     ],
 )
 def test_undecodable_packed_field_names_file_row_and_field(tmp_path, packed, why):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": 2, "rows": [{"id": "row-7", "b": packed}]}))
+    path.write_text(json.dumps({"schema": 3, "instances": [packed], "rows": [{"id": "row-7", "b": 0}]}))
     with pytest.raises(ValueError) as exc:
         load_report_json(path)
-    message = str(exc.value)
-    assert str(path) in message and "'row-7'" in message and "'b'" in message, why
+    assert str(exc.value) == f"{path}: row 'row-7': field 'b' cannot be decoded: {PACKED_ERRORS[why]}"
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,13 @@ def test_matmul_swaptest_nilpotent_product_rejected():
         matmul_swaptest(n, n, eps=0.05)
 
 
+def test_matmul_swaptest_rejects_a_product_under_its_zero_threshold():
+    # ||AB||_F = sqrt(2) 1e-16 is nonzero but under the 1e-14 taken as zero
+    tiny = 1e-8 * np.eye(2)
+    with pytest.raises(ValueError, match="AB = 0"):
+        matmul_swaptest(tiny, tiny, eps=0.05)
+
+
 def test_matmul_swaptest_bound_holds_on_seeded_instances():
     for seed in range(8):
         a, b = rand_matrix(seed), rand_matrix(seed + 100)
@@ -474,6 +481,22 @@ def test_matmul_sve_support_violation_modes():
     assert res.realized_error <= res.bound
     with pytest.raises(SupportViolationError):
         matmul_sve(a, b, phase_bits=8, strict_support=True)
+    # 1e-8 / (1 + 1e-8) of B's weight on the dead direction is still reported
+    with pytest.warns(SupportViolationWarning, match="1.000e-08 of B's weight"):
+        matmul_sve(a, np.array([[1.0], [1e-4]]), phase_bits=8)
+
+
+@pytest.mark.parametrize("fn", [matmul_sve, matmul_hhl])
+def test_a_component_with_alpha_1e_10_reaches_the_state(fn):
+    # alpha_k = <v_k|B_.j>/||B_.j|| is 1e-10 on sigma = 0.5: the component
+    # is estimated like any other, not skipped like an exactly zero one
+    a = np.diag([1.0, 0.5])
+    b = np.array([[1.0], [1e-10]])
+    res = fn(a, b, phase_bits=8)
+    sigma_eff = res.details["sigma_eff"]
+    assert abs(sigma_eff[1] - 0.5) <= res.details["eps1_eff"]
+    amps = res.state.reshaped()
+    assert abs(amps[1, 0] / amps[0, 0]) == pytest.approx(1e-10 * sigma_eff[1] / sigma_eff[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

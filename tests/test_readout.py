@@ -45,6 +45,11 @@ def test_inner_product_three_four():
     assert abs(got - 24.0) <= 0.1
 
 
+def test_inner_product_rejects_vectors_of_different_sizes():
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        inner_product_classical(np.ones(2), np.ones(3), 0.1)
+
+
 def test_inner_product_zero_vector_costs_nothing():
     led = CostLedger()
     assert inner_product_classical([0.0, 0.0], [1.0, 1.0], 0.1, led) == 0.0

@@ -45,9 +45,9 @@ ROUTES = {"sve": walk_route, "hhl": dilation_route}
 PIPELINES = {"sve": matmul_sve, "hhl": matmul_hhl}
 
 
-def oracle(route, frob: float, sigma: float, t: int, weights: np.ndarray) -> complex:
-    """Gate-level block simulation of one singular triple."""
-    if route.method == "sve":
+def oracle(method: str, route, frob: float, sigma: float, t: int, weights: np.ndarray) -> complex:
+    """Gate-level block simulation of one singular triple on ROUTES[method]."""
+    if method == "sve":
         return _sve_component(sigma, frob, t, weights)
     return _hhl_component(sigma, route.details["evolution_time"], t, weights)
 
@@ -79,7 +79,7 @@ def test_batched_components_match_block_oracle(case, method):
     else:
         weights = route.rotation(t)[1]
     got = route.components(sigmas, t, weights)
-    want = np.array([oracle(route, frob, s, t, weights) for s in sigmas])
+    want = np.array([oracle(method, route, frob, s, t, weights) for s in sigmas])
     assert got.shape == sigmas.shape
     assert np.max(np.abs(got - want)) <= oracle_tolerance(t)
 
@@ -166,7 +166,7 @@ def test_degenerate_inputs_match_block_oracle_and_keep_bound(case, t, method):
     probe = np.concatenate([sigmas, [0.0, frob]])
     weights = route.rotation(t)[1]
     got = route.components(probe, t, weights)
-    want = np.array([oracle(route, frob, s, t, weights) for s in probe])
+    want = np.array([oracle(method, route, frob, s, t, weights) for s in probe])
     assert np.max(np.abs(got - want)) <= oracle_tolerance(t)
     with warnings.catch_warnings():
         # columns of B outside A's row space are reported, not fatal
@@ -195,14 +195,14 @@ def test_eps_up_to_one_matches_oracles_and_keeps_bound(case, eps, method):
     sigmas = compute_svd(pad_matrix(a, d, d)).sigmas
     route = ROUTES[method](frob, float(sigmas[0]))
     weights = route.rotation(t)[1]
-    want = np.array([oracle(route, frob, s, t, weights) for s in sigmas])
+    want = np.array([oracle(method, route, frob, s, t, weights) for s in sigmas])
     assert np.max(np.abs(route.components(sigmas, t, weights) - want)) <= oracle_tolerance(t)
 
 
-def grid_sigma(route, frob: float, t: int) -> float:
+def grid_sigma(method: str, route, frob: float, t: int) -> float:
     """A singular value whose eigenphase sits exactly on a label (the tiny-delta branch)."""
     y = (1 << t) // 8 + 1
-    if route.method == "sve":
+    if method == "sve":
         return frob * math.cos(math.pi * y / (1 << t))  # theta = 2 pi y / T
     return 2.0 * math.pi * y / (1 << t) / route.details["evolution_time"]
 
@@ -214,7 +214,7 @@ def test_batched_components_edge_values(method, t):
     route = ROUTES[method](frob, sigma_max)
     # sigma near 0 puts the walk block near -I, where the oracle's 2x2
     # eigensolver once lost half its digits to cancellation
-    sigmas = np.array([0.0, 1e-6 * frob, sigma_max, frob, grid_sigma(route, frob, t)])
+    sigmas = np.array([0.0, 1e-6 * frob, sigma_max, frob, grid_sigma(method, route, frob, t)])
     w0 = route.rotation(t)[1]
     rng = np.random.default_rng(t)
     # the readout's two columns, plus random signed weights
@@ -222,7 +222,7 @@ def test_batched_components_edge_values(method, t):
     got = route.components(sigmas, t, weights)
     assert got.shape == (5, 3)
     for j in range(3):
-        want = np.array([oracle(route, frob, s, t, weights[:, j]) for s in sigmas])
+        want = np.array([oracle(method, route, frob, s, t, weights[:, j]) for s in sigmas])
         assert np.max(np.abs(got[:, j] - want)) <= oracle_tolerance(t)
         # the columns are independent label sums
         assert np.max(np.abs(route.components(sigmas, t, weights[:, j]) - got[:, j])) <= 1e-14
