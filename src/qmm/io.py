@@ -2,13 +2,15 @@
 
 Matrices are one row per line, comma-separated decimal reals; any other
 token, a complex one included, is an error naming its line. Reports are
-versioned JSON (schema 3). The rows' instance fields (INSTANCE_FIELDS) are
-float64 arrays, stored once per distinct array in the report's "instances"
-list, packed as {"shape": [...], "f8": base64 of the little-endian float64
-bytes}, in order of first use; a row's field is the index of its entry.
-Loading gives every row that refers to an entry the same read-only array,
-bit for bit, and drops the list; outputs stay readable lists. A report of
-any other schema is an error.
+versioned JSON (schema 3), the text of json.dumps with sorted keys. The
+rows' instance fields (INSTANCE_FIELDS) are float64 arrays, stored once
+per distinct array in the report's "instances" list, packed as {"shape":
+[...], "f8": base64 of the little-endian float64 bytes}, in order of first
+use; a row's field is the index of its entry. The rows are encoded as plain
+dicts; only the table's base64 is written past the encoder. Loading gives
+every row that refers to an entry the same read-only array, bit for bit,
+and drops the list; outputs stay readable lists. A report of any other
+schema is an error.
 """
 from __future__ import annotations
 
@@ -62,17 +64,13 @@ def load_vector_csv(path) -> np.ndarray:
     raise ValueError(f"{path}: expected a single row or column of values")
 
 
-def _packed_json(shape: tuple, raw: bytes) -> list[str]:
-    """The JSON text of {"shape": [...], "f8": base64 of raw}, in pieces, as
-    json.dumps with sorted keys writes it. The base64 alphabet needs no
-    escaping, so that text is not passed through the encoder."""
-    return ['{"f8": "', base64.b64encode(raw).decode("ascii"), '", "shape": ', json.dumps(list(shape)), "}"]
-
-
 def _unpack(packed) -> np.ndarray:
     """The read-only array of a packed {"shape": [...], "f8": base64}."""
     if not isinstance(packed, dict):
         raise ValueError(f"a packed array is a JSON object, not {type(packed).__name__}")
+    for key in ("shape", "f8"):
+        if key not in packed:
+            raise ValueError(f"a packed array has no {key!r}")
     shape = packed["shape"]
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"a shape is a list of non-negative integers, not {shape!r}")
@@ -80,57 +78,35 @@ def _unpack(packed) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _separated(items: list) -> list[str]:
-    """The pieces of every item, with ", " between items."""
-    out = []
-    for i, pieces in enumerate(items):
-        if i:
-            out.append(", ")
-        out += pieces
-    return out
-
-
-def _json_object(obj: dict, texts: dict) -> list[str]:
-    """json.dumps(obj, sort_keys=True) in pieces, except that the value of
-    each key in texts is the list of pieces given there. The keys between
-    those are encoded a run at a time."""
-    members, run = [], {}
-    for k in sorted(obj):
-        if k in texts:
-            if run:
-                members.append([json.dumps(run, sort_keys=True)[1:-1]])
-                run = {}
-            members.append([json.dumps(k), ": ", *texts[k]])
-        else:
-            run[k] = obj[k]
-    if run:
-        members.append([json.dumps(run, sort_keys=True)[1:-1]])
-    return ["{", *_separated(members), "}"]
-
-
 def save_report_json(path, report: dict) -> None:
     """Write the report as json.dumps(report, sort_keys=True) would, byte
     for byte, with the rows' instance fields replaced by indices into an
-    "instances" list that packs each distinct array once. Arrays are
-    distinct when their shapes or little-endian bytes differ. The text is
-    written in pieces, so the large packed strings are never copied into one."""
+    "instances" list that packs each distinct array once (arrays are
+    distinct when their shapes or little-endian bytes differ). json.dumps
+    encodes each other member; the table's base64 is written in pieces, so
+    it is never copied into one string. Without rows, there is no table."""
     report = dict(report, schema=REPORT_SCHEMA)
-    texts = {}
+    table = None
     if "rows" in report:
         table = {}  # (shape, bytes) -> index, in order of first use
-        rows = []
-        for row in report["rows"]:
-            refs = {}
+        rows = [dict(row) for row in report["rows"]]
+        for row in rows:
             for k in INSTANCE_FIELDS:
                 if k in row:
                     arr = np.asarray(row[k], dtype="<f8")  # no copy for a float64 array
-                    refs[k] = [str(table.setdefault((arr.shape, arr.tobytes()), len(table)))]
-            rows.append(_json_object(row, refs))
-        report["instances"] = None  # its text is in texts
-        texts["rows"] = ["[", *_separated(rows), "]"]
-        texts["instances"] = ["[", *_separated([_packed_json(*key) for key in table]), "]"]
+                    row[k] = table.setdefault((arr.shape, arr.tobytes()), len(table))
+        report.update(rows=rows, instances=None)  # the instances' text is written below
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_object(report, texts))
+        for i, k in enumerate(sorted(report)):
+            fh.write(", " if i else "{")
+            if k == "instances" and table is not None:
+                fh.write('"instances": [')
+                for j, (shape, raw) in enumerate(table):
+                    fh.writelines([", " if j else "", '{"f8": "', base64.b64encode(raw).decode("ascii"), '", "shape": ', json.dumps(list(shape)), "}"])
+                fh.write("]")
+            else:
+                fh.write(json.dumps({k: report[k]}, sort_keys=True)[1:-1])
+        fh.write("}")
 
 
 def load_report_json(path) -> dict:
@@ -167,7 +143,7 @@ def load_report_json(path) -> dict:
             if name in row:
                 try:
                     row[name] = instance(row[name])
-                except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+                except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
                     raise ValueError(
                         f"{path}: row {row.get('id', '?')!r}: field {name!r} cannot be decoded: {exc}"
                     ) from exc

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -97,6 +97,63 @@ def test_saved_report_is_the_encoder_text_byte_for_byte(tmp_path, method):
     assert path.read_text(encoding="utf-8") == json.dumps({"config": {}, "method": "no rows", "schema": REPORT_SCHEMA}, sort_keys=True)
 
 
+# top-level keys that sort before "config", between it and "instances",
+# and after "instances"; a caller's own "instances" and "schema" included
+TOP_KEYS = ["Z", "a", "config", "config0", "eps", "instances", "instances0", "method", "schema", "zz", "é"]
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), st.text(max_size=3))
+MEMBERS = st.one_of(LEAVES, st.lists(LEAVES, max_size=3), st.dictionaries(st.text(max_size=3), LEAVES, max_size=3))
+POOL = [np.zeros(0), np.zeros((2, 0)), np.array([0.0]), np.array([-0.0]), np.arange(3.0), np.arange(6.0).reshape(2, 3)]
+
+
+@st.composite
+def _row(draw):
+    row = {k: draw(MEMBERS) for k in draw(st.sets(st.sampled_from(["a0", "c_tilde", "id", "x0", "y"])))}
+    for k in draw(st.sets(st.sampled_from(INSTANCE_FIELDS))):
+        arr = POOL[draw(st.integers(0, len(POOL) - 1))]
+        row[k] = arr.tolist() if draw(st.booleans()) else arr
+    return row
+
+
+@st.composite
+def _reports(draw):
+    report = {k: draw(MEMBERS) for k in draw(st.sets(st.sampled_from(TOP_KEYS)))}
+    if "instances" in report:  # the loader drops a caller's table, which must be a list
+        report["instances"] = draw(st.lists(LEAVES, max_size=3))
+    rows = draw(st.none() | st.lists(_row(), max_size=4))
+    if rows is not None:
+        report["rows"] = rows
+    return report
+
+
+@settings(max_examples=150)
+@given(_reports())
+@example({"Z": 1, "config": {}, "instances": [1, "t"], "zz": None})
+@example({"instances": [None], "instances0": [], "rows": []})
+@example({"a": [], "rows": [{}, {"id": "r", "x": POOL[1]}, {"x": POOL[0], "a": POOL[1].tolist()}], "zz": 0})
+def test_saved_report_is_the_encoder_text_for_any_key_set(tmp_path_factory, report):
+    top, rows = dict(report), list(report.get("rows", []))
+    row_items = [dict(row) for row in rows]
+    path = tmp_path_factory.mktemp("keys") / "r.json"
+    save_report_json(path, report)
+    # the caller's report and rows keep their keys and their very objects
+    assert report.keys() == top.keys() and all(report[k] is top[k] for k in top)
+    assert len(report.get("rows", [])) == len(rows) and all(a is b for a, b in zip(report.get("rows", []), rows))
+    for row, before in zip(rows, row_items):
+        assert row.keys() == before.keys() and all(row[k] is before[k] for k in before)
+    expected = _encoder_packed(report) if "rows" in report else dict(report, schema=REPORT_SCHEMA)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(expected, sort_keys=True)
+    loaded, plain = load_report_json(path), json.loads(text)
+    plain.pop("instances", None)
+    loaded_rows, plain_rows = loaded.pop("rows", []), plain.pop("rows", [])
+    assert loaded == plain and len(loaded_rows) == len(rows)
+    for got, want, row in zip(loaded_rows, plain_rows, rows):
+        for k in INSTANCE_FIELDS:
+            if k in row:
+                assert_bit_exact_array(got.pop(k), np.asarray(row[k], dtype=np.float64))
+                del want[k]
+        assert got == want
+
 def _float_array_shapes():
     vector = st.tuples(st.integers(0, 40))
     non_square = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda s: s[0] != s[1])
@@ -170,13 +227,15 @@ PACKED_ERRORS = {
     "base64": "Only base64 data is allowed",
     "shape": "cannot reshape array of size 2 into shape (3,)",
     "byte count": "buffer size must be a multiple of element size",
-    "no shape": "'shape'",
+    "no shape": "a packed array has no 'shape'",
     "negative size": "a shape is a list of non-negative integers, not [-1]",
     "negative second size": "a shape is a list of non-negative integers, not [2, -1]",
     "a bool size": "a shape is a list of non-negative integers, not [True]",
     "a float size": "a shape is a list of non-negative integers, not [2.0]",
     "a shape that is not a list": "a shape is a list of non-negative integers, not 1",
     "a list entry": "a packed array is a JSON object, not list",
+    "no f8": "a packed array has no 'f8'",
+    "an f8 that is not a string": "argument should be a bytes-like object or ASCII string, not 'int'",
 }
 
 
@@ -193,6 +252,8 @@ PACKED_ERRORS = {
         (dict(_pack([1.0, 2.0]), shape=[2.0]), "a float size"),
         (dict(_pack([1.0]), shape=1), "a shape that is not a list"),
         ([1.0, 2.0], "a list entry"),
+        ({"shape": [1]}, "no f8"),
+        ({"shape": [1], "f8": 5}, "an f8 that is not a string"),
     ],
 )
 def test_undecodable_packed_field_names_file_row_and_field(tmp_path, packed, why):
