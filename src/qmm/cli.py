@@ -74,8 +74,7 @@ def _cmd_scaling(args) -> int:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(result["table"][0].keys()))
             writer.writeheader()
-            for row in result["table"]:
-                writer.writerow(row)
+            writer.writerows(result["table"])
     for name, (slope, stderr) in result["slopes"].items():
         print(f"{name}: slope={slope:.3f} +- {1.96 * stderr:.3f}")
     return 0

@@ -207,9 +207,7 @@ def scaling_study(
     """Cost table over (n, eps, seed) cells plus fitted log-log slopes of
     cost against 1/eps (at the largest n) and against n (at the smallest
     eps)."""
-    n_grid = list(n_grid)
-    eps_grid = list(eps_grid)
-    seeds = list(seeds)
+    n_grid, eps_grid, seeds = list(n_grid), list(eps_grid), list(seeds)
     if not n_grid or not eps_grid or not seeds:
         raise ValueError("grids must be nonempty")
 
@@ -296,15 +294,11 @@ def verify_bounds(report: dict) -> tuple[bool, list[dict]]:
             continue
         stored = row.get("bound")
         if stored is None or abs(stored - bound) > 1e-9 * max(1.0, abs(bound)):
-            findings.append(
-                {"id": ident, "problem": f"stored bound {stored} != recomputed {bound}"}
-            )
+            findings.append({"id": ident, "problem": f"stored bound {stored} != recomputed {bound}"})
             continue
         realized = row.get("realized_error")
         if entry_error is not None and (realized is None or abs(realized - entry_error) > 1e-9 * max(1.0, entry_error)):
             findings.append({"id": ident, "problem": f"realized error {realized} != {entry_error} recomputed from c_tilde"})
         elif realized is None or exceeds_bound(realized, bound):
-            findings.append(
-                {"id": ident, "problem": f"realized error {realized} exceeds bound {bound}"}
-            )
+            findings.append({"id": ident, "problem": f"realized error {realized} exceeds bound {bound}"})
     return (not findings, findings)

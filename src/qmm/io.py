@@ -40,9 +40,7 @@ def load_matrix_csv(path) -> np.ndarray:
             if width is None:
                 width = len(row)
             elif len(row) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
-                )
+                raise ValueError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
@@ -84,9 +82,9 @@ def save_report_json(path, report: dict) -> None:
     "instances" list that packs each distinct array once (arrays are
     distinct when their shapes or little-endian bytes differ). json.dumps
     encodes each other member; the table's base64 is written in pieces, so
-    it is never copied into one string. Without rows, there is no table."""
-    report = dict(report, schema=REPORT_SCHEMA)
-    table = None
+    it is never copied into one string. Without rows, there is no table, and
+    a caller's own "instances" member is not written either."""
+    report = {k: v for k, v in report.items() if k != "instances"} | {"schema": REPORT_SCHEMA}
     if "rows" in report:
         table = {}  # (shape, bytes) -> index, in order of first use
         rows = [dict(row) for row in report["rows"]]
@@ -99,7 +97,7 @@ def save_report_json(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i, k in enumerate(sorted(report)):
             fh.write(", " if i else "{")
-            if k == "instances" and table is not None:
+            if k == "instances":
                 fh.write('"instances": [')
                 for j, (shape, raw) in enumerate(table):
                     fh.writelines([", " if j else "", '{"f8": "', base64.b64encode(raw).decode("ascii"), '", "shape": ', json.dumps(list(shape)), "}"])

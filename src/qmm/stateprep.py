@@ -100,7 +100,21 @@ def prep_hamiltonian(f, base: Statevector, eps: float) -> Result:
     directly, bit for bit as staging and postselecting the 2 dim flag state
     would give it; that circuit stays in the tests as the oracle.
     """
-    return _measured(*_sine_branch(f, base, eps))
+    return _measured(*_sine_branch(f, base, eps), _target(f, base))
+
+
+def _on_base(f, base: Statevector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f zero-padded to the base's register, the base's amplitudes and their populated mask."""
+    fvals, b = np.asarray(f, dtype=float).reshape(-1), base.amplitudes.real
+    if fvals.size != b.size:
+        fvals = np.concatenate([fvals, np.zeros(b.size - fvals.size)])
+    return fvals, b, np.abs(b) > 1e-14
+
+
+def _target(f, base: Statevector) -> np.ndarray:
+    """The unnormalized target f b of the sine branch, zero off the base's support."""
+    fvals, b, populated = _on_base(f, base)
+    return np.where(populated, fvals * b, 0.0)
 
 
 def _measured(piece: PreparedState, window: dict, target: np.ndarray) -> Result:
@@ -117,24 +131,14 @@ def small_angle_bound(eps: float, kappa_f: float) -> float:
     return math.sqrt(kappa_f / 3.0) * (eps / math.sqrt(kappa_f))
 
 
-def _sine_branch(f, base: Statevector, eps: float) -> tuple[PreparedState, dict, np.ndarray]:
-    """prep_hamiltonian's branch as a PreparedState, its window (the Result
-    fields bound, epsilon0, epsilon1 and details) and the unnormalized
-    target f b (zero off the base's support) that _measured compares it
-    with. The composite routes read only the PreparedState."""
+def _sine_branch(f, base: Statevector, eps: float) -> tuple[PreparedState, dict]:
+    """prep_hamiltonian's branch as a PreparedState and its window (the
+    Result fields bound, epsilon0, epsilon1 and details)."""
     if len(base.layout) != 1:
         raise ValueError("base state must live on a single register")
-    dim = base.amplitudes.size
-    fvals = np.asarray(f, dtype=float).reshape(-1)
-    if fvals.size != dim:
-        padded = np.zeros(dim)
-        padded[: fvals.size] = fvals
-        fvals = padded
-    b = base.amplitudes
-    if np.max(np.abs(b.imag)) > 1e-12:
+    if np.max(np.abs(base.amplitudes.imag)) > 1e-12:
         raise ValueError("base state must be real")
-    b = b.real
-    populated = np.abs(b) > 1e-14
+    fvals, b, populated = _on_base(f, base)
     f_on = np.abs(fvals[populated])
     if np.any(f_on < 1e-300):
         raise ValueError("f vanishes on the support of the base state")
@@ -142,7 +146,7 @@ def _sine_branch(f, base: Statevector, eps: float) -> tuple[PreparedState, dict,
         raise ValueError("accuracy must lie in (0, 1): larger values would push "
                          "evolution angles out of the small-angle window")
     fmax, fmin = float(np.max(f_on)), float(np.min(f_on))
-    del f_on  # half a vector, not held across the branch and target below
+    del f_on  # half a vector, not held across the branch below
     kappa_f = fmax / fmin
     eps1 = eps / math.sqrt(kappa_f)
     t_evo = eps1 / fmax
@@ -173,7 +177,7 @@ def _sine_branch(f, base: Statevector, eps: float) -> tuple[PreparedState, dict,
         "epsilon1": eps1,
         "details": {"kappa_f": kappa_f, "evolution_time": t_evo, "rounds": rounds},
     }
-    return PreparedState(produced, prob, ledger), window, np.where(populated, fvals * b, 0.0)
+    return PreparedState(produced, prob, ledger), window
 
 
 def prep_sparse(x, eps: float, support_known: bool = True) -> Result:
@@ -184,7 +188,9 @@ def prep_sparse(x, eps: float, support_known: bool = True) -> Result:
     and amplification pays an extra sqrt(n/z) factor.
     """
     spec = _as_spec(x)
-    piece, window, target = _sparse(spec, eps)
+    base = _support_base(spec, 1.0)
+    (piece, window), target = _sparse(spec, eps, base), _target(spec.values, base)
+    del base  # the target, half its size, is all _measured needs of it
     if not support_known:
         penalty = math.ceil(math.sqrt(spec.values.size / spec.support.size))
         piece.ledger.amplification_rounds *= penalty
@@ -199,19 +205,20 @@ def _base_gates(spec: VectorSpec) -> int:
 
 def _support_base(spec: VectorSpec, values) -> Statevector:
     """The base state values/sqrt(z) on the z-point support of x: the
-    uniform base of _sparse (values 1), the sign base of _prep_by_sign_base."""
+    uniform base of _sparse's pieces (values 1), the sign base of _prep_by_sign_base."""
     dim = max(pad_dim(spec.values.size), 2)  # from_vector's register: one qubit at least
     base = np.zeros(dim, dtype=complex)
     base[spec.support] = values / math.sqrt(spec.support.size)
     return _owned((("x", int(math.log2(dim))),), base)
 
 
-def _sparse(spec: VectorSpec, eps: float) -> tuple[PreparedState, dict, np.ndarray]:
-    """prep_sparse with the support known, as _sine_branch returns it;
-    prep_dyadic and prep_signshift prepare their pieces with it."""
-    piece, window, target = _sine_branch(spec.values, _support_base(spec, 1.0), eps)
+def _sparse(spec: VectorSpec, eps: float, base: Statevector) -> tuple[PreparedState, dict]:
+    """prep_sparse's piece and window on the uniform base of x's support, as
+    _sine_branch returns them; prep_dyadic and prep_signshift prepare their
+    pieces with it."""
+    piece, window = _sine_branch(spec.values, base, eps)
     piece.ledger.gate_units += _base_gates(spec)
-    return piece, window, target
+    return piece, window
 
 
 def _prep_by_sign_base(x, eps: float) -> Result:
@@ -251,7 +258,7 @@ def prep_dyadic(x, eps: float) -> Result:
     eps_band = eps / (2.0 * math.sqrt(q))
     weights = [float(np.linalg.norm(band.values)) / norm_x for band in bands]
     # one band state alive at a time
-    combined = lcu_combine((_sparse(band, eps_band)[0] for band in bands), weights)
+    combined = lcu_combine((_sparse(band, eps_band, _support_base(band, 1.0))[0] for band in bands), weights)
     # selection-unitary synthesis for the q combination weights
     logq = max(math.log2(max(q, 2)), 1.0)
     cq = q**2 * logq**2
@@ -280,7 +287,7 @@ def prep_signshift(x, eps: float) -> Result:
     norm_z = float(np.linalg.norm(z.values))
 
     eps_z = eps * norm_x / (2.0 * norm_z)
-    z_prep = _sparse(z, eps_z)[0]
+    z_prep = _sparse(z, eps_z, _support_base(z, 1.0))[0]
     del z
 
     lam = norm_z / norm_x

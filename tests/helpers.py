@@ -3,6 +3,7 @@ pinned-row runs, the dense-register overlap oracle, the readouts run on it,
 and degenerate matrix instances."""
 import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import assume
@@ -11,7 +12,15 @@ from hypothesis import strategies as st
 from qmm.harness import PREP_METHODS, ExperimentConfig, generate_matrix, generate_vector, run_experiment
 from qmm.io import INSTANCE_FIELDS
 from qmm.linalg import pad_dim
-from qmm.matmul import _check_real_pair, _check_support, _resolve_phase_bits, _sve_setup, dilation_route, walk_route
+from qmm.matmul import (
+    SupportViolationWarning,
+    _check_real_pair,
+    _check_support,
+    _resolve_phase_bits,
+    _sve_setup,
+    dilation_route,
+    walk_route,
+)
 from qmm.circuits import (
     grover_rotation,
     marginal_probabilities,
@@ -35,17 +44,25 @@ def comparable_rows(rows: list[dict]) -> list[dict]:
     return [comparable(row) for row in rows]
 
 
-def pinned_row(pinned: dict, case: dict) -> dict:
-    """Re-run one case of tests/data/harness_pinned.json: its method on the
-    case's seed, with n_matrix matrices or n_vector vectors. Returns the row
-    as JSON reads it back, without wall_time and the instance."""
-    seed, method = case["seed"], case["row"]["method"]
-    if method in PREP_METHODS:
-        inputs = {"x": generate_vector(pinned["n_vector"], pinned["kappa_vector"], seed)}
+def pinned_row(case: dict) -> dict:
+    """Re-run one case of tests/data/harness_pinned.json: its method at its
+    eps and run options, on its explicit a and b or else on
+    generate_vector(n, kappa, seed), or generate_matrix(n, kappa, seed) and
+    seed + 10000. Returns the row as JSON reads it back, without wall_time
+    and the instance."""
+    method, seed = case["method"], case.get("seed", 0)
+    if "a" in case:
+        inputs = {"a": case["a"], "b": case["b"]}
+    elif method in PREP_METHODS:
+        inputs = {"x": generate_vector(case["n"], case["kappa"], seed)}
     else:
-        n, kappa = pinned["n_matrix"], pinned["kappa_matrix"]
+        n, kappa = case["n"], case["kappa"]
         inputs = {"a": generate_matrix(n, kappa, seed), "b": generate_matrix(n, kappa, seed + 10_000)}
-    row = run_experiment(ExperimentConfig(method=method, eps=pinned["eps"], seed=seed, inputs=inputs)).rows[0]
+    cfg = ExperimentConfig(method=method, eps=case["eps"], seed=seed, inputs=inputs, **case["options"])
+    with warnings.catch_warnings():
+        if "a" in case:  # the explicit pairs leave the support condition on purpose
+            warnings.simplefilter("ignore", SupportViolationWarning)
+        row = run_experiment(cfg).rows[0]
     return json.loads(json.dumps({k: v for k, v in row.items() if k != "wall_time" and k not in INSTANCE_FIELDS}))
 
 

@@ -23,7 +23,7 @@ from qmm.harness import (
 from qmm.io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
 from qmm.linalg import compute_svd
 from qmm.matmul import MAX_PHASE_BITS, matmul_swaptest
-from helpers import comparable, comparable_rows, pinned_row
+from helpers import comparable, comparable_rows
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +384,14 @@ def test_verify_bounds_batch_of_seeded_swap_runs():
 # pinned rows of every method
 
 DATA = Path(__file__).parent / "data"
-HARNESS_PINNED = json.loads((DATA / "harness_pinned.json").read_text())
+_spec = importlib.util.spec_from_file_location("record_pinned", DATA / "record_pinned.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+PINNED_TEXT = record.PINNED.read_text()
+PINNED = json.loads(PINNED_TEXT)["cases"]
 
 
-def assert_matches_pinned(got, want, path="row"):
+def assert_matches_pinned(got, want, path="case"):
     """Ints, strings, bools and ledgers equal; floats within 1e-12 relative."""
     if isinstance(want, dict):
         assert got.keys() == want.keys(), path
@@ -406,16 +410,27 @@ def assert_matches_pinned(got, want, path="row"):
         assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
 
 
-@pytest.mark.parametrize("case", HARNESS_PINNED["cases"], ids=lambda c: c["row"]["id"])
+@pytest.mark.parametrize("case", PINNED, ids=record.case_id)
 def test_every_method_matches_its_pinned_row(case):
     # tests/data/record_pinned.py prints what moved, and re-records with --write
-    assert_matches_pinned(pinned_row(HARNESS_PINNED, case), case["row"])
+    assert_matches_pinned(record.rerun(case), case)
+
+
+def test_pinned_file_is_the_recorder_text():
+    assert PINNED_TEXT == record.text(PINNED)
+
+
+def test_record_pinned_exits_1_on_a_move_and_writes_only_with_write(tmp_path, monkeypatch, capsys):
+    moved = dict(PINNED[0], row=dict(PINNED[0]["row"], bound=2.0 * PINNED[0]["row"]["bound"]))
+    path = tmp_path / "pinned.json"
+    path.write_text(record.text([moved]))
+    monkeypatch.setattr(record, "PINNED", path)
+    assert record.main([]) == 1 and path.read_text() == record.text([moved])
+    assert record.main(["--write"]) == 0 and record.main([]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 fields moved in 1 cases"
 
 
 def test_record_pinned_prints_one_line_per_added_or_dropped_key():
-    spec = importlib.util.spec_from_file_location("record_pinned", DATA / "record_pinned.py")
-    record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(record)
     old = {"id": "r", "bound": 0.5, "details": {"rounds": 3, "success_probability": 0.25}}
     new = {"id": "r", "bound": 0.5, "details": {"rounds": 3}, "weights": [0.6, 0.8]}
     assert record.moved_lines("r", old, new) == [
@@ -428,8 +443,14 @@ def test_record_pinned_prints_one_line_per_added_or_dropped_key():
 
 
 def test_pinned_rows_cover_every_method():
-    methods = {case["row"]["method"] for case in HARNESS_PINNED["cases"]}
+    methods = {case["method"] for case in PINNED}
     assert methods == set(MULTIPLY_METHODS + READOUT_METHODS + PREP_METHODS)
+    ids = [record.case_id(case) for case in PINNED]
+    assert len(set(ids)) == len(ids)
+    assert any(case["options"].get("exact_phase") for case in PINNED)
+    assert any("phase_bits" in case["options"] for case in PINNED)
+    assert any("a" in case for case in PINNED)
+    assert {case.get("n") for case in PINNED if case["method"] in READOUT_METHODS} >= {8, 16, 32}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,4 @@
-import json
 import math
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,33 +553,6 @@ def test_exact_phase_mode_lcu():
     a, b = rand_matrix(3), rand_matrix(4)
     res = matmul_lcu(a, b, eps=0.05)
     assert exact_state_distance(res.state, vectorize(exact_product(a, b))) < 1e-10
-
-
-PIPELINES_PINNED = json.loads((Path(__file__).parent / "data" / "pipelines_pinned.json").read_text())
-
-
-@pytest.mark.parametrize(
-    "case", PIPELINES_PINNED["cases"], ids=[f"{c['method']}-{i}" for i, c in enumerate(PIPELINES_PINNED["cases"])]
-)
-def test_value_estimation_pipelines_match_pinned_values(case):
-    # values recorded from the separate matmul_sve and matmul_hhl bodies,
-    # before the two routes shared one template
-    fn = matmul_sve if case["method"] == "sve" else matmul_hhl
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SupportViolationWarning)
-        res = fn(np.array(case["a"]), np.array(case["b"]), **case["kwargs"])
-    assert res.phase_bits == case["phase_bits"]
-    # the one float field is the success probability, compared below; the
-    # closed-form components move it within the ledger identity tolerance
-    ledger, want = res.ledger.to_dict(), dict(case["ledger"])
-    assert ledger.pop("postselect_probability") == pytest.approx(want.pop("postselect_probability"), abs=1e-12)
-    assert ledger == want
-    assert np.max(np.abs(np.array(res.details["sigma_eff"]) - case["sigma_eff"])) <= 1e-12
-    for key in ("success_probability", "expected_success_probability"):
-        assert getattr(res, key) == pytest.approx(case[key], abs=1e-12)
-    assert res.bound == pytest.approx(case["bound"], abs=1e-12)
-    # the realized error is sqrt(2 - 2 fidelity): compare what is under the root
-    assert res.realized_error**2 == pytest.approx(case["realized_error"] ** 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,4 @@
-import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,51 +177,6 @@ def test_readout_hhl_vs_sve_ledger_direction():
     kappa = np.linalg.cond(a)
     assert kappa < 4.0
     assert hhl_rep.ledger.total_oracle_units() <= sve_rep.ledger.total_oracle_units()
-
-
-PINNED = json.loads((Path(__file__).parent / "data" / "readout_pinned.json").read_text())
-
-
-def _pinned_id(case) -> str:
-    ident = f"{case['method']}-k{case['kappa']}-s{case['seed']}"
-    return f"{ident}-n{case['n']}" if "n" in case else ident
-
-
-def _pinned_instance(case):
-    """A case's (A, B); a case without its own n has the file's n."""
-    n, kappa, seed = case.get("n", PINNED["n"]), case["kappa"], case["seed"]
-    return generate_matrix(n, kappa, seed), generate_matrix(n, kappa, seed + 10000)
-
-
-@pytest.mark.parametrize("case", [c for c in PINNED["cases"] if c["method"] != "readout-swap"], ids=_pinned_id)
-def test_value_estimation_readout_matches_pinned_values(case, monkeypatch):
-    # c_tilde and ledger of the n = 8 cases recorded from the per-column
-    # dense-register implementation, those at n = 16 and 32 from the
-    # per-column matrix-vector loop, sizes at which a stacked product can
-    # round differently; phase_widths lists the distinct t1 of the columns
-    widths = []
-    name = "_walk_components" if case["method"] == "readout-sve" else "_dilation_components"
-    kernel = getattr(qmm.matmul, name)
-
-    def recording(sigmas, scale, t1, weights):
-        widths.append(t1)
-        return kernel(sigmas, scale, t1, weights)
-
-    monkeypatch.setattr(qmm.matmul, name, recording)
-    fn = readout_sve if case["method"] == "readout-sve" else readout_hhl
-    rep = fn(*_pinned_instance(case), PINNED["eps_abs"])
-    assert np.max(np.abs(rep.c_tilde - np.array(case["c_tilde"]))) <= 1e-12
-    assert rep.ledger.to_dict() == case["ledger"]
-    assert sorted(widths) == case["phase_widths"]  # one evaluation per width
-
-
-@pytest.mark.parametrize("case", [c for c in PINNED["cases"] if c["method"] == "readout-swap"], ids=_pinned_id)
-def test_readout_swaptest_matches_pinned_values(case):
-    # recorded from per-entry overlap dots, at sizes where one
-    # row-by-column product can round differently
-    rep = readout_swaptest(*_pinned_instance(case), PINNED["eps_abs"])
-    assert np.max(np.abs(rep.c_tilde - np.array(case["c_tilde"]))) <= 1e-12
-    assert rep.ledger.to_dict() == case["ledger"]
 
 
 def test_value_estimation_readouts_raise_at_the_width_cap(monkeypatch):

@@ -465,14 +465,14 @@ def test_prep_hamiltonian_rejects_a_vanishing_sine_branch():
 )
 def test_small_angle_routes_allocate_a_few_vectors_at_n_65536(route, multiple):
     # at the peak: the base, the produced and target states and their
-    # difference (four complex vectors), plus float temporaries; f = |x| adds
-    # half a vector for the sign base (measured: prep_sparse 4.07 vectors,
-    # the sign base 5.50). prep_dyadic (8.07) combines its band states one
-    # at a time; holding all three at once, as a list passed to lcu_combine
-    # does, reaches 9.5. prep_signshift (5.07) builds its sign state only
-    # after z and the z state are consumed, and takes z's support from x
-    # (rescanning z, 5.57). A staged 2 dim flag state or one more amplitude
-    # copy held across the peak goes over the line.
+    # difference (four complex vectors), plus float temporaries; prep_sparse
+    # drops its base once the target is built, and f = |x| adds half a
+    # vector for the sign base (measured: prep_sparse 4.00 vectors, the sign
+    # base 5.50). The pieces of prep_dyadic (7.63) and prep_signshift (4.63)
+    # build no target; prep_dyadic combines its band states one at a time,
+    # and prep_signshift builds its sign state only after z and the z state
+    # are consumed, and takes z's support from x. A staged 2 dim flag state
+    # or one more amplitude copy held across the peak goes over the line.
     x = generate_vector(1 << 16, 4.0, seed=1)
     vector = 16 * x.size  # one complex amplitude vector, 1 MiB
     tracemalloc.start()
