@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="CSV of the right matrix")
     p.add_argument("--phase-bits", type=int, default=None, help="phase register width override (swap, sve, hhl)")
     p.add_argument("--exact-phase", action="store_true", help="replace phase labels by exact angles (swap, sve, hhl)")
-    p.add_argument("--strict-support", action="store_true", help="error out on support violations (sve, hhl)")
     _add_common(p)
     p.set_defaults(func=_cmd_run, prefix="")
 
@@ -115,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--entries-out", default=None, help="CSV path for the estimated entries")
-    p.add_argument("--strict-support", action="store_true", help="error out on support violations (sve, hhl)")
     _add_common(p)
     p.set_defaults(func=_cmd_run, prefix="readout-")
 

@@ -17,20 +17,15 @@ import numpy as np
 from . import matmul, readout, stateprep
 from .io import REPORT_SCHEMA
 from .linalg import exact_product
+from .statevector import CostLedger
 
 MULTIPLY_METHODS = ("swap", "sve", "hhl", "lcu")
 READOUT_METHODS = ("readout-swap", "readout-sve", "readout-hhl")
 PREP_METHODS = ("prep-direct", "prep-hamiltonian", "prep-sparse", "prep-dyadic", "prep-signshift")
-# the options a run takes besides eps (unset: None or False), and the ones
-# each method takes; setting any other one is an error
-RUN_OPTIONS = ("phase_bits", "exact_phase", "strict_support")
-_METHOD_OPTIONS = {
-    "swap": ("phase_bits", "exact_phase"),
-    "sve": ("phase_bits", "exact_phase", "strict_support"),
-    "hhl": ("phase_bits", "exact_phase", "strict_support"),
-    "readout-sve": ("strict_support",),
-    "readout-hhl": ("strict_support",),
-}
+# the phase register's options a run takes besides eps (unset: None or
+# False), and the methods that take them; setting one elsewhere is an error
+RUN_OPTIONS = ("phase_bits", "exact_phase")
+_PHASE_METHODS = ("swap", "sve", "hhl")
 
 
 @dataclass
@@ -39,7 +34,6 @@ class ExperimentConfig:
     eps: float = 0.05
     phase_bits: int | None = None
     seed: int = 0
-    strict_support: bool = False
     exact_phase: bool = False
     inputs: dict = field(default_factory=dict)
 
@@ -52,12 +46,12 @@ class ExperimentConfig:
         if self.phase_bits is not None:
             matmul._resolve_phase_bits(self.phase_bits, None)  # raises outside [2, MAX_PHASE_BITS]
         for name in RUN_OPTIONS:
-            if getattr(self, name) and name not in _METHOD_OPTIONS.get(self.method, ()):
+            if getattr(self, name) and self.method not in _PHASE_METHODS:
                 raise ValueError(f"method {self.method!r} takes no {name} option")
 
     def options(self) -> dict:
         """The keyword options this config's method is called with."""
-        return {name: getattr(self, name) for name in _METHOD_OPTIONS.get(self.method, ())}
+        return {name: getattr(self, name) for name in RUN_OPTIONS} if self.method in _PHASE_METHODS else {}
 
 
 def exceeds_bound(realized: float | None, bound: float | None) -> bool:
@@ -105,6 +99,8 @@ def generate_matrix(n: int, kappa_target: float, seed: int, sigma_max: float = 1
     construction): orthogonal factors from seeded Gaussians around
     log-spaced singular values. Deterministic per seed."""
     _check_generator(n, kappa_target, "1x1 matrix")
+    if not 0.0 < sigma_max < math.inf:  # also NaN
+        raise ValueError("sigma_max must be finite and positive")
     if n == 1:
         return np.array([[sigma_max]])
     rng = np.random.default_rng(seed)
@@ -136,8 +132,8 @@ _CALLS = {
     "hhl": lambda x, eps, **o: matmul.matmul_hhl(x["a"], x["b"], eps, **o),
     "lcu": lambda x, eps: matmul.matmul_lcu(x["a"], x["b"], eps),
     "readout-swap": lambda x, eps: readout.readout_swaptest(x["a"], x["b"], eps),
-    "readout-sve": lambda x, eps, **o: readout.readout_sve(x["a"], x["b"], eps, **o),
-    "readout-hhl": lambda x, eps, **o: readout.readout_hhl(x["a"], x["b"], eps, **o),
+    "readout-sve": lambda x, eps: readout.readout_sve(x["a"], x["b"], eps),
+    "readout-hhl": lambda x, eps: readout.readout_hhl(x["a"], x["b"], eps),
     "prep-direct": lambda x, eps: stateprep.synthesize_direct(x["x"]),  # exact: eps unused
     "prep-hamiltonian": lambda x, eps: stateprep._prep_by_sign_base(x["x"], eps),
     "prep-sparse": lambda x, eps: stateprep.prep_sparse(x["x"], eps),
@@ -191,11 +187,6 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
     return slope, stderr
 
 
-def _ledger_cost(row: dict) -> float:
-    led = row["ledger"]
-    return float(led["oracle_calls"] + led["controlled_oracle_calls"])
-
-
 def scaling_study(
     method: str,
     n_grid,
@@ -224,7 +215,7 @@ def scaling_study(
             "n": n,
             "eps": eps,
             "seed": seed,
-            "cost": _ledger_cost(row),
+            "cost": float(CostLedger(**row["ledger"]).total_oracle_units()),
             "amplification_rounds": row["ledger"]["amplification_rounds"],
             "realized_error": row.get("realized_error"),
             "bound": row.get("bound"),

@@ -68,12 +68,9 @@ MAX_PHASE_BITS = 20
 SUPPORT_TOL = 1e-9
 
 
-class SupportViolationError(ValueError):
-    """B has weight outside the nonzero singular directions of A."""
-
-
 class SupportViolationWarning(UserWarning):
-    pass
+    """B has weight outside the nonzero singular directions of A.
+    warnings.simplefilter("error", SupportViolationWarning) makes it an error."""
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +506,16 @@ def _pipeline_ledger(oracles: int, per_step: int, t: int, success: float) -> Cos
     return ledger
 
 
+def _nonzero_product(a, b) -> tuple[np.ndarray, float]:
+    """(AB, ||AB||_F): the one zero-product rule of the product-state
+    pipelines, whose state is undefined at ||AB||_F <= 1e-14."""
+    c = exact_product(a, b)
+    frob_c = float(np.linalg.norm(c))
+    if frob_c <= 1e-14:
+        raise ValueError("AB = 0: the product state is undefined")
+    return c, frob_c
+
+
 def matmul_swaptest(
     a,
     b,
@@ -529,10 +536,7 @@ def matmul_swaptest(
     powers, with no Fourier transform and no label distribution.
     """
     a, b = _check_real_pair(a, b)
-    c = exact_product(a, b)
-    frob_c = float(np.linalg.norm(c))
-    if frob_c <= 1e-14:
-        raise ValueError("AB = 0: the product state is undefined")
+    c, frob_c = _nonzero_product(a, b)
     frob_a = float(np.linalg.norm(a))
     frob_b = float(np.linalg.norm(b))
     row_norms = np.linalg.norm(a, axis=1)
@@ -602,10 +606,7 @@ def matmul_lcu(a, b, eps: float = 0.05) -> Result:
     l, n = a.shape[0], b.shape[1]
     if l * n == 1:
         raise ValueError("a 1x1 product has no column-row decomposition to combine")
-    c = exact_product(a, b)
-    frob_c = float(np.linalg.norm(c))
-    if frob_c <= 1e-14:  # also every product with no nonzero column-row term
-        raise ValueError("AB = 0: the product state is undefined")
+    c, frob_c = _nonzero_product(a, b)  # also every product with no nonzero column-row term
     col_a = np.linalg.norm(a, axis=0)
     row_b = np.linalg.norm(b, axis=1)
     lam = col_a * row_b
@@ -646,18 +647,15 @@ def _sve_setup(a, b):
     return a, b, bundle, bundle.sigmas, col_norms, frob_b, alpha
 
 
-def _check_support(sigmas, alpha, col_norms, frob_b, strict: bool) -> float:
+def _check_support(sigmas, alpha, col_norms, frob_b) -> None:
     dead = sigmas <= SUPPORT_TOL * max(float(sigmas[0]), 1.0)
     bad = float(np.sum((col_norms**2)[None, :] * np.abs(alpha[dead]) ** 2) / frob_b**2)
     if bad > 1e-10:
-        msg = (
+        warnings.warn(
             f"{bad:.3e} of B's weight lies outside the nonzero singular "
-            f"directions of A; success probability degrades accordingly"
+            f"directions of A; success probability degrades accordingly",
+            SupportViolationWarning,
         )
-        if strict:
-            raise SupportViolationError(msg)
-        warnings.warn(msg, SupportViolationWarning)
-    return bad
 
 
 def _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n):
@@ -665,7 +663,7 @@ def _assemble_sve_state(bundle, a_vec, alpha, col_norms, frob_b, l, n):
     return _product_state(psi, l, n)
 
 
-def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_support, exact_phase) -> Result:
+def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, exact_phase) -> Result:
     """State of AB from the column-encoded state of B: estimate every
     singular value of A on the route's phase register, rotate by c_rot times
     the decoded value, undo the estimation and postselect.
@@ -675,11 +673,8 @@ def _matmul_by_value_estimation(a, b, eps, phase_bits, route_of, *, strict_suppo
     probability approaches ||AB||_F^2 / (||B||_F^2 sigma_max^2).
     """
     a0, b0, bundle, sigmas, col_norms, frob_b, alpha = _sve_setup(a, b)
-    c = exact_product(a0, b0)
-    frob_c = float(np.linalg.norm(c))
-    if frob_c <= 1e-14:
-        raise ValueError("AB = 0: the product state is undefined")
-    _check_support(sigmas, alpha, col_norms, frob_b, strict_support)
+    c, frob_c = _nonzero_product(a0, b0)
+    _check_support(sigmas, alpha, col_norms, frob_b)
     sigma_max = float(sigmas[0])
     route = route_of(float(np.linalg.norm(a0)), sigma_max)
     eps1_target = None if eps is None else eps * frob_c**2 / (2.0 * frob_b**2 * sigma_max)
@@ -724,15 +719,12 @@ def matmul_sve(
     eps: float | None = None,
     phase_bits: int | None = None,
     *,
-    strict_support: bool = False,
     exact_phase: bool = False,
 ) -> Result:
     """State of AB via singular-value estimation on the walk operator of A,
     starting from the column-encoded state of B; singular values are read
     to eps1 = 2 pi ||A||_F / 2^t (walk_route)."""
-    return _matmul_by_value_estimation(
-        a, b, eps, phase_bits, walk_route, strict_support=strict_support, exact_phase=exact_phase
-    )
+    return _matmul_by_value_estimation(a, b, eps, phase_bits, walk_route, exact_phase=exact_phase)
 
 
 def matmul_hhl(
@@ -741,12 +733,9 @@ def matmul_hhl(
     eps: float | None = None,
     phase_bits: int | None = None,
     *,
-    strict_support: bool = False,
     exact_phase: bool = False,
 ) -> Result:
     """State of AB via phase estimation of exp(i Adilated t0) on the
     Hermitian dilation of A; the matmul_sve template with label accuracy
     eps1 = 8 sigma_max / 2^t instead of 2 pi ||A||_F / 2^t (dilation_route)."""
-    return _matmul_by_value_estimation(
-        a, b, eps, phase_bits, dilation_route, strict_support=strict_support, exact_phase=exact_phase
-    )
+    return _matmul_by_value_estimation(a, b, eps, phase_bits, dilation_route, exact_phase=exact_phase)

@@ -86,7 +86,7 @@ def readout_swaptest(a, b, eps_abs: float) -> Result:
     return _report(c_tilde, a, b, eps_abs, ledger)
 
 
-def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_support: bool) -> Result:
+def _readout_by_value_estimation(a, b, eps_abs: float, route_of) -> Result:
     """Shared sve/hhl readout: per column j build the rotated state
     (1/sigma_ceiling) sum_k alpha_jk sigma~_k |u_k>|0> + junk, then estimate
     its overlap with each |i>|0> and rescale by ||B_.j|| sigma_ceiling.
@@ -100,7 +100,7 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
         raise ValueError("B is zero")
     if not a0.any():  # no singular direction for the route to scale by
         raise ValueError("A is zero")
-    _check_support(sigmas, alpha, col_norms, frob_b, strict_support)
+    _check_support(sigmas, alpha, col_norms, frob_b)
     route = route_of(float(np.linalg.norm(a0)), float(sigmas[0]))
     ledger = CostLedger(classical_entries=a0.size + b0.size)
     l, n = a0.shape[0], b0.shape[1]
@@ -137,13 +137,13 @@ def _readout_by_value_estimation(a, b, eps_abs: float, route_of, *, strict_suppo
     return _report(c_tilde, a0, b0, eps_abs, ledger)
 
 
-def readout_sve(a, b, eps_abs: float, *, strict_support: bool = False) -> Result:
+def readout_sve(a, b, eps_abs: float) -> Result:
     """Entrywise C = AB from overlaps with the singular-value-rotated column
     states of B, singular values estimated on the walk operator of A."""
-    return _readout_by_value_estimation(a, b, eps_abs, walk_route, strict_support=strict_support)
+    return _readout_by_value_estimation(a, b, eps_abs, walk_route)
 
 
-def readout_hhl(a, b, eps_abs: float, *, strict_support: bool = False) -> Result:
+def readout_hhl(a, b, eps_abs: float) -> Result:
     """Entrywise C = AB with singular values estimated on the Hermitian
     dilation of A (accuracy relative to sigma_max instead of ||A||_F)."""
-    return _readout_by_value_estimation(a, b, eps_abs, dilation_route, strict_support=strict_support)
+    return _readout_by_value_estimation(a, b, eps_abs, dilation_route)

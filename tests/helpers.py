@@ -120,7 +120,7 @@ def dense_readout(method, a, b, eps_abs):
             c_tilde[i, j] = nx * ny * dense_overlap_estimate(xs, ys, min(eps_abs / (nx * ny), 0.5), ledger)
         return c_tilde, ledger
     a0, b0, bundle, sigmas, col_norms, frob_b, alpha = _sve_setup(a, b)
-    _check_support(sigmas, alpha, col_norms, frob_b, False)
+    _check_support(sigmas, alpha, col_norms, frob_b)
     route_of = walk_route if method == "readout-sve" else dilation_route
     route = route_of(float(np.linalg.norm(a0)), float(sigmas[0]))
     d, l, n = sigmas.size, a0.shape[0], b0.shape[1]

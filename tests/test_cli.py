@@ -206,6 +206,15 @@ def test_gen_rejects_a_nan_kappa(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma_max", ["nan", "inf", "0", "-2"])
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_gen_rejects_a_sigma_max_that_is_not_finite_and_positive(tmp_path, capsys, n, sigma_max):
+    out = tmp_path / "a.csv"
+    assert main(["gen", "--n", n, "--sigma-max", sigma_max, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sigma_max must be finite and positive\n"
+    assert not out.exists()
+
+
 def test_malformed_csv_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,nope\n")
@@ -271,14 +280,6 @@ def test_multiply_rejects_options_the_method_ignores(matrices, capsys):
     a, b = matrices
     assert main(["multiply", "--method", "lcu", "--a", a, "--b", b, "--phase-bits", "8"]) == 1
     assert "'lcu' takes no phase_bits" in capsys.readouterr().err
-    assert main(["multiply", "--method", "swap", "--a", a, "--b", b, "--strict-support"]) == 1
-    assert "'swap' takes no strict_support" in capsys.readouterr().err
-
-
-def test_readout_rejects_strict_support_for_swap(matrices, capsys):
-    a, b = matrices
-    assert main(["readout", "--method", "swap", "--a", a, "--b", b, "--strict-support"]) == 1
-    assert "'readout-swap' takes no strict_support" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -289,6 +290,8 @@ def test_readout_rejects_strict_support_for_swap(matrices, capsys):
         ["prepare", "--method", "direct", "--phase-bits", "8"],
         ["prepare", "--method", "direct", "--exact-phase"],
         ["prepare", "--method", "sparse", "--strict-support"],
+        ["multiply", "--method", "sve", "--strict-support"],
+        ["readout", "--method", "hhl", "--strict-support"],
     ],
 )
 def test_verbs_have_only_the_flags_they_use(tmp_path, matrices, argv, capsys):

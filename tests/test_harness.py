@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from qmm.harness import (
 )
 from qmm.io import load_matrix_csv, load_report_json, load_vector_csv, save_matrix_csv, save_report_json
 from qmm.linalg import compute_svd
-from qmm.matmul import MAX_PHASE_BITS, matmul_swaptest
+from qmm.matmul import MAX_PHASE_BITS, SupportViolationWarning, matmul_swaptest
 from helpers import comparable, comparable_rows
 
 
@@ -121,13 +122,13 @@ def test_experiment_config_validation():
     [
         ("lcu", {"phase_bits": 8}),
         ("lcu", {"exact_phase": True}),
-        ("lcu", {"strict_support": True}),
-        ("swap", {"strict_support": True}),
-        ("readout-swap", {"strict_support": True}),
+        ("readout-sve", {"exact_phase": True}),
+        ("readout-hhl", {"phase_bits": 8}),
+        ("readout-swap", {"phase_bits": 8}),
         ("readout-sve", {"phase_bits": 8}),
         ("readout-hhl", {"exact_phase": True}),
         ("prep-direct", {"phase_bits": 8}),
-        ("prep-sparse", {"strict_support": True}),
+        ("prep-sparse", {"exact_phase": True}),
     ],
 )
 def test_experiment_config_rejects_options_the_method_ignores(method, option):
@@ -140,16 +141,33 @@ def test_experiment_config_rejects_options_the_method_ignores(method, option):
     "method, option",
     [
         ("swap", {"phase_bits": 8, "exact_phase": True}),
-        ("sve", {"phase_bits": 8, "exact_phase": True, "strict_support": True}),
-        ("hhl", {"phase_bits": 8, "exact_phase": True, "strict_support": True}),
-        ("readout-sve", {"strict_support": True}),
-        ("readout-hhl", {"strict_support": True}),
-        ("lcu", {"phase_bits": None, "exact_phase": False, "strict_support": False}),  # defaults pass
+        ("sve", {"phase_bits": 8, "exact_phase": True}),
+        ("hhl", {"phase_bits": 8, "exact_phase": True}),
+        # the unset values pass for a method that takes no option
+        ("readout-sve", {"phase_bits": None, "exact_phase": False}),
+        ("readout-hhl", {"phase_bits": None, "exact_phase": False}),
+        ("lcu", {"phase_bits": None, "exact_phase": False}),
     ],
 )
 def test_experiment_config_accepts_options_the_method_takes(method, option):
+    assert harness.RUN_OPTIONS == ("phase_bits", "exact_phase")
     cfg = ExperimentConfig(method=method, **option)
-    assert cfg.options() == ({} if method == "lcu" else option)
+    assert cfg.options() == (option if method in ("swap", "sve", "hhl") else {})
+
+
+@pytest.mark.parametrize("method", ["sve", "hhl", "readout-sve", "readout-hhl"])
+def test_a_support_violation_warns_and_is_an_error_under_the_filter(method):
+    # A = diag(1, 0) leaves 1.25 / 2.25 of B's weight on its dead direction;
+    # the row still keeps its bound
+    inputs = {"a": np.diag([1.0, 0.0]), "b": np.array([[1.0, 0.0], [1.0, 0.5]])}
+    cfg = ExperimentConfig(method=method, eps=0.1, inputs=inputs)
+    with pytest.warns(SupportViolationWarning, match="5.556e-01 of B's weight"):
+        row = run_experiment(cfg).rows[0]
+    assert row["realized_error"] <= row["bound"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SupportViolationWarning)
+        with pytest.raises(SupportViolationWarning):
+            run_experiment(cfg)
 
 
 def test_run_experiment_swap_identity():
