@@ -8,7 +8,7 @@ pipelines consume.
 """
 import numpy as np
 
-from qmm import matrix_profile, vectorize
+from qmm import vectorize
 from qmm.circuits import col_marginal_state, marginal_probabilities, pipeline_initial_state, row_marginal_state
 
 rng = np.random.default_rng(0)
@@ -17,8 +17,9 @@ a = rng.normal(size=(3, 3))
 print("matrix A:")
 print(np.round(a, 3))
 
-prof = matrix_profile(a)
-print(f"\n||A||_F = {prof.frobenius:.4f}, sigma_max = {prof.sigma_max:.4f}, kappa = {prof.kappa:.2f}")
+frob = np.linalg.norm(a)
+sigmas = np.linalg.svd(a, compute_uv=False)
+print(f"\n||A||_F = {frob:.4f}, sigma_max = {sigmas[0]:.4f}, kappa = {sigmas[0] / sigmas[-1]:.2f}")
 
 state = vectorize(a)
 print(f"\n|A> lives on registers {state.layout} ({state.total_qubits} qubits)")
@@ -27,7 +28,7 @@ print(np.round(state.reshaped().real, 4))
 
 row_probs = marginal_probabilities(state, "row")
 print("\nrow marginal of |A>:", np.round(row_probs, 4))
-print("row_norms^2 / ||A||^2:", np.round(prof.row_norms**2 / prof.frobenius**2, 4))
+print("row_norms^2 / ||A||^2:", np.round(np.linalg.norm(a, axis=1) ** 2 / frob**2, 4))
 
 print("\nrow-norm state |A_F.>:", np.round(row_marginal_state(a).amplitudes.real, 4))
 print("col-norm state |A_.F>:", np.round(col_marginal_state(a).amplitudes.real, 4))

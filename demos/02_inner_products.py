@@ -8,8 +8,8 @@ more phase bit (denominator doubles).
 """
 import numpy as np
 
-from qmm import from_vector, inner_product_estimate
-from qmm.circuits import generalized_swap_test, tag_modal_value
+from qmm import from_vector
+from qmm.circuits import generalized_swap_test, inner_product_estimate, tag_modal_value
 from qmm.statevector import CostLedger
 
 rng = np.random.default_rng(21)

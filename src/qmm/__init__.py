@@ -3,27 +3,14 @@ entrywise readout, and amplitude-encoding state preparation, with every run
 checked against closed-form error budgets and a cost ledger standing in for
 oracle-query run time.
 
-The paper's circuits, simulated gate by gate (the generalized swap test,
-the generalized SVE, phase estimation and the dense register gates), are in
-qmm.circuits, which this package does not import."""
+The paper's circuits, simulated gate by gate (the generalized swap test
+and the overlap estimators on states, the generalized SVE, phase
+estimation and the dense register gates), are in qmm.circuits, which this
+package does not import."""
 
-from .linalg import (
-    MatrixProfile,
-    SVDBundle,
-    compute_svd,
-    exact_product,
-    hermitian_dilation,
-    matrix_profile,
-    vectorize,
-)
-from .matmul import (
-    matmul_hhl,
-    matmul_lcu,
-    matmul_swaptest,
-    matmul_sve,
-    rank_one_product,
-)
-from .readout import inner_product_classical, readout_hhl, readout_sve, readout_swaptest
+from .linalg import SVDBundle, compute_svd, exact_product, vectorize
+from .matmul import matmul_hhl, matmul_lcu, matmul_swaptest, matmul_sve
+from .readout import readout_hhl, readout_sve, readout_swaptest
 from .statevector import (
     CostLedger,
     PreparedState,
@@ -42,6 +29,5 @@ from .stateprep import (
     prep_sparse,
     synthesize_direct,
 )
-from .swaptest import complex_inner_product, inner_product_estimate
 
 __version__ = "0.1.0"

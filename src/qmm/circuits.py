@@ -1,16 +1,19 @@
 """The paper's circuits, simulated gate by gate on dense registers.
 
 This module holds the quantum-data subroutines: the generalized swap test
-(contribution 1) and the generalized singular-value estimation
-(contribution 2), the phase estimation, Grover rotation and even-function
-tagging they are built from, and the dense Statevector gates they act
-with. They produce registers and states, not reported numbers.
+(contribution 1) with the overlap estimators on states
+(inner_product_estimate, complex_inner_product), the generalized
+singular-value estimation (contribution 2) with HHL's Hermitian dilation,
+the phase estimation, Grover rotation and even-function tagging they are
+built from, and the dense Statevector gates they act with. No reported
+number comes from them.
 
 qmm has two layers. The production layer (harness, matmul, readout,
-swaptest, stateprep, qpe, statevector, linalg, io, cli) computes every
-reported number from closed forms and per-block kernels, and never imports
-this module. This module imports from that layer, never the reverse; the
-demos, the tests and the public API call it, and the tests use it as the
+swaptest, stateprep, qpe, statevector, linalg, io, cli) defines only what
+a method or a command-line verb runs (matmul's block oracles excepted),
+computes every reported number from closed forms and per-block kernels,
+and never imports this module. This module imports from that layer, never
+the reverse; the demos and the tests call it, and the tests use it as the
 gate-level reference the production kernels are checked against.
 
 Phase-register conventions. A t-bit phase register holds labels y in
@@ -37,7 +40,7 @@ from .matmul import (
 )
 from .qpe import _check_phase_budget, swap_value
 from .statevector import NORM_TOL, CostLedger, PreparedState, Statevector, _owned, from_vector
-from .swaptest import _amplitude_pair, _check_accuracy, _require_real
+from .swaptest import _modal_overlap
 
 UNITARY_TOL = 1e-10
 PHASE_REGISTER = "phase"
@@ -398,6 +401,68 @@ def rotation_block_unitary(values: np.ndarray) -> np.ndarray:
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
+def _require_real(vec: np.ndarray, what: str) -> np.ndarray:
+    """Insist the state is real up to a global phase. Already-real vectors
+    pass through untouched (their sign is part of the declared data); a
+    complex carrier phase is stripped."""
+    if np.max(np.abs(vec.imag)) <= 1e-10:
+        return vec.real.astype(complex)
+    nz = np.flatnonzero(np.abs(vec) > 1e-12)
+    phase = vec[nz[0]] / abs(vec[nz[0]])
+    aligned = vec / phase
+    if np.max(np.abs(aligned.imag)) > 1e-10:
+        raise ValueError(f"{what} must be real up to a global phase")
+    return aligned.real.astype(complex)
+
+
+def _check_accuracy(eps: float) -> None:
+    """Reject a swap-test accuracy outside (0, 1), NaN included: the
+    estimators read an overlap in [-1, 1] to eps."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("target accuracy must lie in (0, 1)")
+
+
+def _amplitude_pair(sx: Statevector, sy: Statevector) -> tuple[np.ndarray, np.ndarray]:
+    if sx.amplitudes.size != sy.amplitudes.size:
+        raise ValueError("states act on different dimensions")
+    return sx.amplitudes, sy.amplitudes
+
+
+def inner_product_estimate(
+    sx: Statevector, sy: Statevector, eps: float, ledger: CostLedger | None = None
+) -> float:
+    """Estimate <x|y> of two real states to within eps; cost scales as 1/eps.
+
+    The modal estimate from phase estimation of the Grover rotation, with
+    |error| <= pi/2^t <= eps/4 under the rule's two guard bits. phi =
+    (|0>(x+y) + |1>(x-y))/2 has branch norms sin(theta) and cos(theta) with
+    sin^2(theta) = (1 + Re<x|y>)/2, and the rotation turns the plane of the
+    two branch states by 2*theta, so the label distribution depends only on
+    s = Re<x|y>: swaptest._modal_overlap reads it off that 2x2 block, and
+    grover_rotation + phase_estimate on the full register agree with it.
+    """
+    x, y = _amplitude_pair(sx, sy)
+    x, y = _require_real(x, "first state"), _require_real(y, "second state")
+    _check_accuracy(eps)
+    s = np.array([np.vdot(x, y).real])
+    return float(_modal_overlap(s, _resolve_phase_bits(None, eps), sx.total_qubits, ledger)[0])
+
+
+def complex_inner_product(
+    sx: Statevector, sy: Statevector, eps: float, ledger: CostLedger | None = None
+) -> complex:
+    """<x|y> = sum_k conj(x_k) y_k for complex states, each part within eps.
+
+    The real part comes from one overlap estimate; the imaginary part from
+    the overlap of |x> with i|y>, since Re<x|iy> = -Im<x|y>.
+    """
+    x, y = _amplitude_pair(sx, sy)
+    _check_accuracy(eps)
+    s = np.array([np.vdot(x, y).real, np.vdot(x, 1j * y).real])
+    re, im = _modal_overlap(s, _resolve_phase_bits(None, eps), sx.total_qubits, ledger)
+    return complex(float(re), -float(im))
+
+
 def superposed_pair_state(x: np.ndarray, y: np.ndarray) -> Statevector:
     """phi = (|+>|x> + |->|y>)/sqrt(2) on registers (ctrl, data).
 
@@ -527,6 +592,17 @@ def discard_tag_fidelity(state: Statevector, reference: Statevector) -> float:
 
 # ---------------------------------------------------------------------------
 # generalized singular-value estimation (contribution 2)
+
+def hermitian_dilation(a) -> np.ndarray:
+    """[[0, A], [A^dag, 0]], the operator HHL phase-estimates: Hermitian
+    with eigenvalues +-sigma_i plus zeros."""
+    a = as_matrix(a)
+    r, c = a.shape
+    out = np.zeros((r + c, r + c), dtype=complex if np.iscomplexobj(a) else float)
+    out[:r, r:] = a
+    out[r:, :r] = a.conj().T
+    return out
+
 
 @dataclass(frozen=True)
 class SVEOperators:

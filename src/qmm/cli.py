@@ -77,6 +77,8 @@ def _cmd_scaling(args) -> int:
             writer.writerows(result["table"])
     for name, (slope, stderr) in result["slopes"].items():
         print(f"{name}: slope={slope:.3f} +- {1.96 * stderr:.3f}")
+    for name, axis in result["skipped"].items():
+        print(f"{name}: no slope, the {axis} grid has one distinct value")
     return 0
 
 

@@ -81,11 +81,13 @@ class ReportTable:
         }
 
 
-def _check_generator(n: int, kappa_target: float, single: str) -> None:
-    """The sizes and condition numbers a generator can honour; single names
-    the one-entry case, whose spread is 1."""
+def _check_generator(n: int, kappa_target: float, seed: int, single: str) -> None:
+    """The sizes, condition numbers and seeds a generator can honour; single
+    names the one-entry case, whose spread is 1."""
     if n < 1:
         raise ValueError("n must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     if not math.isfinite(kappa_target):
         raise ValueError("condition number must be finite")
     if kappa_target < 1.0:
@@ -98,7 +100,7 @@ def generate_matrix(n: int, kappa_target: float, seed: int, sigma_max: float = 1
     """Random n x n matrix with condition number kappa_target (exact by
     construction): orthogonal factors from seeded Gaussians around
     log-spaced singular values. Deterministic per seed."""
-    _check_generator(n, kappa_target, "1x1 matrix")
+    _check_generator(n, kappa_target, seed, "1x1 matrix")
     if not 0.0 < sigma_max < math.inf:  # also NaN
         raise ValueError("sigma_max must be finite and positive")
     if n == 1:
@@ -116,7 +118,7 @@ def generate_matrix(n: int, kappa_target: float, seed: int, sigma_max: float = 1
 def generate_vector(n: int, kappa_target: float, seed: int) -> np.ndarray:
     """Random signed vector whose nonzero-magnitude spread is exactly
     kappa_target."""
-    _check_generator(n, kappa_target, "1-entry vector")
+    _check_generator(n, kappa_target, seed, "1-entry vector")
     rng = np.random.default_rng(seed)
     mags = np.geomspace(1.0, 1.0 / kappa_target, n)
     rng.shuffle(mags)
@@ -176,8 +178,8 @@ def fit_loglog_slope(x, y) -> tuple[float, float]:
     """Least-squares slope of log y against log x, with its standard error."""
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.asarray(y, dtype=float))
-    if lx.size < 2:
-        raise ValueError("need at least two points for a slope")
+    if np.unique(lx).size < 2:
+        raise ValueError("need at least two distinct x values for a slope")
     coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
     slope = float(coeffs[0])
     dof = max(lx.size - 2, 1)
@@ -197,8 +199,9 @@ def scaling_study(
 ) -> dict:
     """Cost table over (n, eps, seed) cells plus fitted log-log slopes of
     cost against 1/eps (at the largest n) and against n (at the smallest
-    eps)."""
-    n_grid, eps_grid, seeds = list(n_grid), list(eps_grid), list(seeds)
+    eps). A value repeated in a grid is one value; "skipped" maps each
+    slope left unfitted, because its grid has one value, to that axis."""
+    n_grid, eps_grid, seeds = (list(dict.fromkeys(g)) for g in (n_grid, eps_grid, seeds))
     if not n_grid or not eps_grid or not seeds:
         raise ValueError("grids must be nonempty")
 
@@ -224,16 +227,18 @@ def scaling_study(
     table = [cell(n, eps, seed) for n in n_grid for eps in eps_grid for seed in seeds]
     table.sort(key=lambda r: (r["n"], -r["eps"], r["seed"]))
 
-    slopes = {}
+    slopes, skipped = {}, {}
     # (slope, varied axis, its grid, held axis, held value, x of a grid value)
     for name, axis, grid, held, at, x_of in (
         ("cost_vs_inv_eps", "eps", eps_grid, "n", max(n_grid), lambda eps: 1.0 / eps),
         ("cost_vs_n", "n", n_grid, "eps", min(eps_grid), lambda n: n),
     ):
-        if len(grid) >= 2:
-            ys = [float(np.mean([r["cost"] for r in table if r[held] == at and r[axis] == v])) for v in grid]
-            slopes[name] = fit_loglog_slope([x_of(v) for v in grid], ys)
-    return {"method": method, "table": table, "slopes": slopes}
+        if len(grid) < 2:
+            skipped[name] = axis
+            continue
+        ys = [float(np.mean([r["cost"] for r in table if r[held] == at and r[axis] == v])) for v in grid]
+        slopes[name] = fit_loglog_slope([x_of(v) for v in grid], ys)
+    return {"method": method, "table": table, "slopes": slopes, "skipped": skipped}
 
 
 def _recompute_bound(row: dict) -> float | None:

@@ -1,5 +1,5 @@
-"""Classical dense linear algebra: norms and profiles, gauge-fixed SVD,
-Hermitian dilation, exact products, and amplitude-encoded matrix states.
+"""Classical dense linear algebra: padding, gauge-fixed SVD, exact
+products, and amplitude-encoded matrix states.
 
 Matrices are plain 2-D numpy arrays (real float64 in the primary mode,
 complex only where a caller opts in). Everything here is the exact side of
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import Statevector, _owned
-
-SIGMA_ZERO_TOL = 1e-12
 
 
 def as_matrix(a, *, allow_complex: bool = True) -> np.ndarray:
@@ -43,8 +41,7 @@ def pad_dim(n: int) -> int:
 
 
 def pad_matrix(a: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Zero-pad to (rows, cols); defaults pad each side to a power of two.
-    Profiles are always computed on the unpadded matrix."""
+    """Zero-pad to (rows, cols); defaults pad each side to a power of two."""
     a = as_matrix(a)
     r = pad_dim(a.shape[0]) if rows is None else rows
     c = pad_dim(a.shape[1]) if cols is None else cols
@@ -53,49 +50,6 @@ def pad_matrix(a: np.ndarray, rows: int | None = None, cols: int | None = None) 
     out = np.zeros((r, c), dtype=a.dtype)
     out[: a.shape[0], : a.shape[1]] = a
     return out
-
-
-@dataclass(frozen=True)
-class MatrixProfile:
-    """Norm data of a matrix: Frobenius norm, row/column 2-norms, and the
-    singular-value extremes. kappa is the ratio sigma_max/sigma_min over
-    nonzero singular values; for rank-deficient input both kappa and
-    sigma_min_nonzero are absent and the matrix is flagged singular."""
-
-    frobenius: float
-    row_norms: np.ndarray
-    col_norms: np.ndarray
-    sigma_max: float
-    sigma_min_nonzero: float | None
-    kappa: float | None
-    singular: bool
-
-
-def matrix_profile(a) -> MatrixProfile:
-    a = as_matrix(a)
-    row_norms = np.linalg.norm(a, axis=1)
-    col_norms = np.linalg.norm(a, axis=0)
-    frob = float(np.linalg.norm(a))
-    sigmas = np.linalg.svd(a, compute_uv=False)
-    sigma_max = float(sigmas[0]) if sigmas.size else 0.0
-    cutoff = SIGMA_ZERO_TOL * max(sigma_max, 1.0)
-    nonzero = sigmas[sigmas > cutoff]
-    singular = nonzero.size < min(a.shape)
-    if singular or nonzero.size == 0:
-        sigma_min_nonzero = None
-        kappa = None
-    else:
-        sigma_min_nonzero = float(nonzero[-1])
-        kappa = float(sigma_max / sigma_min_nonzero)
-    return MatrixProfile(
-        frobenius=frob,
-        row_norms=row_norms,
-        col_norms=col_norms,
-        sigma_max=sigma_max,
-        sigma_min_nonzero=sigma_min_nonzero,
-        kappa=kappa,
-        singular=singular,
-    )
 
 
 @dataclass(frozen=True)
@@ -109,11 +63,6 @@ class SVDBundle:
     sigmas: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    gauge: str = "first-nonzero-of-v-real-positive"
-
-    def reconstruct(self) -> np.ndarray:
-        k = self.sigmas.size
-        return (self.left_vectors[:, :k] * self.sigmas) @ self.right_vectors[:, :k].conj().T
 
 
 def compute_svd(a) -> SVDBundle:
@@ -135,16 +84,6 @@ def compute_svd(a) -> SVDBundle:
     k = min(u.shape[1], s.size)
     u[:, :k] *= phase[:k]
     return SVDBundle(sigmas=s, left_vectors=u, right_vectors=v)
-
-
-def hermitian_dilation(a) -> np.ndarray:
-    """[[0, A], [A^dag, 0]]; Hermitian with eigenvalues +-sigma_i plus zeros."""
-    a = as_matrix(a)
-    r, c = a.shape
-    out = np.zeros((r + c, r + c), dtype=complex if np.iscomplexobj(a) else float)
-    out[:r, r:] = a
-    out[r:, :r] = a.conj().T
-    return out
 
 
 def exact_product(a, b) -> np.ndarray:

@@ -13,8 +13,8 @@ Four routes are implemented:
     [[0, A], [A^dag, 0]], whose eigenvalues are +-sigma_k; label accuracy is
     then relative to sigma_max instead of ||A||_F.
   * matmul_lcu: AB = sum_j A_.j B_j. combined from its rank-one column-row
-    terms, product states assembled directly; rank_one_product, the swap
-    pipeline on one term, is their simulated oracle.
+    terms, product states assembled directly; the swap pipeline on one
+    term is their simulated oracle (tests/helpers.rank_one_product).
 
 matmul_sve and matmul_hhl are one body, _matmul_by_value_estimation, run
 on a _ValueRoute (walk_route or dilation_route) that carries what the two
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -578,24 +578,12 @@ def matmul_swaptest(
     )
 
 
-def rank_one_product(a_vec, b_vec, eps: float = 0.05) -> Result:
-    """State of the rank-one product |a><b|: the swap-test pipeline on a
-    column times a row. Branch angles sit exactly on the phase grid, so the
-    result is exact and the cost is independent of any norm ratio; the
-    oracle for matmul_lcu's directly assembled terms."""
-    a_vec = np.asarray(a_vec, dtype=float).reshape(-1)
-    b_vec = np.asarray(b_vec, dtype=float).reshape(-1)
-    if not np.linalg.norm(a_vec) or not np.linalg.norm(b_vec):
-        raise ValueError("rank-one factors must be nonzero")
-    res = matmul_swaptest(a_vec.reshape(-1, 1), b_vec.reshape(1, -1), eps=eps)
-    return replace(res, bound=min(res.bound, eps))
-
-
 def matmul_lcu(a, b, eps: float = 0.05) -> Result:
     """State of AB as the weighted combination of rank-one column-row
     products AB = sum_j A_.j B_j. , combined with weights ||A_.j|| ||B_j.||.
     Each term is the product state of a normalized column and row, so it is
-    assembled directly (rank_one_product simulates one as the oracle).
+    assembled directly (matmul_swaptest on the column and row simulates one
+    as the oracle).
 
     Success probability is ||C||_F^2 / (sum_j ||A_.j|| ||B_j.||)^2, never
     below the swap-test pipeline's, and the inner estimations need only the

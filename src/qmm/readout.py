@@ -32,21 +32,6 @@ def _overlap_width(eps_abs: float, nx: float, ny: float) -> int:
     return _resolve_phase_bits(None, min(eps_abs / (nx * ny), 0.5))
 
 
-def inner_product_classical(x, y, eps_abs: float, ledger: CostLedger | None = None) -> float:
-    """x . y to absolute accuracy eps_abs via the normalized overlap
-    estimate run at accuracy eps_abs / (||x|| ||y||)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != y.size:
-        raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
-    nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    t = _overlap_width(eps_abs, nx, ny)
-    s = np.array([(x / nx) @ (y / ny)])
-    return nx * ny * float(_modal_overlap(s, t, int(math.log2(pad_dim(x.size))), ledger)[0])
-
-
 def _stacked_estimates(shape, flat, widths, s, scale, data_qubits: int, ledger: CostLedger | None) -> np.ndarray:
     """Zeros of shape with scale * (the modal estimate of overlap s) at each
     flat index: the entries of one register width share one stacked decode.
@@ -70,10 +55,10 @@ def readout_swaptest(a, b, eps_abs: float) -> Result:
     scales with ||A_i.|| ||B_.j|| / eps_abs, plus the classical norm pass.
     The estimations are independent and run side by side: the entries whose
     norms give one register width t share one stacked modal decode, charged
-    as one inner_product_classical call per entry."""
+    as one overlap estimation per entry."""
     a, b = _check_real_pair(a, b)
     ledger = CostLedger(classical_entries=a.size + b.size)
-    # each vector's norm taken on its own, as inner_product_classical takes it
+    # each vector's norm taken on its own, as a single-entry estimate takes it
     row_norms = np.array([np.linalg.norm(v) for v in a])
     col_norms = np.array([np.linalg.norm(v) for v in b.T])
     rows, cols = np.flatnonzero(row_norms), np.flatnonzero(col_norms)

@@ -55,6 +55,10 @@ class VectorSpec:
         support = np.flatnonzero(vals)
         if support.size == 0:
             raise ValueError("vector has empty support")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm(vals))
+        if not 0.0 < norm < math.inf:  # every route divides by it
+            raise ValueError(f"||x|| = {norm} in float64 (it under- or overflows): rescale x")
         mags = np.abs(vals[support])
         return cls(
             values=vals,

@@ -1,9 +1,12 @@
 """Helpers shared by the test modules: bit-exact row comparison, the
-pinned-row runs, the dense-register overlap oracle, the readouts run on it,
-and degenerate matrix instances."""
+pinned-row runs, the overlap oracles (the dense register, and one
+normalized overlap per entry), the readouts run on them, the rank-one
+swap pipeline matmul_lcu's terms are checked against, and degenerate
+matrix instances."""
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume
@@ -19,6 +22,7 @@ from qmm.matmul import (
     _resolve_phase_bits,
     _sve_setup,
     dilation_route,
+    matmul_swaptest,
     walk_route,
 )
 from qmm.circuits import (
@@ -28,7 +32,9 @@ from qmm.circuits import (
     superposed_pair_state,
 )
 from qmm.qpe import swap_value
-from qmm.statevector import CostLedger
+from qmm.readout import _overlap_width
+from qmm.statevector import CostLedger, Result
+from qmm.swaptest import _modal_overlap
 
 
 def comparable(row: dict) -> dict:
@@ -96,6 +102,35 @@ def dense_overlap_estimate(x, y, eps, ledger=None):
     est = phase_estimate(grover_rotation(phi), phi, t, ledger)
     label = int(np.argmax(marginal_probabilities(est, "phase")))
     return float(swap_value(label, t))
+
+
+def inner_product_classical(x, y, eps_abs: float, ledger: CostLedger | None = None) -> float:
+    """x . y to absolute accuracy eps_abs via the normalized overlap
+    estimate run at accuracy eps_abs / (||x|| ||y||): readout-swap's
+    per-entry oracle."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.size != y.size:
+        raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
+    nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    if nx == 0.0 or ny == 0.0:
+        return 0.0
+    t = _overlap_width(eps_abs, nx, ny)
+    s = np.array([(x / nx) @ (y / ny)])
+    return nx * ny * float(_modal_overlap(s, t, int(math.log2(pad_dim(x.size))), ledger)[0])
+
+
+def rank_one_product(a_vec, b_vec, eps: float = 0.05) -> Result:
+    """State of the rank-one product |a><b|: the swap-test pipeline on a
+    column times a row. Branch angles sit exactly on the phase grid, so the
+    result is exact and the cost is independent of any norm ratio; the
+    oracle for matmul_lcu's directly assembled terms."""
+    a_vec = np.asarray(a_vec, dtype=float).reshape(-1)
+    b_vec = np.asarray(b_vec, dtype=float).reshape(-1)
+    if not np.linalg.norm(a_vec) or not np.linalg.norm(b_vec):
+        raise ValueError("rank-one factors must be nonzero")
+    res = matmul_swaptest(a_vec.reshape(-1, 1), b_vec.reshape(1, -1), eps=eps)
+    return replace(res, bound=min(res.bound, eps))
 
 
 def dense_readout(method, a, b, eps_abs):

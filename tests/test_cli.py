@@ -160,6 +160,17 @@ def test_prepare_a_one_entry_vector_then_verify(tmp_path, method, capsys):
     assert main(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("method", ["direct", "hamiltonian", "sparse", "dyadic", "signshift"])
+@pytest.mark.parametrize("scale, norm", [("e-200", "0.0"), ("e300", "inf")])
+def test_prepare_of_a_vector_whose_norm_under_or_overflows_is_one_error_line(tmp_path, method, scale, norm, capsys):
+    # at 1e-200 dyadic and signshift once raised ZeroDivisionError and the
+    # others called x zero; at 1e300 every route warned of an overflow
+    x = tmp_path / "x.csv"
+    x.write_text(f"1{scale},2{scale},-3{scale}\n")
+    assert main(["prepare", "--method", method, "--x", str(x)]) == 1
+    assert capsys.readouterr().err == f"error: ||x|| = {norm} in float64 (it under- or overflows): rescale x\n"
+
+
 @pytest.mark.parametrize("method", ["sve", "hhl"])
 def test_readout_of_a_zero_a_is_one_error_line(tmp_path, matrices, method, capsys):
     zero = tmp_path / "zero.csv"
@@ -206,6 +217,13 @@ def test_gen_rejects_a_nan_kappa(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["gen", "--n", "3", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, not -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma_max", ["nan", "inf", "0", "-2"])
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_gen_rejects_a_sigma_max_that_is_not_finite_and_positive(tmp_path, capsys, n, sigma_max):
@@ -249,6 +267,18 @@ def test_scaling_prints_slopes(capsys):
     out = capsys.readouterr().out
     assert "cost_vs_inv_eps" in out
     assert "cost_vs_n" in out
+
+
+@pytest.mark.parametrize(
+    "method, n_grid", [("swap", "4"), ("sve", "4,4")]  # 4,4 once printed "cost_vs_n: slope=2.500 +- 0.000"
+)
+def test_scaling_names_each_slope_a_one_value_grid_skips(method, n_grid, capsys):
+    argv = ["scaling", "--method", method, "--n-grid", n_grid, "--eps-grid", "0.1", "--seeds", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "cost_vs_inv_eps: no slope, the eps grid has one distinct value",
+        "cost_vs_n: no slope, the n grid has one distinct value",
+    ]
 
 
 def test_scaling_writes_its_cost_table(tmp_path, capsys):

@@ -89,6 +89,14 @@ def test_generators_reject_a_kappa_that_is_not_finite(generate, kappa):
         generate(3, kappa, 0)
 
 
+@pytest.mark.parametrize("generate", [generate_matrix, generate_vector])
+@pytest.mark.parametrize("n", [1, 3])
+def test_generators_reject_a_negative_seed(generate, n):
+    # -1 once failed inside numpy with "expected non-negative integer"
+    with pytest.raises(ValueError, match="seed must be nonnegative, not -1"):
+        generate(n, 1.0, -1)
+
+
 def test_generate_vector_rejects_a_spread_one_entry_cannot_have():
     # one entry once came back as [1.], a spread of 1 for any kappa
     with pytest.raises(ValueError, match="a 1-entry vector cannot have kappa > 1"):
@@ -263,6 +271,22 @@ def test_fit_loglog_slope_exact_powers():
     slope, err = fit_loglog_slope(xs, [x**2 for x in xs])
     assert slope == pytest.approx(2.0, abs=1e-12)
     assert err < 1e-12
+
+
+def test_fit_loglog_slope_needs_two_distinct_x_values():
+    # [4, 4] once gave the slope 0.83 with standard error 0
+    with pytest.raises(ValueError, match="two distinct x values"):
+        fit_loglog_slope([4, 4], [10, 10])
+    with pytest.raises(ValueError, match="two distinct x values"):
+        fit_loglog_slope([4], [10])
+
+
+def test_scaling_fits_over_the_distinct_grid_values():
+    # eps 0.1 given twice once gave cost_vs_inv_eps 1.957 +- 0 from one point
+    result = scaling_study("swap", [4, 8], [0.1, 0.1], [1])
+    assert [(r["n"], r["eps"]) for r in result["table"]] == [(4, 0.1), (8, 0.1)]
+    assert list(result["slopes"]) == ["cost_vs_n"]
+    assert result["skipped"] == {"cost_vs_inv_eps": "eps"}
 
 
 def test_scaling_readout_swap_slopes():

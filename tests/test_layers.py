@@ -1,5 +1,6 @@
 """The two layers: no production path loads the gate-level circuits module,
-and no production module imports it."""
+no production module imports it, and every function a production module
+defines runs on some production path (the block oracles excepted)."""
 import ast
 import os
 import subprocess
@@ -8,11 +9,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every method, then the report round trip and verification, in a fresh
-# interpreter; qmm.circuits must still be unloaded at the end
+# every method, then the report round trip and verification, then each
+# command-line verb, in a fresh interpreter under a profiler: qmm.circuits
+# must still be unloaded at the end, and the production functions that
+# never ran are printed
 SCRIPT = """
+import inspect
 import sys
 from pathlib import Path
+
+ran = set()
+sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code) if event == "call" else None)
 
 import qmm.cli
 from qmm import harness, io
@@ -28,10 +35,33 @@ for method in harness.MULTIPLY_METHODS + harness.READOUT_METHODS + harness.PREP_
     io.save_report_json(path, harness.run_experiment(cfg).to_dict())
     ok, findings = harness.verify_bounds(io.load_report_json(path))
     assert ok, (method, findings)
+a, b, x = (str(out / f"{name}.csv") for name in "abx")
+Path(x).write_text("3,-1,4,1\\n")
+for argv in (
+    ["gen", "--n", "4", "--kappa", "2", "--seed", "1", "--out", a],
+    ["gen", "--n", "4", "--kappa", "2", "--seed", "2", "--out", b],
+    ["multiply", "--method", "swap", "--a", a, "--b", b, "--out", str(out / "cli-multiply.json")],
+    ["readout", "--method", "sve", "--a", a, "--b", b, "--entries-out", str(out / "c.csv")],
+    ["prepare", "--method", "dyadic", "--x", x],
+    ["verify", str(out / "cli-multiply.json")],
+    ["scaling", "--method", "swap", "--n-grid", "2,4", "--eps-grid", "0.2,0.1", "--seeds", "1", "--out", str(out / "s.csv")],
+):
+    assert qmm.cli.main(argv) == 0, argv
+sys.setprofile(None)
 assert "qmm.circuits" not in sys.modules, sorted(m for m in sys.modules if m.startswith("qmm"))
+never = sorted(
+    f"{name[4:]}.{attr}"
+    for name, mod in sorted(sys.modules.items())
+    if name.startswith("qmm.")
+    for attr, fn in vars(mod).items()
+    if inspect.isfunction(fn) and fn.__module__ == name and fn.__code__ not in ran
+)
 import qmm.circuits
-print("ok")
+print("never ran:", *never)
 """
+# the block oracles the closed-form kernels are tested against;
+# bench/tests/test_bench.py pins _sve_component's import-time binding
+BLOCK_ORACLES = ["matmul._hhl_component", "matmul._phase0_after_undo", "matmul._sve_component", "matmul._walk_plane"]
 
 
 def test_production_paths_never_load_circuits(tmp_path):
@@ -40,8 +70,8 @@ def test_production_paths_never_load_circuits(tmp_path):
         [sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "ok"
-    assert len(list(tmp_path.glob("*.json"))) == 12
+    assert proc.stdout.splitlines()[-1].split() == ["never", "ran:", *BLOCK_ORACLES]
+    assert len(list(tmp_path.glob("*.json"))) == 13
 
 
 def test_only_circuits_imports_circuits():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qmm.circuits import marginal_probabilities, pipeline_initial_state
-from qmm.linalg import compute_svd, exact_product, hermitian_dilation, matrix_profile, vectorize
+from qmm.circuits import hermitian_dilation, marginal_probabilities, pipeline_initial_state
+from qmm.linalg import compute_svd, exact_product, vectorize
 
 
 def jacobi_svd(a, sweeps=60, tol=1e-14):
@@ -48,46 +48,6 @@ def triple_loop_product(a, b):
 
 
 # ---------------------------------------------------------------------------
-# profiles
-
-def test_profile_identity():
-    prof = matrix_profile(np.eye(3))
-    assert abs(prof.frobenius - math.sqrt(3)) < 1e-12
-    assert np.allclose(prof.row_norms, 1.0)
-    assert prof.kappa == pytest.approx(1.0)
-    assert not prof.singular
-
-
-def test_profile_rank_one_flags_singular():
-    prof = matrix_profile(np.ones((2, 2)))
-    assert abs(prof.frobenius - 2.0) < 1e-12
-    assert abs(prof.sigma_max - 2.0) < 1e-12
-    assert prof.sigma_min_nonzero is None
-    assert prof.kappa is None
-    assert prof.singular
-
-
-def test_profile_frobenius_matches_direct_summation():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4))
-    direct = math.sqrt(sum(a[i, j] ** 2 for i in range(4) for j in range(4)))
-    prof = matrix_profile(a)
-    assert abs(prof.frobenius - direct) < 1e-12
-
-
-def test_profile_norm_identities():
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        a = rng.normal(size=rng.integers(1, 6, size=2))
-        prof = matrix_profile(a)
-        f2 = prof.frobenius**2
-        assert abs(np.sum(prof.row_norms**2) - f2) <= 1e-10 * max(f2, 1)
-        assert abs(np.sum(prof.col_norms**2) - f2) <= 1e-10 * max(f2, 1)
-        assert prof.sigma_max <= prof.frobenius + 1e-12
-        assert prof.frobenius <= math.sqrt(min(a.shape)) * prof.sigma_max + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # SVD
 
 def test_svd_identity_gauge():
@@ -114,8 +74,8 @@ def test_svd_invariants_and_reconstruction():
     for shape in ((3, 3), (4, 2), (2, 5)):
         a = rng.normal(size=shape)
         bundle = compute_svd(a)
-        assert np.max(np.abs(bundle.reconstruct() - a)) < 1e-10
-        u, v = bundle.left_vectors, bundle.right_vectors
+        u, v, k = bundle.left_vectors, bundle.right_vectors, bundle.sigmas.size
+        assert np.max(np.abs((u[:, :k] * bundle.sigmas) @ v[:, :k].conj().T - a)) < 1e-10
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) < 1e-10
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-10
         assert np.all(np.diff(bundle.sigmas) <= 1e-12)
@@ -252,14 +212,14 @@ def test_vectorize_marginals_match_profile():
     # oracle: direct marginalization of the squared amplitudes
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3))
-    prof = matrix_profile(a)
+    frob2 = float(np.sum(a**2))
     s = vectorize(a)
     row_probs = marginal_probabilities(s, "row")
     expected = np.zeros(4)
-    expected[:3] = prof.row_norms**2 / prof.frobenius**2
+    expected[:3] = np.sum(a**2, axis=1) / frob2
     assert np.allclose(row_probs, expected, atol=1e-12)
     col_probs = marginal_probabilities(s, "col")
-    expected[:3] = prof.col_norms**2 / prof.frobenius**2
+    expected[:3] = np.sum(a**2, axis=0) / frob2
     assert np.allclose(col_probs, expected, atol=1e-12)
 
 
@@ -268,8 +228,7 @@ def test_pipeline_initial_state_amplitudes():
     rng = np.random.default_rng(8)
     a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
     s = pipeline_initial_state(a, b)
-    pa, pb = matrix_profile(a), matrix_profile(b)
-    expected = np.outer(pa.row_norms, pb.col_norms) / (pa.frobenius * pb.frobenius)
+    expected = np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=0)) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert np.allclose(s.reshaped(), expected, atol=1e-12)
 
 

@@ -11,6 +11,7 @@ from qmm.circuits import (
     apply_unitary,
     basis_state,
     grover_rotation,
+    hermitian_dilation,
     invert_phase_estimate,
     marginal_probabilities,
     phase_estimate,
@@ -32,11 +33,10 @@ from qmm.matmul import (
     matmul_lcu,
     matmul_swaptest,
     matmul_sve,
-    rank_one_product,
 )
 from qmm.qpe import swap_value
 from qmm.statevector import CostLedger, Statevector, charge_amplification
-from helpers import swap_closed_form_entries, zero_row_pairs
+from helpers import rank_one_product, swap_closed_form_entries, zero_row_pairs
 
 
 def rand_matrix(seed, shape=(4, 4), shift=0.0):
@@ -663,8 +663,6 @@ def test_hhl_pipeline_matches_full_circuit():
     bundle = compute_svd(a)
     sigma_max = bundle.sigmas[0]
     t0 = math.pi / (2.0 * sigma_max)
-    from qmm.linalg import hermitian_dilation
-
     dil = hermitian_dilation(a)
     vals, vecs = np.linalg.eigh(dil)
     evo = vecs @ np.diag(np.exp(1j * vals * t0)) @ vecs.conj().T

@@ -11,11 +11,13 @@ from qmm.circuits import (
     apply_unitary,
     basis_state,
     coefficient_tag,
+    complex_inner_product,
     decode_fixed,
     encode_fixed,
     fidelity,
     generalized_swap_test,
     grover_rotation,
+    inner_product_estimate,
     invert_phase_estimate,
     marginal_probabilities,
     phase_estimate,
@@ -28,7 +30,6 @@ from qmm.circuits import (
 )
 from qmm.qpe import _controlled_powers, swap_value
 from qmm.statevector import CostLedger, Statevector, from_vector
-from qmm.swaptest import complex_inner_product, estimate_real_overlap, inner_product_estimate
 
 
 def qpe_kernel(phase: float, t: int) -> np.ndarray:
@@ -85,7 +86,6 @@ def test_phase_width_rule():
     # the public swap-test entry points take an accuracy in (0, 1)
     x = from_vector("x", [1.0, 0.0])
     calls = (
-        lambda eps: estimate_real_overlap(x.amplitudes, x.amplitudes, eps),
         lambda eps: inner_product_estimate(x, x, eps),
         lambda eps: complex_inner_product(x, x, eps),
         lambda eps: generalized_swap_test(x, x, lambda s: s, eps),

@@ -8,17 +8,11 @@ from hypothesis import strategies as st
 import qmm.readout
 from qmm.harness import generate_matrix
 from qmm.linalg import exact_product
-from qmm.readout import (
-    inner_product_classical,
-    readout_hhl,
-    readout_sve,
-    readout_swaptest,
-)
+from qmm.readout import readout_hhl, readout_sve, readout_swaptest
 from qmm.matmul import SupportViolationWarning, _resolve_phase_bits, matmul_sve
 from qmm.statevector import CostLedger, from_vector
-from qmm.circuits import coefficient_tag, generalized_swap_test
-from qmm.swaptest import complex_inner_product, estimate_real_overlap, inner_product_estimate
-from helpers import dense_readout, zero_row_pairs
+from qmm.circuits import coefficient_tag, complex_inner_product, generalized_swap_test, inner_product_estimate
+from helpers import dense_readout, inner_product_classical, zero_row_pairs
 
 
 def rand_pair(seed, n=3, shift=0.0):
@@ -198,7 +192,6 @@ def test_value_estimation_readouts_raise_at_the_width_cap(monkeypatch):
     overlap_calls = (
         lambda: readout_swaptest(a, b, 1e-3),
         lambda: inner_product_classical(a[0], b[:, 0], 1e-3),
-        lambda: estimate_real_overlap(x, y, 0.03),
         lambda: inner_product_estimate(sx, sy, 0.03),
         lambda: complex_inner_product(sx, sy, 0.03),
         lambda: coefficient_tag(sx, lambda s: s, 0.03),

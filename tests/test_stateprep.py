@@ -49,6 +49,14 @@ def test_vector_spec_rejects_an_empty_or_nonfinite_vector(values):
         VectorSpec.from_values(values)
 
 
+@pytest.mark.parametrize("route", [synthesize_direct, _prep_by_sign_base, prep_sparse, prep_dyadic, prep_signshift])
+@pytest.mark.parametrize("scale", [1e-200, 1e300])
+def test_every_route_rejects_a_vector_whose_norm_under_or_overflows(route, scale):
+    x = np.array([1.0, 2.0, -3.0]) * scale
+    with pytest.raises(ValueError, match="under- or overflows"):
+        route(x) if route is synthesize_direct else route(x, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # direct synthesis
 

@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 from qmm.matmul import _resolve_phase_bits
 from qmm.circuits import (
     coefficient_tag,
+    complex_inner_product,
     control_pair_state,
     decode_fixed,
     discard_tag_fidelity,
     generalized_swap_test,
     grover_rotation,
+    inner_product_estimate,
     marginal_probabilities,
     phase_estimate,
     superposed_pair_state,
     tag_modal_value,
 )
 from qmm.qpe import swap_value
-from qmm.statevector import CostLedger, from_vector
-from qmm.swaptest import complex_inner_product, estimate_real_overlap, inner_product_estimate
+from qmm.statevector import CostLedger, Statevector, from_vector
 from helpers import dense_overlap_estimate
 
 
@@ -164,40 +165,25 @@ def overlap_inputs(draw):
 @settings(max_examples=200)
 @given(overlap_inputs())
 def test_plane_overlap_estimate_matches_dense_register(case):
+    # both parts of the complex estimate, each a real overlap read off the
+    # swap plane, against the Grover rotation on the full register
     x, y, eps = case
+    sx, sy = (Statevector((("x", int(math.log2(v.size))),), v) for v in (x, y))
     led_plane, led_dense = CostLedger(), CostLedger()
-    got = estimate_real_overlap(x, y, eps, led_plane)
-    want = dense_overlap_estimate(x, y, eps, led_dense)
+    got = complex_inner_product(sx, sy, eps, led_plane)
+    want = complex(dense_overlap_estimate(x, y, eps, led_dense), -dense_overlap_estimate(x, 1j * y, eps, led_dense))
     assert got == want
     assert led_plane == led_dense
 
 
-def test_overlap_estimate_rejects_non_unit_inputs():
-    with pytest.raises(ValueError, match="norm"):
-        estimate_real_overlap(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 0.05)
-    # ||x||^2 + ||y||^2 = 2, so the pair state (|+>|x> + |->|y>)/sqrt(2) has
-    # unit norm; each input on its own does not
-    with pytest.raises(ValueError, match="x has norm"):
-        estimate_real_overlap(np.array([math.sqrt(1.5), 0.0]), np.array([math.sqrt(0.5), 0.0]), 0.05)
-    with pytest.raises(ValueError, match="y has norm"):
-        estimate_real_overlap(np.array([1.0, 0.0]), np.array([np.nan, 0.0]), 0.05)
-
-
-def test_overlap_estimate_rejects_mismatched_or_unpadded_sizes():
-    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 4"):
-        estimate_real_overlap(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]), 0.05)
-    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
-        estimate_real_overlap(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 0.05)
-
-
 def test_overlap_estimate_respects_qubit_budget(monkeypatch):
-    x = np.array([1.0, 0.0, 0.0, 0.0])
+    x = from_vector("x", [1.0, 0.0, 0.0, 0.0])
     # t = 8 phase bits + 3 register qubits at eps = 0.05
     monkeypatch.setenv("QMM_MAX_QUBITS", "10")
     with pytest.raises(ValueError, match="needs 11 qubits, over the budget of 10"):
-        estimate_real_overlap(x, x, 0.05)
+        inner_product_estimate(x, x, 0.05)
     monkeypatch.setenv("QMM_MAX_QUBITS", "11")
-    assert estimate_real_overlap(x, x, 0.05) == pytest.approx(1.0)
+    assert inner_product_estimate(x, x, 0.05) == pytest.approx(1.0)
 
 
 def test_inner_product_dimension_mismatch():
